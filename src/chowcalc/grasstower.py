@@ -13,7 +13,7 @@ import itertools
 
 from .chern import Bundle
 from .polyring import Poly, PolyError, VarTable, poly_det, series_invert
-from .zgraded import DegreeLattice
+from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
 class TowerError(Exception):
@@ -109,15 +109,6 @@ class GradedRing:
             lat = self.lattice(d)
             out = out + lat.poly(lat.reduce(lat.vector(part)))
         return out
-
-    def is_equivalent(self, a, b):
-        return self.normal_form(a - b).is_zero()
-
-    def basis_monomials(self, d):
-        """Retained monomial basis of the degree-d quotient."""
-        if not self.relations:
-            return self.table.monomials(d)
-        return self.lattice(d).retained_monomials()
 
     def __eq__(self, other):
         return (
@@ -223,13 +214,11 @@ class _Fiber:
                     prod = s * Poly(self.core_table, {m: 1})
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
-            from .zgraded import row_hnf
-
             if rows:
                 H, U, pivots = row_hnf(rows)
             else:
                 H, U, pivots = [], [], []
-            self._solvers[d] = (lat, rows, labels, H, U, pivots)
+            self._solvers[d] = (lat, labels, H, U, pivots)
         return self._solvers[d]
 
     def _solve_core(self, p_core):
@@ -237,26 +226,10 @@ class _Fiber:
         d = p_core.degree()
         if d < 0:
             return self.core_table.zero()
-        lat, rows, labels, H, U, pivots = self._solver(d)
-        v = lat.reduce(lat.vector(p_core))
-        y = [0] * len(rows)
-        v = list(v)
-        for r, c in pivots:
-            if v[c] == 0:
-                continue
-            piv = H[r][c]
-            if v[c] % piv:
-                raise TowerError("class is not in the Schur-basis module span")
-            q = v[c] // piv
-            y[r] = q
-            Hr = H[r]
-            for kk in range(len(v)):
-                v[kk] -= q * Hr[kk]
-        if any(v):
+        lat, labels, H, U, pivots = self._solver(d)
+        coeffs = hnf_solve(H, U, pivots, lat.reduce(lat.vector(p_core)))
+        if coeffs is None:
             raise TowerError("class is not in the Schur-basis module span")
-        coeffs = [
-            sum(y[r] * U[r][i] for r in range(len(rows))) for i in range(len(rows))
-        ]
         out_terms = {}
         for coeff, (lam, m) in zip(coeffs, labels):
             if coeff and lam == self.top:

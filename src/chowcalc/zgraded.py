@@ -5,6 +5,16 @@ answered degree by degree: the degree-d slice of an ideal is the integer span
 of generator-times-monomial products, a sublattice of the free module on the
 degree-d monomials.  Hermite and Smith normal forms make the answers exact
 and certifiable.
+
+Before any lattice is built, a `GradedIdeal` uses each generator whose
+leading term is +-v for a single variable v to substitute v out of the other
+generators, until no such generator is left; its lattices live over the
+table of the remaining variables, and a query is substituted first.  Normal
+forms stay canonical (each monomial with an eliminated variable would be a
+pivot column with pivot 1), quotient groups are unchanged, and membership
+certificates are lifted back to the original generators through divided
+differences.  The Hermite transform U is built only where a certificate is
+read off it: `DegreeLattice.solve` and the Gysin solver.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .polyring import Poly, PolyError
+from .polyring import Poly, PolyError, VarTable
 
 
 class GradedError(Exception):
@@ -22,30 +32,32 @@ class GradedError(Exception):
 # -- integer matrix canonical forms -----------------------------------------
 
 
-def row_hnf(rows):
-    """Row-style Hermite normal form with transform.
+def row_hnf(rows, transform=True):
+    """Row-style Hermite normal form, with its transform on request.
 
     Returns (H, U, pivots) with H = U * M (U unimodular), pivot entries
     positive, entries above each pivot reduced into [0, pivot).  `pivots` is a
-    list of (row_index, col_index) pairs in echelon order.
+    list of (row_index, col_index) pairs in echelon order.  With `transform`
+    false, U is not built and None is returned in its place; H and the pivots
+    are the same either way.
     """
     m = len(rows)
     H = [list(r) for r in rows]
     ncols = len(H[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = None
+    if transform:
+        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
-    def row_op_sub(i, j, q):
-        # row_i -= q * row_j
-        Hi, Hj = H[i], H[j]
-        for k in range(ncols):
-            Hi[k] -= q * Hj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            Ui[k] -= q * Uj[k]
+    def row_op_sub(i, j, q, col):
+        # row_i -= q * row_j, where row_j is zero left of col
+        H[i][col:] = [a - q * b for a, b in zip(H[i][col:], H[j][col:])]
+        if U is not None:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def row_swap(i, j):
         H[i], H[j] = H[j], H[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     pivots = []
     r = 0
@@ -62,7 +74,7 @@ def row_hnf(rows):
             for i in range(r + 1, m):
                 if H[i][col]:
                     q = H[i][col] // H[r][col]
-                    row_op_sub(i, r, q)
+                    row_op_sub(i, r, q, col)
                     if H[i][col]:
                         done = False
             if done:
@@ -70,17 +82,44 @@ def row_hnf(rows):
         if r < m and H[r][col]:
             if H[r][col] < 0:
                 H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
+                if U is not None:
+                    U[r] = [-x for x in U[r]]
             p = H[r][col]
             for i in range(r):
                 q = H[i][col] // p
                 if q:
-                    row_op_sub(i, r, q)
+                    row_op_sub(i, r, q, col)
             pivots.append((r, col))
             r += 1
             if r == m:
                 break
     return H, U, pivots
+
+
+def hnf_solve(H, U, pivots, v):
+    """Integer x with x * M == v, given (H, U, pivots) = row_hnf(M); or None.
+
+    Back-substitutes v against the echelon rows of H, then carries the
+    coefficients over to the rows of M through U.
+    """
+    v = list(v)
+    used = []
+    for r, c in pivots:
+        a = v[c]
+        if not a:
+            continue
+        p = H[r][c]
+        if a % p:
+            return None
+        q = a // p
+        v[c:] = [x - q * h for x, h in zip(v[c:], H[r][c:])]
+        used.append((q, U[r]))
+    if any(v):
+        return None
+    x = [0] * len(U)
+    for q, u in used:
+        x = [a + q * b for a, b in zip(x, u)]
+    return x
 
 
 def hermite(M):
@@ -92,7 +131,7 @@ def hermite(M):
     if not M:
         return []
     Mt = [list(col) for col in zip(*M)]
-    H, _, _ = row_hnf(Mt)
+    H, _, _ = row_hnf(Mt, transform=False)
     return [list(row) for row in zip(*H)]
 
 
@@ -196,23 +235,7 @@ def solve_row_combination(rows, target):
     if not rows:
         return [] if not any(target) else None
     H, U, pivots = row_hnf(rows)
-    v = list(target)
-    y = [0] * len(rows)
-    for r, c in pivots:
-        if v[c] == 0:
-            continue
-        p = H[r][c]
-        if v[c] % p:
-            return None
-        q = v[c] // p
-        y[r] = q
-        Hr = H[r]
-        for k in range(len(v)):
-            v[k] -= q * Hr[k]
-    if any(v):
-        return None
-    m = len(rows)
-    return [sum(y[r] * U[r][i] for r in range(m)) for i in range(m)]
+    return hnf_solve(H, U, pivots, target)
 
 
 # -- per-degree lattices -----------------------------------------------------
@@ -222,7 +245,8 @@ class DegreeLattice:
     """The degree-d slice of the span of generator*monomial products.
 
     Columns are the degree-d monomials in descending graded-lex order; rows
-    are labelled by (generator index, cofactor monomial).
+    are labelled by (generator index, cofactor monomial).  The Hermite form
+    is computed on first use, with its transform only once `solve` needs one.
     """
 
     def __init__(self, table, generators, d):
@@ -242,10 +266,20 @@ class DegreeLattice:
                 labels.append((gi, mono))
         self.rows = rows
         self.labels = labels
-        if rows:
-            self.H, self.U, self.pivots = row_hnf(rows)
-        else:
-            self.H, self.U, self.pivots = [], [], []
+        self._hnf = None
+
+    def _echelon(self, transform):
+        """(H, U, pivots), built once; rebuilt once if U is asked for later."""
+        if self._hnf is None or (transform and self._hnf[1] is None):
+            if self.rows:
+                self._hnf = row_hnf(self.rows, transform)
+            else:
+                self._hnf = ([], [], [])
+        return self._hnf
+
+    @property
+    def H(self):
+        return self._echelon(False)[0]
 
     def vector(self, p):
         v = [0] * len(self.cols)
@@ -262,47 +296,66 @@ class DegreeLattice:
         Pivot-column entries are reduced into [0, pivot); the surviving
         monomials are the graded-lex-least spanning set.
         """
+        H, _, pivots = self._echelon(False)
         v = list(v)
-        for r, c in self.pivots:
-            p = self.H[r][c]
-            q = v[c] // p
+        for r, c in pivots:
+            q = v[c] // H[r][c]
             if q:
-                Hr = self.H[r]
-                for k in range(len(v)):
-                    v[k] -= q * Hr[k]
+                v[c:] = [x - q * h for x, h in zip(v[c:], H[r][c:])]
         return v
 
     def solve(self, v):
         """Coefficients over the labelled rows expressing v, or None."""
-        if not self.rows:
-            return [] if not any(v) else None
-        H, U, pivots = self.H, self.U, self.pivots
-        v = list(v)
-        y = [0] * len(self.rows)
-        for r, c in pivots:
-            if v[c] == 0:
-                continue
-            p = H[r][c]
-            if v[c] % p:
-                return None
-            q = v[c] // p
-            y[r] = q
-            Hr = H[r]
-            for k in range(len(v)):
-                v[k] -= q * Hr[k]
-        if any(v):
-            return None
-        m = len(self.rows)
-        return [sum(y[r] * U[r][i] for r in range(m)) for i in range(m)]
+        H, U, pivots = self._echelon(True)
+        return hnf_solve(H, U, pivots, v)
 
-    def retained_monomials(self):
-        """Monomials that can occur in canonical representatives."""
-        pivot_cols = {c: self.H[r][c] for r, c in self.pivots}
-        out = []
-        for i, e in enumerate(self.cols):
-            if i not in pivot_cols or pivot_cols[i] > 1:
-                out.append(e)
-        return out
+
+def _unit_variable(g):
+    """(variable index, sign) when g's leading term is +-v for one variable v.
+
+    Every other term of such a g is graded-lex smaller than v, so it involves
+    only variables after v in the table order.
+    """
+    expo, c = g.leading()
+    if c in (1, -1) and sum(expo) == 1:
+        return expo.index(1), c
+    return None
+
+
+def _split(p, i):
+    """p as {e: p_e} with p = sum_e v^e * p_e, v the i-th variable."""
+    parts = {}
+    for expo, c in p.terms.items():
+        parts.setdefault(expo[i], {})[expo[:i] + (0,) + expo[i + 1:]] = c
+    return {e: Poly(p.table, t) for e, t in parts.items()}
+
+
+def _substitute(parts, rho):
+    """sum_e rho^e * p_e for the split {e: p_e} of a polynomial."""
+    out = parts.get(0, rho.table.zero())
+    power = rho.table.one()
+    for e in range(1, max(parts) + 1):
+        power = power * rho
+        if e in parts:
+            out = out + parts[e] * power
+    return out
+
+
+def _divided_difference(parts, v, rho):
+    """Delta with p - p(v:=rho) == (v - rho) * Delta, for the split of p.
+
+    Delta = sum_e p_e * S_e with S_e = v^(e-1) + v^(e-2)*rho + ... + rho^(e-1).
+    """
+    table = rho.table
+    out = table.zero()
+    s = power = table.one()
+    for e in range(1, max(parts) + 1):
+        if e > 1:
+            power = power * rho
+            s = v * s + power
+        if e in parts:
+            out = out + parts[e] * s
+    return out
 
 
 @dataclass
@@ -323,7 +376,13 @@ class GroupStructure:
 
 
 class GradedIdeal:
-    """Homogeneous ideal given by generators, queried per degree over Z."""
+    """Homogeneous ideal given by generators, queried per degree over Z.
+
+    Generators whose leading term is +-v for a single variable v are used up
+    front to substitute v out of the other generators, repeatedly; the
+    per-degree lattices are built from what remains, over the table of the
+    variables that remain, and every query is substituted the same way first.
+    """
 
     def __init__(self, generators):
         gens = [g for g in generators if not g.is_zero()]
@@ -337,11 +396,106 @@ class GradedIdeal:
                 raise GradedError("generator %s is not homogeneous" % g)
         self.table = table
         self.generators = tuple(gens)
+        self._eliminate()
         self._lattices = {}
+
+    def _eliminate(self):
+        """Substitute out unit-linear generators until none is left.
+
+        Records the steps (variable index, image rho, sign s, combination)
+        where s * (v - rho) is the eliminating generator after the earlier
+        steps, and the combination expresses it in the original generators as
+        {generator index: cofactor}.  The remaining generators keep such a
+        combination too, so certificates can be lifted back.
+        """
+        table = self.table
+        gens = list(self.generators)
+        combos = [{i: table.one()} for i in range(len(gens))]
+        live = list(range(len(gens)))
+        steps = []
+        while True:
+            found = None
+            for j in live:
+                found = _unit_variable(gens[j])
+                if found:
+                    break
+            if not found:
+                break
+            live.remove(j)
+            i, sign = found
+            v = table.var(table.names[i])
+            rho = v - sign * gens[j]
+            steps.append((i, rho, sign, combos[j]))
+            for k in list(live):
+                parts = _split(gens[k], i)
+                if max(parts) == 0:
+                    continue
+                # gens[k] - gens[k](v:=rho) == sign * gens[j] * delta
+                delta = _divided_difference(parts, v, rho)
+                gens[k] = _substitute(parts, rho)
+                _accumulate(combos[k], combos[j], -sign * delta)
+                if gens[k].is_zero():
+                    live.remove(k)
+        gone = {i for i, _, _, _ in steps}
+        self._steps = tuple(steps)
+        self._keep = tuple(i for i in range(table.nvars) if i not in gone)
+        if gone:
+            self._reduced = VarTable(
+                [(table.names[i], table.degrees[i]) for i in self._keep],
+                table.degree_bound,
+            )
+        else:
+            self._reduced = table
+        self._reduced_gens = tuple(self._project(gens[k]) for k in live)
+        self._reduced_combos = tuple(combos[k] for k in live)
+
+    def _project(self, p):
+        """A polynomial free of the eliminated variables, over the reduced table."""
+        if self._reduced is self.table:
+            return p
+        keep = self._keep
+        return Poly(
+            self._reduced,
+            {tuple(e[i] for i in keep): c for e, c in p.terms.items()},
+        )
+
+    def _embed(self, q):
+        """A polynomial over the reduced table, back over the full table."""
+        if self._reduced is self.table:
+            return q
+        n = self.table.nvars
+        terms = {}
+        for e, c in q.terms.items():
+            full = [0] * n
+            for i, x in zip(self._keep, e):
+                full[i] = x
+            terms[tuple(full)] = c
+        return Poly(self.table, terms)
+
+    def _substituted(self, p, cofactors=None):
+        """p with the eliminated variables substituted out, reduced table.
+
+        With `cofactors` (generator index -> Poly) given, adds to it the
+        multiples of the generators whose sum is p minus the result.
+        """
+        if p.table != self.table:
+            raise GradedError("polynomial over a different table")
+        for i, rho, sign, combo in self._steps:
+            parts = _split(p, i)
+            if max(parts, default=0) == 0:
+                continue
+            if cofactors is not None:
+                v = self.table.var(self.table.names[i])
+                delta = _divided_difference(parts, v, rho)
+                _accumulate(cofactors, combo, sign * delta)
+            p = _substitute(parts, rho)
+        return self._project(p)
 
     def lattice(self, d):
         if d not in self._lattices:
-            self._lattices[d] = DegreeLattice(self.table, self.generators, d)
+            self._lattices[d] = DegreeLattice(
+                self._reduced, self._reduced_gens, d
+            )
         return self._lattices[d]
 
     def member(self, p):
@@ -358,16 +512,20 @@ class GradedIdeal:
         d = p.degree()
         if d > self.table.degree_bound:
             raise GradedError("degree %d above the bound" % d)
+        cof = {}
+        q = self._substituted(p, cof)
         lat = self.lattice(d)
-        x = lat.solve(lat.vector(p))
+        x = lat.solve(lat.vector(q))
         if x is None:
             return False, None
-        cof = {}
-        for coeff, (gi, mono) in zip(x, lat.labels):
+        reduced = {}
+        for coeff, (j, mono) in zip(x, lat.labels):
             if coeff:
-                cur = cof.get(gi, self.table.zero())
-                cof[gi] = cur + Poly(self.table, {mono: coeff})
-        cert = sorted(cof.items())
+                reduced.setdefault(j, {})[mono] = coeff
+        for j, terms in reduced.items():
+            a = self._embed(Poly(self._reduced, terms))
+            _accumulate(cof, self._reduced_combos[j], a)
+        cert = sorted((gi, c) for gi, c in cof.items() if not c.is_zero())
         return True, cert
 
     def certificate_product(self, cert):
@@ -377,13 +535,19 @@ class GradedIdeal:
         return out
 
     def normal_form(self, p):
-        """Canonical representative of a homogeneous p modulo the ideal."""
+        """Canonical representative of a homogeneous p modulo the ideal.
+
+        Every monomial with an eliminated variable is a pivot column with
+        pivot 1 in the full-table lattice, so its canonical representative
+        is free of them and equals the one over the reduced table.
+        """
         if p.is_zero():
             return p
         if not p.is_homogeneous():
             raise GradedError("normal form requires a homogeneous polynomial")
         lat = self.lattice(p.degree())
-        return lat.poly(lat.reduce(lat.vector(p)))
+        q = self._substituted(p)
+        return self._embed(lat.poly(lat.reduce(lat.vector(q))))
 
     def contains(self, other, up_to):
         """Generator-wise containment of `other` in self through degree up_to.
@@ -393,22 +557,27 @@ class GradedIdeal:
         for g in other.generators:
             if g.degree() > up_to:
                 continue
-            ok, _ = self.member(g)
-            if not ok:
+            if not self.normal_form(g).is_zero():
                 return False, g
         return True, None
 
     def equal(self, other, up_to):
-        """Two-sided containment plus per-degree lattice comparison."""
+        """Two-sided containment plus per-degree lattice comparison.
+
+        Both lattices are compared under this ideal's substitution, which
+        maps the full-table lattices of two ideals that contain each other
+        to equal lattices exactly when they are equal.
+        """
         ok, w = self.contains(other, up_to)
         if not ok:
             return False, ("missing from left ideal", w)
         ok, w = other.contains(self, up_to)
         if not ok:
             return False, ("missing from right ideal", w)
+        theirs = [self._substituted(g) for g in other.generators]
         for d in range(up_to + 1):
             a = self.lattice(d)
-            b = other.lattice(d)
+            b = DegreeLattice(self._reduced, theirs, d)
             Ha = [r for r in a.H if any(r)]
             Hb = [r for r in b.H if any(r)]
             if Ha != Hb:
@@ -416,7 +585,11 @@ class GradedIdeal:
         return True, None
 
     def quotient_structure(self, d):
-        """Free rank and torsion of the degree-d quotient module."""
+        """Free rank and torsion of the degree-d quotient module.
+
+        The eliminated monomials are killed by unit pivots, so the quotient
+        over the reduced table is the same group.
+        """
         if d > self.table.degree_bound:
             raise GradedError("degree %d above the bound" % d)
         lat = self.lattice(d)
@@ -427,3 +600,9 @@ class GradedIdeal:
         diag = [D[i][i] for i in range(min(len(lat.rows), ncols)) if D[i][i]]
         torsion = tuple(x for x in diag if x > 1)
         return GroupStructure(d, ncols - len(diag), torsion)
+
+
+def _accumulate(acc, combo, factor):
+    """acc += factor * combo, for {generator index: cofactor} maps."""
+    for gi, c in combo.items():
+        acc[gi] = acc.get(gi, factor.table.zero()) + factor * c

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcalc.polyring import VarTable
 from chowcalc.zgraded import (
+    DegreeLattice,
     GradedError,
     GradedIdeal,
+    GroupStructure,
     hermite,
     primitive,
     row_hnf,
@@ -235,3 +239,122 @@ def test_equal_detects_span_difference(table):
     b = GradedIdeal([2 * c1])
     ok, _ = a.equal(b, 4)
     assert not ok
+
+
+# -- properties ---------------------------------------------------------------
+
+matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_row_hnf_transform_is_optional_and_exact(M):
+    H, U, pivots = row_hnf(M)
+    H2, U2, pivots2 = row_hnf(M, transform=False)
+    assert (H2, U2, pivots2) == (H, None, pivots)
+    assert mat_mul(U, M) == H
+    assert det(U) in (1, -1)
+
+
+CF = VarTable(
+    [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4), ("f1", 1), ("f2", 2), ("f3", 3)],
+    degree_bound=6,
+)
+
+
+def _cf_pool():
+    c1, c2, c3, c4, f1, f2, f3 = CF.gens()
+    x = c2 - f2
+    return [
+        c1,
+        f1,
+        c3 - f3,
+        2 * c3,
+        3 * c1 - 2 * f1,
+        c3 - f3 + c1 * c2,  # unit-linear only once c1 is gone
+        x * x - 4 * c4,
+        x * c3,
+        f2 - c1 * f1,
+    ]
+
+
+POOL = _cf_pool()
+ideals = st.lists(
+    st.integers(0, len(POOL) - 1), min_size=1, max_size=5, unique=True
+).map(lambda idx: [POOL[i] for i in idx])
+
+
+@st.composite
+def homogeneous(draw, d):
+    monos = CF.monomials(d)
+    picks = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6))
+    return CF.poly({m: draw(st.integers(-5, 5)) for m in picks})
+
+
+@st.composite
+def ideal_members(draw, gens):
+    d = draw(st.integers(1, CF.degree_bound))
+    p = CF.zero()
+    for g in gens:
+        if g.degree() <= d:
+            p = p + g * draw(homogeneous(d - g.degree()))
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals, st.data())
+def test_normal_form_matches_the_full_table_lattice(gens, data):
+    ideal = GradedIdeal(gens)
+    d = data.draw(st.integers(1, CF.degree_bound))
+    p = data.draw(homogeneous(d))
+    full = DegreeLattice(CF, ideal.generators, d)
+    nf = ideal.normal_form(p)
+    assert nf == full.poly(full.reduce(full.vector(p)))
+    assert ideal.normal_form(nf) == nf
+    ok, cert = ideal.member(p)
+    assert ok == nf.is_zero()
+    if ok:
+        assert ideal.certificate_product(cert) == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals, st.data())
+def test_member_certificates_remultiply(gens, data):
+    ideal = GradedIdeal(gens)
+    p = data.draw(ideal_members(gens))
+    ok, cert = ideal.member(p)
+    assert ok
+    assert ideal.certificate_product(cert) == p
+
+
+@settings(max_examples=25, deadline=None)
+@given(ideals, st.integers(0, 5))
+def test_quotient_structure_matches_smith_on_the_full_lattice(gens, d):
+    ideal = GradedIdeal(gens)
+    full = DegreeLattice(CF, ideal.generators, d)
+    ncols = len(full.cols)
+    if full.rows:
+        D, _, _ = smith(full.rows)
+        diag = [D[i][i] for i in range(min(len(full.rows), ncols)) if D[i][i]]
+    else:
+        diag = []
+    want = GroupStructure(d, ncols - len(diag), tuple(x for x in diag if x > 1))
+    assert ideal.quotient_structure(d) == want
+
+
+def test_unit_linear_generators_are_eliminated():
+    c1, c2, c3, c4, f1, f2, f3 = CF.gens()
+    x = c2 - f2
+    final = GradedIdeal([c1, f1, 2 * c3, c3 - f3, x * x - 4 * c4, x * c3])
+    assert final.lattice(4).table.names == ("c2", "c4", "f2", "f3")
+    chained = GradedIdeal([c1, c3 - f3 + c1 * c2])
+    assert chained.lattice(3).table.names == ("c2", "c4", "f1", "f2", "f3")
+    assert chained.normal_form(c3 + c1 * f2) == f3
+    ok, cert = chained.member(c3 - f3)
+    assert ok and chained.certificate_product(cert) == c3 - f3
