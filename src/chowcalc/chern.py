@@ -16,7 +16,7 @@ from .polyring import (
     RootSet,
     VarTable,
     poly_det,
-    series_invert,
+    series_parts,
     symmetric_reduce,
 )
 
@@ -101,7 +101,10 @@ def line(cls1):
 def from_total(rank, total):
     """Bundle with the given truncated total class (graded parts become c_i)."""
     table = total.table
-    chern = [total.graded_part(d) for d in range(min(rank, table.degree_bound) + 1)]
+    parts = total.graded_parts()
+    chern = [
+        parts.get(d, table.zero()) for d in range(min(rank, table.degree_bound) + 1)
+    ]
     return Bundle(rank, chern)
 
 
@@ -200,10 +203,7 @@ def formal_quotient(total, sub, rank=None):
         rank = total.rank - sub.rank
     if rank < 0:
         raise BundleError("quotient rank must be nonnegative")
-    table = total.table
-    q = total.total() * series_invert(sub.total())
-    chern = [q.graded_part(d) for d in range(min(rank, table.degree_bound) + 1)]
-    return Bundle(rank, chern)
+    return Bundle(rank, series_parts(total.total(), sub.total(), rank))
 
 
 def whitney_quotient(total, sub, ring=None):
@@ -217,32 +217,16 @@ def whitney_quotient(total, sub, ring=None):
         raise BundleError("bundles over different tables")
     if total.rank < sub.rank:
         raise BundleError("sub-bundle rank exceeds total rank")
-    table = total.table
     rank = total.rank - sub.rank
-    q = total.total() * series_invert(sub.total())
-    for d in range(rank + 1, table.degree_bound + 1):
-        part = q.graded_part(d)
+    q = series_parts(total.total(), sub.total(), total.table.degree_bound)
+    for d, part in enumerate(q[rank + 1 :], start=rank + 1):
         if ring is not None:
             part = ring.normal_form(part)
         if not part.is_zero():
             raise InconsistentSequenceError(
                 "quotient class in degree %d does not vanish: %s" % (d, part)
             )
-    chern = [q.graded_part(d) for d in range(min(rank, table.degree_bound) + 1)]
-    return Bundle(rank, chern)
-
-
-def difference_class(F, E, k):
-    """Chern class c_k of the formal difference F - E (series division)."""
-    if F.table != E.table:
-        raise BundleError("bundles over different tables")
-    table = F.table
-    if k < 0:
-        return table.zero()
-    if k > table.degree_bound:
-        return table.zero()
-    q = F.total() * series_invert(E.total())
-    return q.graded_part(k)
+    return Bundle(rank, q[: rank + 1])
 
 
 def porteous(E, F, r):
@@ -261,15 +245,11 @@ def porteous(E, F, r):
     table = E.table
     if size == 0:
         return table.one()
-    q = F.total() * series_invert(E.total())
-    parts = {}
+    # the top-right entry has the highest index, f - r + size - 1
+    q = series_parts(F.total(), E.total(), f - r + size - 1)
 
-    def cpart(k):
-        if k < 0 or k > table.degree_bound:
-            return table.zero()
-        if k not in parts:
-            parts[k] = q.graded_part(k)
-        return parts[k]
+    def c(k):
+        return q[k] if 0 <= k < len(q) else table.zero()
 
-    rows = [[cpart(f - r + j - i) for j in range(size)] for i in range(size)]
+    rows = [[c(f - r + j - i) for j in range(size)] for i in range(size)]
     return poly_det(rows)

@@ -8,13 +8,17 @@ import os
 import sys
 
 from . import __version__
+from .chern import BundleError
 from .dsl import DslError, parse
 from .dsl import Session as DslSession
+from .grasstower import TowerError
+from .polyring import PolyError
 from .so4pipeline import (
     DEFAULT_DEGREE_BOUND,
     PipelineError,
     So4Pipeline,
 )
+from .zgraded import GradedError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,7 +142,9 @@ def main(argv=None):
         if args.command == "verify-so4":
             return _cmd_verify(args)
         return _cmd_eval(args)
-    except (PipelineError, DslError) as exc:
+    except (
+        PipelineError, DslError, PolyError, GradedError, TowerError, BundleError
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,8 +22,9 @@ from .grasstower import (
     _Fiber,
     check_partition,
     schur_from_chern,
+    tautological_quotient,
 )
-from .polyring import Poly, PolyError, VarTable, series_invert
+from .polyring import Poly, PolyError, VarTable
 from .zgraded import GradedError, GradedIdeal
 
 
@@ -344,18 +345,8 @@ class TowerHandle:
         self.sub = chern.Bundle(
             k, [table.one()] + [table.var(v) for v in self.subvars]
         )
-        q = E.total() * series_invert(self.sub.total())
-        bound = table.degree_bound
-        self.quot = chern.Bundle(
-            n - k,
-            [q.graded_part(d) for d in range(min(n - k, bound) + 1)],
-            check=False,
-        )
-        self.relations = tuple(
-            q.graded_part(d)
-            for d in range(n - k + 1, min(n, bound) + 1)
-            if not q.graded_part(d).is_zero()
-        )
+        quot_chern, self.relations = tautological_quotient(E, self.sub)
+        self.quot = chern.Bundle(n - k, quot_chern, check=False)
         self.ring = GradedRing(table, self.relations)
         self.fiber = _Fiber(table, self.subvars, k, n, self.relations)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .chern import Bundle
-from .polyring import Poly, PolyError, VarTable, poly_det, series_invert
+from .polyring import Poly, PolyError, VarTable, poly_det, series_parts
 from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
@@ -71,6 +71,18 @@ def schur_from_chern(bundle, lam):
         for i in range(n)
     ]
     return poly_det(rows)
+
+
+def tautological_quotient(E, sub):
+    """Quotient classes and defining relations of G(k, E) with sub-bundle `sub`.
+
+    The parts of c(E) / c(sub) of degree <= n - k are the Chern classes of
+    the tautological quotient; its nonzero parts of degree n - k + 1 .. n
+    are the relations.  Returns (quotient classes, relations).
+    """
+    q = series_parts(E.total(), sub.total(), E.rank)
+    top = E.rank - sub.rank
+    return q[: top + 1], tuple(p for p in q[top + 1 :] if not p.is_zero())
 
 
 # -- graded rings ------------------------------------------------------------
@@ -296,16 +308,10 @@ class TowerLevel:
         self.taut_sub = Bundle(
             k, [table.one()] + [table.var(nm) for nm in subvar_names]
         )
-        q = self.E.total() * series_invert(self.taut_sub.total())
-        quot_chern = [
-            q.graded_part(d) for d in range(min(n - k, table.degree_bound) + 1)
-        ]
-        self.taut_quot = Bundle(n - k, quot_chern)
-        self.new_relations = tuple(
-            q.graded_part(d)
-            for d in range(n - k + 1, min(n, table.degree_bound) + 1)
-            if not q.graded_part(d).is_zero()
+        quot_chern, self.new_relations = tautological_quotient(
+            self.E, self.taut_sub
         )
+        self.taut_quot = Bundle(n - k, quot_chern)
         base_rels = tuple(r.convert(table) for r in base.relations)
         self.ring = GradedRing(table, base_rels + self.new_relations)
         self._fiber = _Fiber(table, self.subvars, k, n, self.new_relations)

@@ -5,12 +5,18 @@ order (and hence the graded-lex term order used everywhere downstream), the
 weight of each variable, and a global truncation degree.  All arithmetic is
 exact integer arithmetic; products are truncated above the table's degree
 bound.
+
+Series division, the one step behind every Whitney and Thom-Porteous
+computation, is :func:`series_parts`: it returns the homogeneous parts
+q_0..q_k of a / b for a series b with constant term 1, by the recurrence
+q_d = a_d - sum_{j>=1} b_j q_{d-j}, so only the degrees a caller reads are
+ever multiplied.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import operator
 
 
 class PolyError(Exception):
@@ -76,7 +82,7 @@ class VarTable:
         return len(self.names)
 
     def mono_degree(self, expo):
-        return sum(e * d for e, d in zip(expo, self.degrees))
+        return sum(map(operator.mul, expo, self.degrees))
 
     def zero(self):
         return Poly(self, {})
@@ -245,14 +251,19 @@ class Poly:
         table = self.table
         md = table.mono_degree
         bound = table.degree_bound
+        add = operator.add
         terms = {}
-        a_items = [(e, c, md(e)) for e, c in self.terms.items()]
-        b_items = [(e, c, md(e)) for e, c in other.terms.items()]
-        for ea, ca, da in a_items:
+        # right operand in ascending degree, so each row stops at the bound
+        b_items = sorted(
+            ((e, c, md(e)) for e, c in other.terms.items()),
+            key=operator.itemgetter(2),
+        )
+        for ea, ca in self.terms.items():
+            room = bound - md(ea)
             for eb, cb, db in b_items:
-                if da + db > bound:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
+                if db > room:
+                    break
+                e = tuple(map(add, ea, eb))
                 s = terms.get(e, 0) + ca * cb
                 if s:
                     terms[e] = s
@@ -403,31 +414,39 @@ class Poly:
 # -- power series helpers ---------------------------------------------------
 
 
+def series_parts(a, b, up_to):
+    """Homogeneous parts [q_0, ..., q_up_to] of the truncated quotient a / b.
+
+    `b` must have constant term 1; `up_to` is clipped to the degree bound.
+    """
+    if b.constant() != 1:
+        raise PolyError("series inverse requires constant term 1")
+    a._check(b)
+    table = a.table
+    zero = table.zero()
+    a_parts = a.graded_parts()
+    # q_d = a_d - sum_{j>=1} b_j q_{d-j}
+    minus_b = [(j, -bj) for j, bj in b.graded_parts().items() if j > 0]
+    q = []
+    for d in range(min(up_to, table.degree_bound) + 1):
+        acc = a_parts.get(d, zero)
+        for j, bj in minus_b:
+            if j > d:
+                break
+            if not q[d - j].is_zero():
+                acc = acc + bj * q[d - j]
+        q.append(acc)
+    return q
+
+
 def series_invert(p):
     """Truncated multiplicative inverse of a series with constant term 1."""
-    if p.constant() != 1:
-        raise PolyError("series inverse requires constant term 1")
-    table = p.table
-    bound = table.degree_bound
-    parts = {d: p.graded_part(d) for d in range(1, bound + 1)}
-    inv = [table.one()]
-    for d in range(1, bound + 1):
-        acc = table.zero()
-        for j in range(1, d + 1):
-            pj = parts[j]
-            if pj.is_zero():
-                continue
-            acc = acc + pj * inv[d - j]
-        inv.append(-acc)
-    out = table.zero()
-    for q in inv:
-        out = out + q
-    return out
+    return series_quotient(p.table.one(), p)
 
 
 def series_quotient(a, b):
     """Truncated quotient a / b for a series b with constant term 1."""
-    return a * series_invert(b)
+    return sum(series_parts(a, b, a.table.degree_bound), a.table.zero())
 
 
 def poly_det(rows):

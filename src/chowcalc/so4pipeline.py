@@ -13,6 +13,7 @@ pushforward normalization agrees with the classical symmetrization formula.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -21,7 +22,7 @@ from math import gcd
 
 from . import chern
 from .grasstower import extend, fiber_product, free_ring, subset_symmetrization
-from .polyring import Poly, VarTable, series_invert
+from .polyring import Poly, VarTable
 from .zgraded import GradedError, GradedIdeal, primitive
 
 
@@ -337,9 +338,6 @@ class So4Pipeline:
             out.append(img if i == 0 else self._mod_J(img))
         return out
 
-    def lemma4_check(self, data):
-        return lemma4_check(data)
-
     # -- theorem assembly --------------------------------------------------
 
     def presentation_table(self):
@@ -580,12 +578,17 @@ class So4Pipeline:
                 contain,
             )
 
-        # ideal identity: computed pushforwards + (c1, f1) = final ideal
-        def ideal_identity():
+        # computed pushforwards + (c1, f1), built once for ideal-identity and
+        # monomial-closure
+        @functools.cache
+        def computed_ideal():
             t = self.cf_table
             gens = [p for p in pf if p is not None and not p.is_zero()]
-            gens += [t.var("c1"), t.var("f1")]
-            computed = GradedIdeal(gens)
+            return GradedIdeal(gens + [t.var("c1"), t.var("f1")])
+
+        # ideal identity: computed pushforwards + (c1, f1) = final ideal
+        def ideal_identity():
+            computed = computed_ideal()
             up_to = min(8, self.degree_bound)
             ok, witness = computed.equal(final, up_to)
             return (
@@ -718,9 +721,7 @@ class So4Pipeline:
         def closure_check():
             t = self.cf_table
             T = self.GG.table
-            gens = [p for p in pf if p is not None and not p.is_zero()]
-            gens += [t.var("c1"), t.var("f1")]
-            ideal = GradedIdeal(gens)
+            ideal = computed_ideal()
             ge = self.class_G2E()
             max_deg = min(6, self.degree_bound - 5)
             listed = {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)}

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcalc import chern
 from chowcalc.chern import (
@@ -20,7 +22,7 @@ from chowcalc.chern import (
     trivial,
     whitney_quotient,
 )
-from chowcalc.polyring import RootSet, VarTable
+from chowcalc.polyring import RootSet, VarTable, poly_det
 
 
 def random_bundle(rng, table, max_rank=4):
@@ -178,3 +180,73 @@ def test_porteous_symmetry_in_giambelli():
     E = split_bundle(t, ["p"])
     F = split_bundle(t, ["q"])
     assert porteous(E, F, 0) == t.var("q") - t.var("p")
+
+
+# -- the series-division operations against their full-series definitions ---
+
+
+def full_quotient(a, b):
+    """The whole truncated series a / b, by 1/b = sum_m (1 - b)^m."""
+    table = a.table
+    rest = table.one() - b
+    inv = power = table.one()
+    for _ in range(table.degree_bound):
+        power = power * rest
+        inv = inv + power
+    return a * inv
+
+
+def parts_of(p):
+    """c_k of a series: its degree-k part, zero outside 0..bound."""
+    bound = p.table.degree_bound
+    return lambda k: p.graded_part(k) if 0 <= k <= bound else p.table.zero()
+
+
+MIXED = VarTable([("a", 1), ("b", 2), ("c", 3)], degree_bound=6)
+bundles = st.builds(
+    lambda seed, rank: random_bundle(random.Random(seed), MIXED, max_rank=rank),
+    st.integers(0, 2**32),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles, bundles, st.integers(0, 8))
+def test_formal_quotient_matches_the_full_series(total, sub, rank):
+    c = parts_of(full_quotient(total.total(), sub.total()))
+    got = formal_quotient(total, sub, rank)
+    assert got == Bundle(rank, [c(d) for d in range(min(rank, 6) + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles, bundles, bundles)
+def test_whitney_quotient_matches_the_full_series(A, B, sub):
+    total = from_total(A.rank + B.rank, A.total() * B.total())
+    assert whitney_quotient(total, A) == B
+    if sub.rank > total.rank:
+        return
+    rank = total.rank - sub.rank
+    c = parts_of(full_quotient(total.total(), sub.total()))
+    if all(c(d).is_zero() for d in range(rank + 1, 7)):
+        assert whitney_quotient(total, sub) == Bundle(
+            rank, [c(d) for d in range(rank + 1)]
+        )
+    else:
+        with pytest.raises(InconsistentSequenceError):
+            whitney_quotient(total, sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles, bundles, st.data())
+def test_porteous_matches_the_full_series(E, F, data):
+    r = data.draw(st.integers(0, min(E.rank, F.rank)))
+    c = parts_of(full_quotient(F.total(), E.total()))
+    size = E.rank - r
+    want = (
+        poly_det(
+            [[c(F.rank - r + j - i) for j in range(size)] for i in range(size)]
+        )
+        if size
+        else MIXED.one()
+    )
+    assert porteous(E, F, r) == want

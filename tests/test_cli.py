@@ -7,7 +7,11 @@ import jsonschema
 import pytest
 
 from chowcalc import __version__, cli
-from chowcalc.so4pipeline import REPORT_SCHEMA
+from chowcalc.chern import BundleError
+from chowcalc.grasstower import TowerError
+from chowcalc.polyring import PolyError
+from chowcalc.so4pipeline import REPORT_SCHEMA, So4Pipeline
+from chowcalc.zgraded import GradedError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 
@@ -150,3 +154,15 @@ def test_eval_evaluation_error(tmp_path, capsys):
     script = tmp_path / "boom.chow"
     script.write_text("check frobnicate(1) == 1;\n")
     assert run_cli(["eval", str(script)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("error", [TowerError, PolyError, GradedError, BundleError])
+def test_library_error_is_usage_error(monkeypatch, capsys, error):
+    def run_all(self):
+        raise error("no pushforward at this bound")
+
+    monkeypatch.setattr(So4Pipeline, "run_all", run_all)
+    assert run_cli(["verify-so4", "--degree-bound", "3"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: no pushforward at this bound\n"
+    assert captured.out == ""

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcalc.polyring import (
     NotSymmetricError,
@@ -14,6 +16,7 @@ from chowcalc.polyring import (
     is_symmetric,
     poly_det,
     series_invert,
+    series_parts,
     series_quotient,
     symmetric_reduce,
 )
@@ -232,3 +235,85 @@ def test_power_newton_identity():
     r = symmetric_reduce(x1 * x1 + x2 * x2, roots, target, ["e1", "e2"])
     e1, e2 = target.var("e1"), target.var("e2")
     assert r == e1 * e1 - 2 * e2
+
+
+# -- series division and the degree-ordered product, against references -----
+
+
+def reference_mul(a, b):
+    """All-pairs product of the terms, dropping each one above the bound."""
+    table = a.table
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if table.mono_degree(e) <= table.degree_bound:
+                terms[e] = terms.get(e, 0) + ca * cb
+    return table.poly(terms)
+
+
+def reference_quotient(a, b):
+    """a / b through the geometric series 1/b = sum_m (1 - b)^m."""
+    table = a.table
+    rest = table.one() - b
+    inv = power = table.one()
+    for _ in range(table.degree_bound):
+        power = reference_mul(power, rest)
+        inv = inv + power
+    return reference_mul(a, inv)
+
+
+@st.composite
+def weighted_tables(draw):
+    """Tables of one to three variables of weights 1-3 (mixed weights)."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    bound = draw(st.integers(1, 7))
+    return VarTable([("v%d" % i, w) for i, w in enumerate(weights)], bound)
+
+
+def draw_poly(data, table, max_terms=8):
+    monos = [m for d in range(table.degree_bound + 1) for m in table.monomials(d)]
+    picks = data.draw(st.lists(st.sampled_from(monos), max_size=max_terms))
+    return table.poly({m: data.draw(st.integers(-5, 5)) for m in picks})
+
+
+def draw_series(data, table):
+    """A series with constant term 1."""
+    p = draw_poly(data, table)
+    return p - p.constant() + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_mul_matches_the_all_pairs_product(table, data):
+    a, b = draw_poly(data, table), draw_poly(data, table)
+    assert a * b == reference_mul(a, b)
+    assert b * a == reference_mul(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_series_parts_are_the_graded_parts_of_the_quotient(table, data):
+    a, b = draw_poly(data, table), draw_series(data, table)
+    k = data.draw(st.integers(0, table.degree_bound + 3))
+    parts = series_parts(a, b, k)
+    full = a * series_invert(b)
+    assert full == reference_quotient(a, b)
+    top = min(k, table.degree_bound)
+    assert parts == [full.graded_part(d) for d in range(top + 1)]
+    assert series_quotient(a, b) == full
+    if k >= table.degree_bound:
+        assert reference_mul(sum(parts, table.zero()), b) == a
+
+
+@pytest.mark.parametrize("constant", [0, 2, -1])
+def test_series_parts_reject_a_constant_term_other_than_one(constant):
+    t = VarTable([("u", 1), ("v", 2)], 5)
+    b = t.const(constant) + t.var("u")
+    for divide in (
+        lambda: series_parts(t.one(), b, 3),
+        lambda: series_invert(b),
+        lambda: series_quotient(t.var("v"), b),
+    ):
+        with pytest.raises(PolyError):
+            divide()
