@@ -9,8 +9,6 @@ import sys
 
 from . import __version__
 from .chern import BundleError
-from .dsl import DslError, parse
-from .dsl import Session as DslSession
 from .grasstower import TowerError
 from .polyring import PolyError
 from .so4pipeline import (
@@ -70,7 +68,6 @@ def build_parser():
     ev = sub.add_parser("eval", help="evaluate a .chow script")
     ev.add_argument("file")
     ev.add_argument("--degree-bound", type=int, default=None)
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
@@ -98,6 +95,9 @@ def _cmd_verify(args):
 
 
 def _cmd_eval(args):
+    # imported here so that verify-so4 does not pay for loading the DSL
+    from . import dsl
+
     bound = args.degree_bound
     if bound is None:
         bound = _default_degree_bound()
@@ -107,10 +107,11 @@ def _cmd_eval(args):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    stmts = parse(text)
-    session = DslSession(degree_bound=bound, seed=args.seed)
-    events = session.run(stmts)
-    ok = all(e["ok"] for e in events if e["kind"] == "check")
+    try:
+        events, ok = dsl.run_script(text, degree_bound=bound)
+    except dsl.DslError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         body = json.dumps(
             {"events": events, "overall": "pass" if ok else "fail"}, indent=2
@@ -143,7 +144,7 @@ def main(argv=None):
             return _cmd_verify(args)
         return _cmd_eval(args)
     except (
-        PipelineError, DslError, PolyError, GradedError, TowerError, BundleError
+        PipelineError, PolyError, GradedError, TowerError, BundleError
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -364,9 +364,8 @@ _DECLARING = ("bundle", "grass")
 class Session:
     """Evaluates a parsed script; holds the environment and the table."""
 
-    def __init__(self, degree_bound=10, seed=0):
+    def __init__(self, degree_bound=10):
         self.degree_bound = degree_bound
-        self.seed = seed
         self.env = {}
         self.table = None
 
@@ -673,15 +672,13 @@ def _loose_eq(a, b):
             except PolyError:
                 return False
         return a == b
-    if isinstance(a, chern.Bundle) and isinstance(b, chern.Bundle):
-        return a == b
     return a == b
 
 
-def run_script(text, degree_bound=10, seed=0):
+def run_script(text, degree_bound=10):
     """Parse and evaluate; returns (events, all_checks_passed)."""
     stmts = parse(text)
-    session = Session(degree_bound=degree_bound, seed=seed)
+    session = Session(degree_bound=degree_bound)
     events = session.run(stmts)
     ok = all(e["ok"] for e in events if e["kind"] == "check")
     return events, ok

@@ -122,19 +122,6 @@ def hnf_solve(H, U, pivots, v):
     return x
 
 
-def hermite(M):
-    """Column-style Hermite normal form of an integer matrix.
-
-    Canonical form with nonnegative pivots and reduced entries; computed from
-    the row-style form of the transpose.
-    """
-    if not M:
-        return []
-    Mt = [list(col) for col in zip(*M)]
-    H, _, _ = row_hnf(Mt, transform=False)
-    return [list(row) for row in zip(*H)]
-
-
 def smith(M):
     """Smith normal form with transforms: returns (D, U, V) with U*M*V = D.
 
@@ -225,17 +212,6 @@ def primitive(vec):
     for x in vec:
         g = gcd(g, abs(x))
     return g == 1
-
-
-def solve_row_combination(rows, target):
-    """Integer x with x * rows == target, or None.
-
-    Solves for a row vector of coefficients over the given span rows.
-    """
-    if not rows:
-        return [] if not any(target) else None
-    H, U, pivots = row_hnf(rows)
-    return hnf_solve(H, U, pivots, target)
 
 
 # -- per-degree lattices -----------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -166,3 +168,15 @@ def test_library_error_is_usage_error(monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.err == "error: no pushforward at this bound\n"
     assert captured.out == ""
+
+
+def test_importing_the_cli_leaves_the_dsl_unloaded():
+    # verify-so4 never evaluates a script, so it should not import the DSL
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, chowcalc.cli; print('chowcalc.dsl' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

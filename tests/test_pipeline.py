@@ -1,6 +1,8 @@
 """Tests for the orchestration pipeline and its Report."""
 
 import json
+import os
+import time
 
 import jsonschema
 import pytest
@@ -14,6 +16,10 @@ from chowcalc.so4pipeline import (
     So4Pipeline,
     lemma4_check,
     theorem1_structure_oracle,
+)
+
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "..", "bench", "golden", "verify-b14.json"
 )
 
 # the two recorded reference values the computation does not reproduce
@@ -124,6 +130,30 @@ def test_degree_bound_sweep(bound):
     rep = So4Pipeline(degree_bound=bound, seed=0).run_all()
     failing = {c.name for c in rep.checks if c.status == "fail"}
     assert failing == expected_failures(bound)
+
+
+def test_bound_14_report_matches_the_golden_copy():
+    checks = So4Pipeline(degree_bound=14, seed=0).run_all().to_dict()["checks"]
+    for c in checks:
+        c.pop("elapsed_ms")
+    with open(GOLDEN) as fh:
+        assert checks == json.load(fh)
+
+
+def test_shared_work_is_timed_in_the_first_check_that_reads_it(monkeypatch):
+    original = So4Pipeline.pushforwards
+    calls = []
+
+    def slow_pushforwards(self):
+        calls.append(self)
+        time.sleep(0.05)
+        return original(self)
+
+    monkeypatch.setattr(So4Pipeline, "pushforwards", slow_pushforwards)
+    checks = by_name(So4Pipeline(degree_bound=10, seed=0).run_all())
+    assert checks["pushforward-G2E"].elapsed_ms >= 50
+    # built once, then shared by every later check that reads them
+    assert len(calls) == 1
 
 
 def test_seed_invariance(report):
