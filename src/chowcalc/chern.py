@@ -11,8 +11,6 @@ from __future__ import annotations
 from math import comb
 
 from .polyring import (
-    Poly,
-    PolyError,
     RootSet,
     VarTable,
     poly_det,

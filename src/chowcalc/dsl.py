@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import chern
-from .grasstower import (
-    GradedRing,
-    TowerError,
-    _Fiber,
-    check_partition,
-    schur_from_chern,
-    tautological_quotient,
-)
+from .grasstower import GradedRing, TowerError, TowerLevel
 from .polyring import Poly, PolyError, VarTable
 from .zgraded import GradedError, GradedIdeal
 
@@ -331,32 +324,6 @@ def pretty_script(stmts):
 # -- evaluation --------------------------------------------------------------
 
 
-class TowerHandle:
-    """A Grassmannian bundle level living over the session's full table."""
-
-    def __init__(self, table, E, k, prefix):
-        n = E.rank
-        if not (1 <= k < n):
-            raise DslError("grass needs 1 <= k < rank")
-        self.E = E
-        self.k = k
-        self.n = n
-        self.subvars = tuple("%s%d" % (prefix, i) for i in range(1, k + 1))
-        self.sub = chern.Bundle(
-            k, [table.one()] + [table.var(v) for v in self.subvars]
-        )
-        quot_chern, self.relations = tautological_quotient(E, self.sub)
-        self.quot = chern.Bundle(n - k, quot_chern, check=False)
-        self.ring = GradedRing(table, self.relations)
-        self.fiber = _Fiber(table, self.subvars, k, n, self.relations)
-
-    def relation(self, degree):
-        for r in self.relations:
-            if r.degree() == degree:
-                return r
-        raise DslError("no relation of degree %d on this level" % degree)
-
-
 # builtins that declare fresh variables; handled in the first pass
 _DECLARING = ("bundle", "grass")
 
@@ -500,7 +467,7 @@ class Session:
         return value
 
     def _as_tower(self, value):
-        if not isinstance(value, TowerHandle):
+        if not isinstance(value, TowerLevel):
             raise DslError("expected a tower level, found %s" % _kind(value))
         return value
 
@@ -538,7 +505,9 @@ class Session:
         if fn == "grass":
             arity(3)
             E = self._as_bundle(self._eval(args[0]))
-            return TowerHandle(self.table, E, args[1].value, args[2].name)
+            k = args[1].value
+            subvars = ["%s%d" % (args[2].name, i) for i in range(1, k + 1)]
+            return TowerLevel(GradedRing(self.table), self.table, E, k, subvars)
         if fn == "line":
             arity(1)
             return chern.line(self._as_poly(self._eval(args[0])))
@@ -577,30 +546,32 @@ class Session:
             )
         if fn == "sub":
             arity(1)
-            return self._as_tower(self._eval(args[0])).sub
+            return self._as_tower(self._eval(args[0])).taut_sub
         if fn == "quot":
             arity(1)
-            return self._as_tower(self._eval(args[0])).quot
+            return self._as_tower(self._eval(args[0])).taut_quot
         if fn == "schur":
             if len(args) < 1:
                 raise DslError("schur takes a tower level and partition parts")
             level = self._as_tower(self._eval(args[0]))
-            lam = [self._as_int(self._eval(a)) for a in args[1:]]
-            lam = check_partition(lam, level.k, level.n - level.k)
-            return schur_from_chern(level.sub, lam)
+            return level.schur([self._as_int(self._eval(a)) for a in args[1:]])
         if fn == "gysin":
             arity(2)
             level = self._as_tower(self._eval(args[0]))
             p = self._as_poly(self._eval(args[1]))
-            return level.fiber.gysin(p).convert(self.table)
+            return level.gysin(p).convert(self.table)
         if fn == "nf":
             arity(2)
             level = self._as_tower(self._eval(args[0]))
-            return level.ring.normal_form(self._as_poly(self._eval(args[1])))
+            return level.normal_form(self._as_poly(self._eval(args[1])))
         if fn == "rel":
             arity(2)
             level = self._as_tower(self._eval(args[0]))
-            return level.relation(self._as_int(self._eval(args[1])))
+            degree = self._as_int(self._eval(args[1]))
+            for r in level.new_relations:
+                if r.degree() == degree:
+                    return r
+            raise DslError("no relation of degree %d on this level" % degree)
         if fn == "ideal":
             if not args:
                 raise DslError("ideal needs at least one generator")
@@ -630,7 +601,7 @@ def _kind(value):
         return "a class"
     if isinstance(value, chern.Bundle):
         return "a bundle"
-    if isinstance(value, TowerHandle):
+    if isinstance(value, TowerLevel):
         return "a tower level"
     if isinstance(value, GradedIdeal):
         return "an ideal"
@@ -640,7 +611,7 @@ def _kind(value):
 def _show(value):
     if isinstance(value, chern.Bundle):
         return "bundle(rank %d, c = %s)" % (value.rank, value.total())
-    if isinstance(value, TowerHandle):
+    if isinstance(value, TowerLevel):
         return "G(%d, rank-%d bundle) with %s" % (
             value.k,
             value.n,

@@ -5,6 +5,11 @@ the tautological sub-bundle; the defining relations are the vanishing of the
 Whitney quotient classes above the quotient rank.  Normal forms are computed
 per degree by integer lattice reduction, Gysin pushforwards by Schur-basis
 coefficient extraction (an exact per-degree linear solve).
+
+`TowerLevel` is the one level type.  `extend` builds a level over the base
+table plus its sub-bundle variables, `FiberProduct` builds both of its
+levels over one joined table, and the script language builds its levels
+over the session table.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .chern import Bundle
-from .polyring import Poly, PolyError, VarTable, poly_det, series_parts
+from .polyring import Poly, VarTable, poly_det, series_parts
 from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
@@ -281,33 +286,27 @@ class _Fiber:
 
 
 class TowerLevel:
-    """One Grassmannian bundle G(k, E) over a base ring."""
+    """One Grassmannian bundle G(k, E) over a base ring.
 
-    def __init__(self, base, E, k, subvar_names):
-        if not isinstance(base, GradedRing):
-            raise TowerError("base must be a GradedRing")
+    `table` holds the variables of `base.table` and the k sub-bundle Chern
+    variables `subvars`, and may hold more, such as the other level's
+    variables in a fiber product.  The pushforward is linear over every
+    variable outside `subvars` and the level's relations.
+    """
+
+    def __init__(self, base, table, E, k, subvars):
         n = E.rank
         if not (1 <= k < n):
             raise TowerError("need 1 <= k < rank(E)")
-        if len(subvar_names) != k:
+        if len(subvars) != k:
             raise TowerError("need exactly %d sub-bundle variable names" % k)
-        if E.table != base.table:
-            raise TowerError("bundle must live over the base table")
-        for nm in subvar_names:
-            if nm in base.table.index:
-                raise TowerError("variable name %r already in use" % nm)
-        table = base.table.extended(
-            [(nm, i) for i, nm in enumerate(subvar_names, start=1)]
-        )
         self.base = base
         self.k = k
         self.n = n
-        self.subvars = tuple(subvar_names)
+        self.subvars = tuple(subvars)
         self.table = table
         self.E = Bundle(n, [c.convert(table) for c in E.chern])
-        self.taut_sub = Bundle(
-            k, [table.one()] + [table.var(nm) for nm in subvar_names]
-        )
+        self.taut_sub = Bundle(k, [table.one()] + [table.var(nm) for nm in subvars])
         quot_chern, self.new_relations = tautological_quotient(
             self.E, self.taut_sub
         )
@@ -337,58 +336,54 @@ class TowerLevel:
         return self.ring.normal_form(p)
 
     def gysin(self, p):
-        """Pushforward to the base; degree drops by k(n-k)."""
+        """Pushforward to the table without `subvars`; degree drops by k(n-k)."""
         return self._fiber.gysin(p)
 
 
 def extend(base, E, k, subvar_names):
     """Build the Grassmannian bundle level G(k, E) over a base ring."""
-    return TowerLevel(base, E, k, subvar_names)
+    if not isinstance(base, GradedRing):
+        raise TowerError("base must be a GradedRing")
+    if E.table != base.table:
+        raise TowerError("bundle must live over the base table")
+    for nm in subvar_names:
+        if nm in base.table.index:
+            raise TowerError("variable name %r already in use" % nm)
+    table = base.table.extended(
+        [(nm, i) for i, nm in enumerate(subvar_names, start=1)]
+    )
+    return TowerLevel(base, table, E, k, subvar_names)
 
 
 class FiberProduct:
-    """Two tower levels over a common base, joined into one ring."""
+    """Two tower levels over a common base, joined into one table.
+
+    The joined table holds the base variables, then the first level's
+    sub-bundle variables, then the second's, renamed with a `_2` suffix
+    where they clash with the first's.  `levels` rebuilds both levels over
+    it, so pushing forward along one carries the other's variables along.
+    """
 
     def __init__(self, a, b):
         if a.base != b.base:
             raise TowerError("fiber product requires the same base ring")
-        b_names = list(b.subvars)
-        clash = set(a.subvars) & set(b.subvars)
-        if clash:
-            b_names = [
-                nm + "_2" if nm in set(a.subvars) else nm for nm in b.subvars
-            ]
-            if set(b_names) & set(a.subvars):
-                raise TowerError("could not disambiguate sub-bundle variables")
+        taken = set(a.subvars)
+        b_names = [nm + "_2" if nm in taken else nm for nm in b.subvars]
+        if taken & set(b_names):
+            raise TowerError("could not disambiguate sub-bundle variables")
         table = a.base.table.extended(
             [(nm, i) for i, nm in enumerate(a.subvars, start=1)]
             + [(nm, i) for i, nm in enumerate(b_names, start=1)]
         )
-        self.base = a.base
-        self.factors = (a, b)
         self.table = table
-        self.subvars = (tuple(a.subvars), tuple(b_names))
-
-        def move(p, old_names, new_names):
-            ren = {o: table.var(n) for o, n in zip(old_names, new_names)}
-            return p.substitute(ren, table=table)
-
-        a_rels = tuple(move(r, a.subvars, a.subvars) for r in a.new_relations)
-        b_rels = tuple(move(r, b.subvars, b_names) for r in b.new_relations)
-        base_rels = tuple(r.convert(table) for r in a.base.relations)
-        self.factor_relations = (a_rels, b_rels)
-        self.ring = GradedRing(table, base_rels + a_rels + b_rels)
-        self._fibers = (
-            _Fiber(table, self.subvars[0], a.k, a.n, a_rels),
-            _Fiber(table, self.subvars[1], b.k, b.n, b_rels),
+        self.levels = (
+            TowerLevel(a.base, table, a.E, a.k, a.subvars),
+            TowerLevel(b.base, table, b.E, b.k, b_names),
         )
-
-    def normal_form(self, p):
-        return self.ring.normal_form(p)
 
     def gysin(self, factor, p):
         """Pushforward along the projection forgetting the given factor (0/1)."""
-        return self._fibers[factor].gysin(p)
+        return self.levels[factor].gysin(p)
 
 
 def fiber_product(a, b):

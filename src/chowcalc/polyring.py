@@ -369,8 +369,28 @@ class Poly:
         return out
 
     def convert(self, table):
-        """Re-express over another table containing all used variables."""
-        return self.substitute({}, table=table)
+        """Re-express over another table containing all used variables.
+
+        Exponents are moved by variable name; terms above the target's
+        degree bound are dropped, as a truncating product would drop them.
+        """
+        if table == self.table:
+            return self
+        src = self.table.index
+        for name in self.table.names:
+            if name not in table.index and any(
+                e[src[name]] for e in self.terms
+            ):
+                raise PolyError("variable %r missing from target table" % (name,))
+        pick = [src.get(name) for name in table.names]
+        md = table.mono_degree
+        bound = table.degree_bound
+        terms = {}
+        for expo, c in self.terms.items():
+            e = tuple(0 if i is None else expo[i] for i in pick)
+            if md(e) <= bound:
+                terms[e] = c
+        return Poly(table, terms)
 
     # -- evaluation --------------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from math import gcd
 
@@ -109,15 +109,7 @@ class Check:
     elapsed_ms: float
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-            "degree_bound": self.degree_bound,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 @dataclass

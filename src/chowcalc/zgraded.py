@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .polyring import Poly, PolyError, VarTable
+from .polyring import Poly, VarTable
 
 
 class GradedError(Exception):
@@ -412,41 +412,17 @@ class GradedIdeal:
                 _accumulate(combos[k], combos[j], -sign * delta)
                 if gens[k].is_zero():
                     live.remove(k)
-        gone = {i for i, _, _, _ in steps}
+        gone = {table.names[i] for i, _, _, _ in steps}
         self._steps = tuple(steps)
-        self._keep = tuple(i for i in range(table.nvars) if i not in gone)
         if gone:
             self._reduced = VarTable(
-                [(table.names[i], table.degrees[i]) for i in self._keep],
+                [v for v in zip(table.names, table.degrees) if v[0] not in gone],
                 table.degree_bound,
             )
         else:
             self._reduced = table
-        self._reduced_gens = tuple(self._project(gens[k]) for k in live)
+        self._reduced_gens = tuple(gens[k].convert(self._reduced) for k in live)
         self._reduced_combos = tuple(combos[k] for k in live)
-
-    def _project(self, p):
-        """A polynomial free of the eliminated variables, over the reduced table."""
-        if self._reduced is self.table:
-            return p
-        keep = self._keep
-        return Poly(
-            self._reduced,
-            {tuple(e[i] for i in keep): c for e, c in p.terms.items()},
-        )
-
-    def _embed(self, q):
-        """A polynomial over the reduced table, back over the full table."""
-        if self._reduced is self.table:
-            return q
-        n = self.table.nvars
-        terms = {}
-        for e, c in q.terms.items():
-            full = [0] * n
-            for i, x in zip(self._keep, e):
-                full[i] = x
-            terms[tuple(full)] = c
-        return Poly(self.table, terms)
 
     def _substituted(self, p, cofactors=None):
         """p with the eliminated variables substituted out, reduced table.
@@ -465,7 +441,7 @@ class GradedIdeal:
                 delta = _divided_difference(parts, v, rho)
                 _accumulate(cofactors, combo, sign * delta)
             p = _substitute(parts, rho)
-        return self._project(p)
+        return p.convert(self._reduced)
 
     def lattice(self, d):
         if d not in self._lattices:
@@ -499,7 +475,7 @@ class GradedIdeal:
             if coeff:
                 reduced.setdefault(j, {})[mono] = coeff
         for j, terms in reduced.items():
-            a = self._embed(Poly(self._reduced, terms))
+            a = Poly(self._reduced, terms).convert(self.table)
             _accumulate(cof, self._reduced_combos[j], a)
         cert = sorted((gi, c) for gi, c in cof.items() if not c.is_zero())
         return True, cert
@@ -523,7 +499,7 @@ class GradedIdeal:
             raise GradedError("normal form requires a homogeneous polynomial")
         lat = self.lattice(p.degree())
         q = self._substituted(p)
-        return self._embed(lat.poly(lat.reduce(lat.vector(q))))
+        return lat.poly(lat.reduce(lat.vector(q))).convert(self.table)
 
     def contains(self, other, up_to):
         """Generator-wise containment of `other` in self through degree up_to.

@@ -158,6 +158,15 @@ def test_eval_evaluation_error(tmp_path, capsys):
     assert run_cli(["eval", str(script)]) == cli.EXIT_USAGE
 
 
+def test_eval_tower_error_names_its_line(tmp_path, capsys):
+    script = tmp_path / "grass.chow"
+    script.write_text("let E = bundle(e, 3);\nlet G = grass(E, 3, g);\n")
+    assert run_cli(["eval", str(script)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2, col 1: need 1 <= k < rank(E)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("error", [TowerError, PolyError, GradedError, BundleError])
 def test_library_error_is_usage_error(monkeypatch, capsys, error):
     def run_all(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chowcalc import chern
 from chowcalc.dsl import (
     BinOp,
     Call,
@@ -21,6 +22,7 @@ from chowcalc.dsl import (
     run_script,
     tokenize,
 )
+from chowcalc.grasstower import extend, free_ring
 
 # -- tokenizer ----------------------------------------------------------------
 
@@ -217,6 +219,24 @@ def test_session_tower_and_gysin():
         "check nf(G, rel(G, 3)) == 0;\n"
     )
     assert ok, events
+
+
+def test_session_gysin_matches_the_library():
+    classes = [(0, 2, 0), (4, 0, 0), (2, 1, 1), (1, 2, 2), (0, 3, 1), (3, 2, 1)]
+    script = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n" + "".join(
+        "let p%d = gysin(G, b1 ^ %d * b2 ^ %d * c1 ^ %d);\n" % ((n,) + ijm)
+        for n, ijm in enumerate(classes)
+    )
+    events, ok = run_script(script)
+    shown = {e["name"]: e["value"] for e in events if e["kind"] == "let"}
+    base = free_ring([("c%d" % i, i) for i in range(1, 5)], degree_bound=10)
+    tb = base.table
+    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
+    G = extend(base, S, 2, ["b1", "b2"])
+    T = G.table
+    for n, (i, j, m) in enumerate(classes):
+        p = T.var("b1") ** i * T.var("b2") ** j * T.var("c1") ** m
+        assert shown["p%d" % n] == str(G.gysin(p))
 
 
 def test_session_ideal_builtins():

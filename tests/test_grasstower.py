@@ -118,13 +118,19 @@ def test_g24_relations(g24):
 # -- relative towers ----------------------------------------------------------
 
 
-@pytest.fixture
-def g2s():
+def base_and_S():
+    """The free ring on c1..c4 at bound 9 and the rank-4 bundle S over it."""
     base = free_ring(
         [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], degree_bound=9
     )
     tb = base.table
     S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
+    return base, S
+
+
+@pytest.fixture
+def g2s():
+    base, S = base_and_S()
     return extend(base, S, 2, ["b1", "b2"])
 
 
@@ -232,11 +238,7 @@ def test_oracle_requires_distinct_roots(g24):
 
 
 def test_fiber_product_gysin_factors():
-    base = free_ring(
-        [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], degree_bound=9
-    )
-    tb = base.table
-    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
+    base, S = base_and_S()
     W = chern.exterior_square(S)
     G3 = extend(base, W, 3, ["f1", "f2", "f3"])
     G2 = extend(base, S, 2, ["b1", "b2"])
@@ -248,6 +250,32 @@ def test_fiber_product_gysin_factors():
     assert str(img) == "f1"
     # pushing a pure base class of low fiber degree gives zero
     assert GG.gysin(1, T.var("c1") ** 4).is_zero()
+    # on classes free of the f's, the factor pushes forward as its level does
+    tb = base.table
+    for i, j, m in [(0, 2, 0), (4, 0, 0), (2, 1, 1), (3, 1, 1), (0, 3, 1)]:
+        p, q = (
+            U.var("b1") ** i * U.var("b2") ** j * U.var("c1") ** m
+            for U in (T, G2.table)
+        )
+        assert GG.gysin(1, p).convert(tb) == G2.gysin(q).convert(tb)
+
+
+def test_fiber_product_renames_clashing_sub_bundle_variables():
+    base, S = base_and_S()
+    GG = fiber_product(
+        extend(base, S, 2, ["b1", "b2"]), extend(base, S, 2, ["b1", "b2"])
+    )
+    T = GG.table
+    assert T.names[-4:] == ("b1", "b2", "b1_2", "b2_2")
+    v = T.var
+    cases = [
+        (v("b1_2") ** 4, "2"),
+        (v("b2_2") ** 2 * v("b1"), "b1"),
+        (v("b1_2") ** 2 * v("b2_2") * v("c1") * v("b2"), "c1*b2"),
+    ]
+    for p, image in cases:
+        assert str(GG.gysin(1, p)) == image
+        assert GG.gysin(0, p).is_zero()
 
 
 def test_fiber_product_requires_common_base():

@@ -317,3 +317,32 @@ def test_series_parts_reject_a_constant_term_other_than_one(constant):
     ):
         with pytest.raises(PolyError):
             divide()
+
+
+def draw_table(data, variables, bound):
+    """A table of the given (name, weight) pairs in a drawn order."""
+    return VarTable(data.draw(st.permutations(variables)), bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_convert_matches_the_substitution_reference(table, data):
+    p = draw_poly(data, table)
+    assert p.convert(table) is p
+    variables = list(zip(table.names, table.degrees))
+    extra = [("w%d" % i, w) for i, w in enumerate(
+        data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    )]
+    lower = data.draw(st.integers(1, table.degree_bound))
+    for target in (
+        draw_table(data, variables, table.degree_bound),
+        draw_table(data, variables + extra, table.degree_bound),
+        draw_table(data, variables, lower),
+    ):
+        assert p.convert(target) == p.substitute({}, table=target)
+    used = sorted(p.variables())
+    if used:
+        gone = data.draw(st.sampled_from(used))
+        target = VarTable([v for v in variables if v[0] != gone] + extra, 8)
+        with pytest.raises(PolyError):
+            p.convert(target)
