@@ -10,7 +10,7 @@ the equivariant Chow ring of SO(4), exposed both as a library
 
 __version__ = "0.1.0"
 
-from .polyring import Poly, PolyError, VarTable
+from .polyring import ChowError, Poly, PolyError, VarTable
 from .chern import Bundle, BundleError
 from .zgraded import GradedIdeal, GradedError
 from .grasstower import GradedRing, TowerError, extend, fiber_product, free_ring
@@ -18,6 +18,7 @@ from .so4pipeline import Report, So4Pipeline, run
 
 __all__ = [
     "__version__",
+    "ChowError",
     "Poly",
     "PolyError",
     "VarTable",

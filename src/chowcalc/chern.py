@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .polyring import (
+    ChowError,
     RootSet,
     VarTable,
     poly_det,
@@ -19,7 +20,7 @@ from .polyring import (
 )
 
 
-class BundleError(Exception):
+class BundleError(ChowError):
     pass
 
 

@@ -8,15 +8,8 @@ import os
 import sys
 
 from . import __version__
-from .chern import BundleError
-from .grasstower import TowerError
-from .polyring import PolyError
-from .so4pipeline import (
-    DEFAULT_DEGREE_BOUND,
-    PipelineError,
-    So4Pipeline,
-)
-from .zgraded import GradedError
+from .polyring import ChowError
+from .so4pipeline import DEFAULT_DEGREE_BOUND, PipelineError, So4Pipeline
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,11 +100,7 @@ def _cmd_eval(args):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    try:
-        events, ok = dsl.run_script(text, degree_bound=bound)
-    except dsl.DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    events, ok = dsl.run_script(text, degree_bound=bound)
     if args.format == "json":
         body = json.dumps(
             {"events": events, "overall": "pass" if ok else "fail"}, indent=2
@@ -143,9 +132,7 @@ def main(argv=None):
         if args.command == "verify-so4":
             return _cmd_verify(args)
         return _cmd_eval(args)
-    except (
-        PipelineError, PolyError, GradedError, TowerError, BundleError
-    ) as exc:
+    except ChowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import chern
-from .grasstower import GradedRing, TowerError, TowerLevel
-from .polyring import Poly, PolyError, VarTable
-from .zgraded import GradedError, GradedIdeal
+from .grasstower import GradedRing, TowerLevel
+from .polyring import ChowError, Poly, PolyError, VarTable
+from .zgraded import GradedIdeal
 
 
-class DslError(Exception):
+class DslError(ChowError):
     """Evaluation-time error with optional source position."""
 
     def __init__(self, msg, line=None, col=None):
@@ -255,7 +255,10 @@ class _Parser:
 
 def parse(text):
     """Parse a script into a list of statements."""
-    return _Parser(tokenize(text)).script()
+    try:
+        return _Parser(tokenize(text)).script()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_expr(text):
@@ -324,8 +327,85 @@ def pretty_script(stmts):
 # -- evaluation --------------------------------------------------------------
 
 
-# builtins that declare fresh variables; handled in the first pass
-_DECLARING = ("bundle", "grass")
+def _declaration(node):
+    """(names, bundle expression) of a `bundle` or `grass` call, else None.
+
+    `bundle(c, r)` declares c1..cr and has no bundle expression;
+    `grass(E, k, b)` declares b1..bk of the sub-bundle of E.
+    """
+    if not isinstance(node, Call) or node.fn not in ("bundle", "grass"):
+        return None
+    args = node.args
+    if node.fn == "bundle":
+        if len(args) != 2 or not (
+            isinstance(args[0], Ref) and isinstance(args[1], IntLit)
+        ):
+            raise DslError("bundle(prefix, rank) takes a name and an integer")
+        prefix, rank, bundle = args[0].name, args[1].value, None
+    else:
+        if len(args) != 3 or not isinstance(args[2], Ref):
+            raise DslError(
+                "grass(E, k, prefix) takes a bundle, an integer and a name"
+            )
+        if not isinstance(args[1], IntLit):
+            raise DslError("grass rank must be a literal")
+        prefix, rank, bundle = args[2].name, args[1].value, args[0]
+    return ["%s%d" % (prefix, i) for i in range(1, rank + 1)], bundle
+
+
+def _relation(level, degree):
+    for r in level.new_relations:
+        if r.degree() == degree:
+            return r
+    raise DslError("no relation of degree %d on this level" % degree)
+
+
+# argument kind -> (accepted type, the noun an error names it by)
+_KINDS = {
+    "class": (Poly, "a class"),
+    "bundle": (chern.Bundle, "a bundle"),
+    "tower": (TowerLevel, "a tower level"),
+    "ideal": (GradedIdeal, "an ideal"),
+    "int": (int, "an integer"),
+}
+
+# builtin -> (argument kinds, function); a last kind ending in "*" takes any
+# number of arguments.  `bundle` and `grass` declare variables and are read
+# by `_declaration` instead.  The functions look library functions up when
+# called, so a wrapper installed on a module attribute sees every call.
+_BUILTINS = {
+    "line": (("class",), lambda x: chern.line(x)),
+    "dual": (("bundle",), lambda E: chern.dual(E)),
+    "det": (("bundle",), lambda E: chern.determinant(E)),
+    "wedge2": (("bundle",), lambda E: chern.exterior_square(E)),
+    "tensor_line": (("bundle", "class"), lambda E, x: chern.tensor_line(E, x)),
+    "quotient": (("bundle", "bundle"), lambda E, F: chern.formal_quotient(E, F)),
+    "porteous": (("bundle", "bundle", "int"), lambda E, F, r: chern.porteous(E, F, r)),
+    "c": (("bundle", "int"), lambda E, k: E.c(k)),
+    "sub": (("tower",), lambda G: G.taut_sub),
+    "quot": (("tower",), lambda G: G.taut_quot),
+    "schur": (("tower", "int*"), lambda G, *lam: G.schur(list(lam))),
+    # the image lives over the table without G's variables; scripts keep
+    # every value over the session table
+    "gysin": (("tower", "class"), lambda G, p: G.gysin(p).convert(G.table)),
+    "nf": (("tower", "class"), lambda G, p: G.normal_form(p)),
+    "rel": (("tower", "int"), _relation),
+    "ideal": (("class", "class*"), lambda *gens: GradedIdeal(list(gens))),
+    "member": (("class", "ideal"), lambda p, I: I.member(p)[0]),
+    "contains": (("ideal", "ideal", "int"), lambda I, J, d: I.contains(J, d)[0]),
+    "structure": (("ideal", "int"), lambda I, d: I.quotient_structure(d)),
+}
+
+
+def _arg_kinds(fn, n):
+    """The kind of each of the n arguments of builtin `fn`."""
+    kinds = _BUILTINS[fn][0]
+    many = kinds[-1].endswith("*")
+    fixed = kinds[:-1] if many else kinds
+    if n < len(fixed) or (n > len(fixed) and not many):
+        at_least = "at least " if many else ""
+        raise DslError("%s takes %s%d argument(s)" % (fn, at_least, len(fixed)))
+    return fixed + (kinds[-1][:-1],) * (n - len(fixed))
 
 
 class Session:
@@ -336,93 +416,51 @@ class Session:
         self.env = {}
         self.table = None
 
-    # -- pass 1: variable collection --------------------------------------
-
-    def _collect(self, stmts):
-        variables = []
-        seen = set()
-        for s in stmts:
-            if not isinstance(s, Let):
-                continue
-            e = s.expr
-            if isinstance(e, Call) and e.fn in _DECLARING:
-                if e.fn == "bundle":
-                    if (
-                        len(e.args) != 2
-                        or not isinstance(e.args[0], Ref)
-                        or not isinstance(e.args[1], IntLit)
-                    ):
-                        raise DslError(
-                            "bundle(prefix, rank) takes a name and an integer",
-                            s.line,
-                            1,
-                        )
-                    prefix, rank = e.args[0].name, e.args[1].value
-                elif e.fn == "grass":
-                    if len(e.args) != 3 or not isinstance(e.args[2], Ref):
-                        raise DslError(
-                            "grass(E, k, prefix) takes a bundle, an integer "
-                            "and a name",
-                            s.line,
-                            1,
-                        )
-                    if not isinstance(e.args[1], IntLit):
-                        raise DslError("grass rank must be a literal", s.line, 1)
-                    prefix, rank = e.args[2].name, e.args[1].value
-                for i in range(1, rank + 1):
-                    name = "%s%d" % (prefix, i)
-                    if name in seen:
-                        raise DslError(
-                            "variable %r declared twice" % name, s.line, 1
-                        )
-                    seen.add(name)
-                    variables.append((name, i))
-        return variables
-
-    # -- pass 2 ------------------------------------------------------------
-
     def run(self, stmts):
         """Evaluate all statements; returns a list of transcript events.
 
         Events are dicts: {"kind": "let", "name", "value"} or
-        {"kind": "check", "text", "ok"}.
+        {"kind": "check", "text", "ok", "lhs", "rhs"}.  Every error is
+        raised as one DslError that names the line of its statement.
         """
-        variables = self._collect(stmts)
-        self.table = VarTable(variables, self.degree_bound)
-        events = []
-        for s in stmts:
-            if isinstance(s, Let):
-                if s.name in self.env or (
-                    self.table and s.name in self.table.index
-                ):
-                    raise DslError("name %r bound twice" % s.name, s.line, 1)
-                value = self.eval(s.expr, s.line)
-                self.env[s.name] = value
-                events.append(
-                    {"kind": "let", "name": s.name, "value": _show(value)}
-                )
-            else:
-                lhs = self.eval(s.lhs, s.line)
-                rhs = self.eval(s.rhs, s.line)
-                ok = _loose_eq(lhs, rhs)
-                events.append(
-                    {
-                        "kind": "check",
-                        "text": "%s == %s" % (pretty(s.lhs), pretty(s.rhs)),
-                        "ok": ok,
-                        "lhs": _show(lhs),
-                        "rhs": _show(rhs),
-                    }
-                )
+        line = None
+        try:
+            degrees = {}
+            for s in stmts:
+                line = s.line
+                decl = _declaration(s.expr) if isinstance(s, Let) else None
+                for degree, name in enumerate(decl[0] if decl else (), start=1):
+                    if name in degrees:
+                        raise DslError("variable %r declared twice" % name)
+                    degrees[name] = degree
+            line = None
+            self.table = VarTable(list(degrees.items()), self.degree_bound)
+            events = []
+            for s in stmts:
+                line = s.line
+                events.append(self._statement(s))
+        except (ChowError, RecursionError) as exc:
+            raise DslError(str(exc), line, 1) from exc
         return events
 
-    def eval(self, node, line=None):
-        try:
-            return self._eval(node)
-        except (PolyError, TowerError, GradedError, chern.BundleError) as exc:
-            raise DslError(str(exc), line, 1)
+    def _statement(self, s):
+        if isinstance(s, Let):
+            if s.name in self.env or s.name in self.table.index:
+                raise DslError("name %r bound twice" % s.name)
+            value = self.eval(s.expr)
+            self.env[s.name] = value
+            return {"kind": "let", "name": s.name, "value": _show(value)}
+        lhs = self.eval(s.lhs)
+        rhs = self.eval(s.rhs)
+        return {
+            "kind": "check",
+            "text": "%s == %s" % (pretty(s.lhs), pretty(s.rhs)),
+            "ok": _loose_eq(lhs, rhs),
+            "lhs": _show(lhs),
+            "rhs": _show(rhs),
+        }
 
-    def _eval(self, node):
+    def eval(self, node):
         if isinstance(node, IntLit):
             return self.table.const(node.value)
         if isinstance(node, Ref):
@@ -432,179 +470,54 @@ class Session:
                 return self.env[node.name]
             raise DslError("unknown name %r" % node.name)
         if isinstance(node, Neg):
-            return -self._as_poly(self._eval(node.operand))
+            return -self._as("class", self.eval(node.operand))
         if isinstance(node, BinOp):
-            left = self._eval(node.left)
-            right = self._eval(node.right)
-            if node.op in ("+", "-") or isinstance(left, Poly) or isinstance(
-                right, Poly
-            ):
-                left = self._as_poly(left)
-                right = self._as_poly(right)
+            left = self._as("class", self.eval(node.left))
+            right = self._as("class", self.eval(node.right))
             if node.op == "+":
                 return left + right
             if node.op == "-":
                 return left - right
             return left * right
         if isinstance(node, Pow):
-            return self._as_poly(self._eval(node.base)) ** node.exponent
+            return self._as("class", self.eval(node.base)) ** node.exponent
         if isinstance(node, Call):
-            return self._call(node)
+            decl = _declaration(node)
+            if decl is not None:
+                return self._declare(*decl)
+            if node.fn not in _BUILTINS:
+                raise DslError("unknown function %r" % node.fn)
+            kinds = _arg_kinds(node.fn, len(node.args))
+            args = [self._as(k, self.eval(a)) for k, a in zip(kinds, node.args)]
+            return _BUILTINS[node.fn][1](*args)
         raise DslError("cannot evaluate %r" % (node,))
 
-    def _as_poly(self, value):
-        if isinstance(value, Poly):
-            if value.table != self.table:
-                return value.convert(self.table)
-            return value
-        if isinstance(value, int):
+    def _declare(self, names, bundle):
+        """The value of a declaration, over the variables pass 1 made."""
+        if bundle is None:
+            return chern.Bundle(
+                len(names), [self.table.one()] + [self.table.var(n) for n in names]
+            )
+        E = self._as("bundle", self.eval(bundle))
+        return TowerLevel(GradedRing(self.table), self.table, E, len(names), names)
+
+    def _as(self, kind, value):
+        """`value` as an argument of the given kind, or a DslError."""
+        if kind == "class" and isinstance(value, int):
             return self.table.const(value)
-        raise DslError("expected a class, found %s" % _kind(value))
-
-    def _as_bundle(self, value):
-        if not isinstance(value, chern.Bundle):
-            raise DslError("expected a bundle, found %s" % _kind(value))
-        return value
-
-    def _as_tower(self, value):
-        if not isinstance(value, TowerLevel):
-            raise DslError("expected a tower level, found %s" % _kind(value))
-        return value
-
-    def _as_ideal(self, value):
-        if not isinstance(value, GradedIdeal):
-            raise DslError("expected an ideal, found %s" % _kind(value))
-        return value
-
-    def _as_int(self, value):
-        if isinstance(value, Poly):
-            if value.is_zero():
-                return 0
-            if value.degree() == 0:
-                return value.constant()
-        if isinstance(value, int):
+        if kind == "class" and isinstance(value, Poly):
+            return value.convert(self.table)
+        if kind == "int" and isinstance(value, Poly) and value.degree() <= 0:
+            return value.constant()
+        if isinstance(value, _KINDS[kind][0]):
             return value
-        raise DslError("expected an integer, found %s" % _kind(value))
-
-    def _call(self, node):
-        fn = node.fn
-        args = node.args
-
-        def arity(n):
-            if len(args) != n:
-                raise DslError("%s takes %d argument(s)" % (fn, n))
-
-        if fn == "bundle":
-            arity(2)
-            prefix = args[0].name
-            rank = args[1].value
-            chern_vars = [self.table.one()] + [
-                self.table.var("%s%d" % (prefix, i)) for i in range(1, rank + 1)
-            ]
-            return chern.Bundle(rank, chern_vars)
-        if fn == "grass":
-            arity(3)
-            E = self._as_bundle(self._eval(args[0]))
-            k = args[1].value
-            subvars = ["%s%d" % (args[2].name, i) for i in range(1, k + 1)]
-            return TowerLevel(GradedRing(self.table), self.table, E, k, subvars)
-        if fn == "line":
-            arity(1)
-            return chern.line(self._as_poly(self._eval(args[0])))
-        if fn == "dual":
-            arity(1)
-            return chern.dual(self._as_bundle(self._eval(args[0])))
-        if fn == "det":
-            arity(1)
-            return chern.determinant(self._as_bundle(self._eval(args[0])))
-        if fn == "wedge2":
-            arity(1)
-            return chern.exterior_square(self._as_bundle(self._eval(args[0])))
-        if fn == "tensor_line":
-            arity(2)
-            return chern.tensor_line(
-                self._as_bundle(self._eval(args[0])),
-                self._as_poly(self._eval(args[1])),
-            )
-        if fn == "quotient":
-            arity(2)
-            return chern.formal_quotient(
-                self._as_bundle(self._eval(args[0])),
-                self._as_bundle(self._eval(args[1])),
-            )
-        if fn == "porteous":
-            arity(3)
-            return chern.porteous(
-                self._as_bundle(self._eval(args[0])),
-                self._as_bundle(self._eval(args[1])),
-                self._as_int(self._eval(args[2])),
-            )
-        if fn == "c":
-            arity(2)
-            return self._as_bundle(self._eval(args[0])).c(
-                self._as_int(self._eval(args[1]))
-            )
-        if fn == "sub":
-            arity(1)
-            return self._as_tower(self._eval(args[0])).taut_sub
-        if fn == "quot":
-            arity(1)
-            return self._as_tower(self._eval(args[0])).taut_quot
-        if fn == "schur":
-            if len(args) < 1:
-                raise DslError("schur takes a tower level and partition parts")
-            level = self._as_tower(self._eval(args[0]))
-            return level.schur([self._as_int(self._eval(a)) for a in args[1:]])
-        if fn == "gysin":
-            arity(2)
-            level = self._as_tower(self._eval(args[0]))
-            p = self._as_poly(self._eval(args[1]))
-            return level.gysin(p).convert(self.table)
-        if fn == "nf":
-            arity(2)
-            level = self._as_tower(self._eval(args[0]))
-            return level.normal_form(self._as_poly(self._eval(args[1])))
-        if fn == "rel":
-            arity(2)
-            level = self._as_tower(self._eval(args[0]))
-            degree = self._as_int(self._eval(args[1]))
-            for r in level.new_relations:
-                if r.degree() == degree:
-                    return r
-            raise DslError("no relation of degree %d on this level" % degree)
-        if fn == "ideal":
-            if not args:
-                raise DslError("ideal needs at least one generator")
-            return GradedIdeal(
-                [self._as_poly(self._eval(a)) for a in args]
-            )
-        if fn == "member":
-            arity(2)
-            ideal = self._as_ideal(self._eval(args[1]))
-            ok, cert = ideal.member(self._as_poly(self._eval(args[0])))
-            return ok
-        if fn == "contains":
-            arity(3)
-            a = self._as_ideal(self._eval(args[0]))
-            b = self._as_ideal(self._eval(args[1]))
-            ok, _ = a.contains(b, self._as_int(self._eval(args[2])))
-            return ok
-        if fn == "structure":
-            arity(2)
-            ideal = self._as_ideal(self._eval(args[0]))
-            return ideal.quotient_structure(self._as_int(self._eval(args[1])))
-        raise DslError("unknown function %r" % fn)
+        raise DslError("expected %s, found %s" % (_KINDS[kind][1], _kind(value)))
 
 
 def _kind(value):
-    if isinstance(value, Poly):
-        return "a class"
-    if isinstance(value, chern.Bundle):
-        return "a bundle"
-    if isinstance(value, TowerLevel):
-        return "a tower level"
-    if isinstance(value, GradedIdeal):
-        return "an ideal"
+    for kind, (cls, noun) in _KINDS.items():
+        if kind != "int" and isinstance(value, cls):
+            return noun
     return type(value).__name__
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 
 from .chern import Bundle
-from .polyring import Poly, VarTable, poly_det, series_parts
+from .polyring import ChowError, Poly, VarTable, poly_det, series_parts
 from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
-class TowerError(Exception):
+class TowerError(ChowError):
     pass
 
 

@@ -19,7 +19,11 @@ import itertools
 import operator
 
 
-class PolyError(Exception):
+class ChowError(Exception):
+    """Root of every error chowcalc raises on purpose."""
+
+
+class PolyError(ChowError):
     pass
 
 

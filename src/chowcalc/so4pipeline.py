@@ -32,11 +32,11 @@ from math import gcd
 
 from . import chern
 from .grasstower import extend, fiber_product, free_ring, subset_symmetrization
-from .polyring import VarTable
-from .zgraded import GradedIdeal, primitive
+from .polyring import ChowError, VarTable
+from .zgraded import GradedIdeal, GroupStructure, primitive
 
 
-class PipelineError(Exception):
+class PipelineError(ChowError):
     pass
 
 
@@ -207,14 +207,6 @@ def theorem1_structure_oracle(d):
     return free, torsion
 
 
-def _structure_string(free, torsion_count):
-    parts = []
-    if free:
-        parts.append("Z^%d" % free if free > 1 else "Z")
-    parts.extend(["Z/2"] * torsion_count)
-    return " + ".join(parts) if parts else "0"
-
-
 class So4Pipeline:
     """Orchestrates the whole computation over a chosen degree bound."""
 
@@ -235,11 +227,10 @@ class So4Pipeline:
 
     def build_geometry(self):
         """Base ring, the two tower levels, their fiber product, and the
-        bundles K (rank 5), E (rank 4) and K/F (rank 2)."""
+        bundles F (rank 3), K (rank 5) and K/F (rank 2)."""
         if self._built:
             return self
-        bound = self.degree_bound
-        self.base = free_ring(self.BASE_VARS, bound)
+        self.base = free_ring(self.BASE_VARS, self.degree_bound)
         tb = self.base.table
         self.S = chern.Bundle(
             4, [tb.one()] + [tb.var(n) for n, _ in self.BASE_VARS]
@@ -248,24 +239,17 @@ class So4Pipeline:
         self.G3 = extend(self.base, self.w2S, 3, self.F_VARS)
         self.G2S = extend(self.base, self.S, 2, self.B_VARS)
         self.GG = fiber_product(self.G3, self.G2S)
-        T = self.GG.table
-        v = T.var
-        self.F = chern.Bundle(3, [T.one()] + [v(n) for n in self.F_VARS])
-        S_up = chern.Bundle(4, [T.one()] + [v(n) for n, _ in self.BASE_VARS])
-        w2S_up = chern.exterior_square(S_up)
+        # plain polynomial ring in c, f for pushforward targets and ideals
+        self.cf_table = self.G3.table
+        # F and wedge^2 S over the joined table
+        self.F = self.GG.levels[0].taut_sub
+        w2S_up = self.GG.levels[0].E
         # the line L4 (x) (wedge^2 B)^dual, first Chern class c1 - b1
-        self.ell = v("c1") - v("b1")
+        self.ell = self.GG.table.var("c1") - self.GG.table.var("b1")
         # K = kernel of wedge^2 S -> that line; honest only after restriction,
         # so the quotient is formal (high classes need not vanish here)
         self.K = chern.formal_quotient(w2S_up, chern.line(self.ell), rank=5)
-        self.E = chern.formal_quotient(self.K, chern.line(v("b1")), rank=4)
         self.KF = chern.formal_quotient(self.K, self.F, rank=2)
-        self._w2S_up = w2S_up
-        # plain polynomial ring in c, f for pushforward targets and ideals
-        self.cf_table = VarTable(
-            self.BASE_VARS + [(n, i) for i, n in enumerate(self.F_VARS, start=1)],
-            bound,
-        )
         self._built = True
         return self
 
@@ -280,7 +264,9 @@ class So4Pipeline:
         self.build_geometry()
         return chern.porteous(chern.line(self.GG.table.var("b1")), self.KF, 0)
 
+    @cached_property
     def class_G2E(self):
+        """[G(2,E)], the product of the two degeneracy classes."""
         return self.class_Y() * self.class_G2E_factor()
 
     # -- reference values --------------------------------------------------
@@ -335,14 +321,14 @@ class So4Pipeline:
         """
         self.build_geometry()
         T = self.GG.table
-        ge = self.class_G2E()
+        ge = self.class_G2E
         out = []
         for k, (_, i, j) in enumerate(PUSHFORWARDS):
             if G2E_DEGREE + i + 2 * j > self.degree_bound:
                 out.append(None)
                 continue
             mult = T.var("b1") ** i * T.var("b2") ** j
-            img = self.GG.gysin(1, ge * mult).convert(self.cf_table)
+            img = self.GG.gysin(1, ge * mult)
             out.append(img if k == 0 else self._mod_J(img))
         return out
 
@@ -380,11 +366,7 @@ class So4Pipeline:
         self.build_geometry()
         t = self.cf_table
         final = self.final_ideal
-        w2S_cf = chern.exterior_square(
-            chern.Bundle(4, [t.one()] + [t.var(n) for n, _ in self.BASE_VARS])
-        )
-        F_cf = chern.Bundle(3, [t.one()] + [t.var(n) for n in self.F_VARS])
-        ftilde = chern.whitney_quotient(w2S_cf, F_cf, ring=final)
+        ftilde = chern.whitney_quotient(self.G3.E, self.G3.taut_sub, ring=final)
         f2t = ftilde.c(2)
         c2, f2 = t.var("c2"), t.var("f2")
         ok1, _ = final.member(f2t - (2 * c2 - f2))
@@ -411,7 +393,7 @@ class So4Pipeline:
     def _t_rels(self):
         """The G3 relations t4, t5, t6 over the c/f table."""
         self.build_geometry()
-        return [r.convert(self.cf_table) for r in self.G3.new_relations]
+        return self.G3.new_relations
 
     @cached_property
     def _computed_ideal(self):
@@ -461,7 +443,7 @@ class So4Pipeline:
 
     def _check_oracle_agreement(self, rng):
         """Pushforward normalization against the symmetrization formula."""
-        ge = self.class_G2E()
+        ge = self.class_G2E
         img = self.GG.gysin(1, ge)
         for _ in range(10):
             roots = rng.sample(range(-25, 25), 4)
@@ -565,7 +547,7 @@ class So4Pipeline:
             s = pres_ideal.quotient_structure(d)
             free, torsion = theorem1_structure_oracle(d)
             got.append("A^%d=%s" % (d, s))
-            want.append("A^%d=%s" % (d, _structure_string(free, torsion)))
+            want.append("A^%d=%s" % (d, GroupStructure(d, free, (2,) * torsion)))
         return ("; ".join(want), "; ".join(got), got == want)
 
     def _check_ruling(self):
@@ -582,10 +564,9 @@ class So4Pipeline:
 
     def _check_monomial_closure(self, rng):
         """Pushforwards of unlisted monomials stay inside the ideal."""
-        t = self.cf_table
         T = self.GG.table
         ideal = self._computed_ideal
-        ge = self.class_G2E()
+        ge = self.class_G2E
         max_deg = min(6, self.degree_bound - G2E_DEGREE)
         listed = {(i, j) for _, i, j in PUSHFORWARDS}
         candidates = [
@@ -599,7 +580,7 @@ class So4Pipeline:
         for _ in range(10):
             i, j = rng.choice(candidates)
             mono = T.var("b1") ** i * T.var("b2") ** j
-            img = self.GG.gysin(1, ge * mono).convert(t)
+            img = self.GG.gysin(1, ge * mono)
             ok, _ = ideal.member(img)
             if not ok:
                 return (

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .polyring import Poly, VarTable
+from .polyring import ChowError, Poly, VarTable
 
 
-class GradedError(Exception):
+class GradedError(ChowError):
     pass
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from chowcalc import __version__, cli
 from chowcalc.chern import BundleError
+from chowcalc.dsl import DslError
 from chowcalc.grasstower import TowerError
 from chowcalc.polyring import PolyError
-from chowcalc.so4pipeline import REPORT_SCHEMA, So4Pipeline
+from chowcalc.so4pipeline import REPORT_SCHEMA, PipelineError, So4Pipeline
 from chowcalc.zgraded import GradedError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
@@ -167,7 +168,100 @@ def test_eval_tower_error_names_its_line(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("error", [TowerError, PolyError, GradedError, BundleError])
+def eval_error(tmp_path, capsys, text):
+    """Exit code and stderr of `eval` on a script that must fail."""
+    script = tmp_path / "bad.chow"
+    script.write_text(text)
+    code = run_cli(["eval", str(script)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("let S = bundle(c, 2);\nlet x = S * S;\n", "a bundle"),
+        (
+            "let S = bundle(c, 2);\nlet x = structure(ideal(c1), 2)"
+            " * structure(ideal(c1), 2);\n",
+            "GroupStructure",
+        ),
+    ],
+    ids=["bundle", "structure"],
+)
+def test_eval_operand_of_the_wrong_kind_is_usage_error(tmp_path, capsys, text, kind):
+    code, err = eval_error(tmp_path, capsys, text)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: line 2, col 1: expected a class, found %s\n" % kind
+
+
+BUNDLE = "let S = bundle(c, 2);\n"
+LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("let a = 1;\ncheck zz == 0;\n", "line 2, col 1: unknown name 'zz'"),
+        (BUNDLE + "let x = frob(1);\n", "line 2, col 1: unknown function 'frob'"),
+        (BUNDLE + "let x = dual(S, S);\n", "line 2, col 1: dual takes 1 argument(s)"),
+        (
+            BUNDLE + "let x = dual(c1);\n",
+            "line 2, col 1: expected a bundle, found a class",
+        ),
+        (
+            BUNDLE + "let x = member(c1, c1);\n",
+            "line 2, col 1: expected an ideal, found a class",
+        ),
+        (
+            BUNDLE + "let x = gysin(S, c1);\n",
+            "line 2, col 1: expected a tower level, found a bundle",
+        ),
+        (
+            LEVEL + "let x = rel(G, 7);\n",
+            "line 3, col 1: no relation of degree 7 on this level",
+        ),
+        (
+            BUNDLE + "let x = c(S, c1);\n",
+            "line 2, col 1: expected an integer, found a class",
+        ),
+        (
+            LEVEL + "let x = schur();\n",
+            "line 3, col 1: schur takes at least 1 argument(s)",
+        ),
+        (
+            BUNDLE + "let T = bundle(c, 3);\n",
+            "line 2, col 1: variable 'c1' declared twice",
+        ),
+    ],
+    ids=[
+        "unknown-name", "unknown-function", "arity", "kind-bundle",
+        "kind-ideal", "kind-tower", "rel", "kind-int", "variadic-arity",
+        "pass-1",
+    ],
+)
+def test_eval_error_names_its_line(tmp_path, capsys, text, message):
+    code, err = eval_error(tmp_path, capsys, text)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 2000 + "1" + ")" * 2000, " + ".join(["1"] * 5000)],
+    ids=["parentheses", "sum"],
+)
+def test_eval_deep_nesting_is_usage_error(tmp_path, capsys, expr):
+    code, err = eval_error(tmp_path, capsys, "let x = %s;\n" % expr)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error",
+    [TowerError, PolyError, GradedError, BundleError, PipelineError, DslError],
+)
 def test_library_error_is_usage_error(monkeypatch, capsys, error):
     def run_all(self):
         raise error("no pushforward at this bound")

@@ -1,10 +1,12 @@
 """Tests for the .chow script language: parser, printer, evaluator."""
 
+import os
 import random
+import re
 
 import pytest
 
-from chowcalc import chern
+from chowcalc import chern, dsl
 from chowcalc.dsl import (
     BinOp,
     Call,
@@ -297,8 +299,6 @@ def test_degree_bound_plumbs_through():
 
 
 def test_example_script_verdicts():
-    import os
-
     path = os.path.join(
         os.path.dirname(__file__), "..", "examples", "so4.chow"
     )
@@ -313,3 +313,12 @@ def test_example_script_verdicts():
         "p0 == 13 * c1 - 2 * f1",
         "member(p5 - (c2 * f3 + f2 * c3), J) == 1",
     ]
+
+
+def test_readme_lists_every_builtin():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Scripts", 1)[1].split("\n## ", 1)[0]
+    lists = "".join(re.findall(r"\(([^)]*)\)", section))
+    listed = set(re.findall(r"`(\w+)`", lists))
+    assert listed == set(dsl._BUILTINS) | {"bundle", "grass"}
