@@ -15,6 +15,10 @@ pivot column with pivot 1), quotient groups are unchanged, and membership
 certificates are lifted back to the original generators through divided
 differences.  The Hermite transform U is built only where a certificate is
 read off it: `DegreeLattice.solve` and the Gysin solver.
+
+These lattices are a few percent nonzero, so `row_hnf` holds each row of H
+and U sparse, as a {column: entry} dict, while it reduces them, and returns
+them as dense lists.  `smith` stays dense: it runs on a few small lattices.
 """
 
 from __future__ import annotations
@@ -40,19 +44,29 @@ def row_hnf(rows, transform=True):
     list of (row_index, col_index) pairs in echelon order.  With `transform`
     false, U is not built and None is returned in its place; H and the pivots
     are the same either way.
+
+    Each row of H and U is held as a {column: entry} dict while it is
+    reduced, so a row operation walks only the nonzero entries of the row it
+    subtracts; H and U are returned as dense lists of rows.
     """
     m = len(rows)
-    H = [list(r) for r in rows]
-    ncols = len(H[0]) if m else 0
-    U = None
-    if transform:
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    ncols = len(rows[0]) if m else 0
+    H = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    U = [{i: 1} for i in range(m)] if transform else None
 
-    def row_op_sub(i, j, q, col):
-        # row_i -= q * row_j, where row_j is zero left of col
-        H[i][col:] = [a - q * b for a, b in zip(H[i][col:], H[j][col:])]
+    def sub(row, other, q):
+        # row -= q * other, in place, dropping entries that cancel
+        for k, b in other.items():
+            x = row.get(k, 0) - q * b
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+    def row_op_sub(i, j, q):
+        sub(H[i], H[j], q)
         if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+            sub(U[i], U[j], q)
 
     def row_swap(i, j):
         H[i], H[j] = H[j], H[i]
@@ -64,36 +78,48 @@ def row_hnf(rows, transform=True):
     for col in range(ncols):
         # eliminate within this column using Euclidean steps
         while True:
-            nonzero = [i for i in range(r, m) if H[i][col]]
+            nonzero = [i for i in range(r, m) if col in H[i]]
             if not nonzero:
                 break
             piv = min(nonzero, key=lambda i: abs(H[i][col]))
             if piv != r:
                 row_swap(piv, r)
+            # after the swap, every row below r with an entry here is in
+            # `nonzero` still (row r's old content sits at index piv)
+            p = H[r][col]
             done = True
-            for i in range(r + 1, m):
-                if H[i][col]:
-                    q = H[i][col] // H[r][col]
-                    row_op_sub(i, r, q, col)
-                    if H[i][col]:
+            for i in nonzero:
+                if i != r and col in H[i]:
+                    row_op_sub(i, r, H[i][col] // p)
+                    if col in H[i]:
                         done = False
             if done:
                 break
-        if r < m and H[r][col]:
+        if r < m and col in H[r]:
             if H[r][col] < 0:
-                H[r] = [-x for x in H[r]]
+                H[r] = {k: -x for k, x in H[r].items()}
                 if U is not None:
-                    U[r] = [-x for x in U[r]]
+                    U[r] = {k: -x for k, x in U[r].items()}
             p = H[r][col]
             for i in range(r):
-                q = H[i][col] // p
+                q = H[i].get(col, 0) // p
                 if q:
-                    row_op_sub(i, r, q, col)
+                    row_op_sub(i, r, q)
             pivots.append((r, col))
             r += 1
             if r == m:
                 break
-    return H, U, pivots
+    return _dense(H, ncols), (None if U is None else _dense(U, m)), pivots
+
+
+def _dense(sparse_rows, n):
+    out = []
+    for row in sparse_rows:
+        dense = [0] * n
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out
 
 
 def hnf_solve(H, U, pivots, v):

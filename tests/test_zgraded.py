@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowcalc import grasstower
 from chowcalc.polyring import VarTable
+from chowcalc.so4pipeline import So4Pipeline
 from chowcalc.zgraded import (
     DegreeLattice,
     GradedError,
@@ -17,6 +19,67 @@ from chowcalc.zgraded import (
     row_hnf,
     smith,
 )
+
+
+def _dense_row_hnf(rows, transform=True):
+    """Reference for `row_hnf`: the same operations on dense rows.
+
+    `row_hnf` must make the same choices: the same pivot (the first row at
+    index >= r of least |entry|), the same Euclidean loop, the same sign
+    normalization and the same back-reduction, so (H, U, pivots) agree
+    entry for entry.
+    """
+    m = len(rows)
+    H = [list(r) for r in rows]
+    ncols = len(H[0]) if m else 0
+    U = None
+    if transform:
+        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_op_sub(i, j, q, col):
+        H[i][col:] = [a - q * b for a, b in zip(H[i][col:], H[j][col:])]
+        if U is not None:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def row_swap(i, j):
+        H[i], H[j] = H[j], H[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        while True:
+            nonzero = [i for i in range(r, m) if H[i][col]]
+            if not nonzero:
+                break
+            piv = min(nonzero, key=lambda i: abs(H[i][col]))
+            if piv != r:
+                row_swap(piv, r)
+            done = True
+            for i in range(r + 1, m):
+                if H[i][col]:
+                    q = H[i][col] // H[r][col]
+                    row_op_sub(i, r, q, col)
+                    if H[i][col]:
+                        done = False
+            if done:
+                break
+        if r < m and H[r][col]:
+            if H[r][col] < 0:
+                H[r] = [-x for x in H[r]]
+                if U is not None:
+                    U[r] = [-x for x in U[r]]
+            p = H[r][col]
+            for i in range(r):
+                q = H[i][col] // p
+                if q:
+                    row_op_sub(i, r, q, col)
+            pivots.append((r, col))
+            r += 1
+            if r == m:
+                break
+    return H, U, pivots
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -68,28 +131,6 @@ def test_row_hnf_canonical_under_row_shuffle():
         rng.shuffle(shuffled)
         H2, _, _ = row_hnf(shuffled)
         assert [r for r in H1 if any(r)] == [r for r in H2 if any(r)]
-
-
-def test_smith_properties():
-    rng = random.Random(8)
-    for _ in range(30):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        M = random_matrix(rng, m, n)
-        D, U, V = smith(M)
-        assert mat_mul(mat_mul(U, M), V) == D
-        assert det(U) in (1, -1) and det(V) in (1, -1)
-        diag = [D[i][i] for i in range(min(m, n))]
-        # off-diagonal zero, nonnegative diagonal, divisibility chain
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0
-            if a and b:
-                assert b % a == 0
-            if a == 0:
-                assert b == 0
 
 
 def test_smith_known_invariants():
@@ -244,6 +285,100 @@ matrices = st.integers(1, 5).flatmap(
         max_size=5,
     )
 )
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=16):
+    """Mostly-zero integer matrices, tall or wide, often with zero rows and
+    all-zero columns.  Small entries are common, so pivot candidates of equal
+    |entry| are too; large ones make non-unit pivots."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    values = st.one_of(st.integers(-3, 3), st.integers(-40, 40)).filter(bool)
+    entries = draw(st.dictionaries(cells, values, max_size=max(1, m * n // 4)))
+    M = [[0] * n for _ in range(m)]
+    for (i, j), a in entries.items():
+        M[i][j] = a
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.booleans())
+def test_row_hnf_matches_the_dense_reference(M, transform):
+    assert row_hnf(M, transform) == _dense_row_hnf(M, transform)
+
+
+def test_row_hnf_matches_the_dense_reference_on_edge_shapes():
+    for M in ([], [[]], [[0]], [[0, 0], [0, 0]], [[-3]], [[0], [-2], [4]]):
+        for transform in (True, False):
+            assert row_hnf(M, transform) == _dense_row_hnf(M, transform)
+
+
+def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
+    """Degree-10 lattices of the SO(4) geometry.  The G(3, wedge^2 S)
+    relation lattice has pivots 2, 9, 15 and 885 and takes more than one
+    Euclidean round in 12 columns, the G(2, S) Schur solver matrix in 4;
+    the G(2, S) core ring is the kind of lattice the Gysin solver reduces
+    against."""
+    P = So4Pipeline(degree_bound=10).build_geometry()
+    fiber = P.GG.levels[1]._fiber
+    solver_rows = []
+
+    def capture(rows, transform=True):
+        solver_rows.append(rows)
+        return row_hnf(rows, transform)
+
+    monkeypatch.setattr(grasstower, "row_hnf", capture)
+    fiber._solver(10)
+    g3 = P.G3.ring.lattice(10).rows
+    H, _, pivots = row_hnf(g3, False)
+    assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
+    for rows in (g3, fiber.core_ring.lattice(10).rows, solver_rows[0]):
+        for transform in (True, False):
+            assert row_hnf(rows, transform) == _dense_row_hnf(rows, transform)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_hnf_solve_recovers_a_row_combination(M, data):
+    m, n = len(M), len(M[0])
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    v = [sum(x[i] * M[i][j] for i in range(m)) for j in range(n)]
+    y = hnf_solve(*row_hnf(M), v)
+    assert y is not None
+    assert [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_hnf_solve_refuses_an_odd_vector_over_an_even_lattice(M, data):
+    even = [[2 * a for a in row] for row in M]
+    n = len(M[0])
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    v[data.draw(st.integers(0, n - 1))] = 2 * data.draw(st.integers(-9, 9)) + 1
+    assert hnf_solve(*row_hnf(even), v) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices)
+def test_smith_properties(M):
+    m, n = len(M), len(M[0])
+    D, U, V = smith(M)
+    assert mat_mul(mat_mul(U, M), V) == D
+    assert det(U) in (1, -1) and det(V) in (1, -1)
+    diag = [D[i][i] for i in range(min(m, n))]
+    # off-diagonal zero, nonnegative diagonal, divisibility chain
+    for i in range(m):
+        for j in range(n):
+            if i != j:
+                assert D[i][j] == 0
+    for a, b in zip(diag, diag[1:]):
+        assert a >= 0
+        if a and b:
+            assert b % a == 0
+        if a == 0:
+            assert b == 0
 
 
 @settings(max_examples=60, deadline=None)
