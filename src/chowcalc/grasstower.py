@@ -152,7 +152,9 @@ class _Fiber:
     `relations` are the factor's defining relations.  Variables occurring
     neither in the relations nor among the subvars are spectators: the
     pushforward is linear over them, so classes are split along spectator
-    monomials and each piece is solved over the smaller core table.
+    monomials and each piece is solved over the smaller core table.  The
+    solve reads only the coefficients of the top-box Schur class, so each
+    degree's solver builds only the transform columns of the top-box rows.
     """
 
     def __init__(self, table, subvars, k, n, relations):
@@ -232,7 +234,8 @@ class _Fiber:
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
-                H, U, pivots = row_hnf(rows)
+                top = [i for i, (lam, _) in enumerate(labels) if lam == self.top]
+                H, U, pivots = row_hnf(rows, top)
             else:
                 H, U, pivots = [], [], []
             self._solvers[d] = (lat, labels, H, U, pivots)

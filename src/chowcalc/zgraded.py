@@ -14,16 +14,22 @@ forms stay canonical (each monomial with an eliminated variable would be a
 pivot column with pivot 1), quotient groups are unchanged, and membership
 certificates are lifted back to the original generators through divided
 differences.  The Hermite transform U is built only where a certificate is
-read off it: `DegreeLattice.solve` and the Gysin solver.
+read off it: `DegreeLattice.solve` and the Gysin solver, which asks for the
+columns of U it reads and no others.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, while it reduces them, and returns
-them as dense lists.  `smith` stays dense: it runs on a few small lattices.
+them as dense lists.  It brings the rows to echelon form first, then reduces
+the entries above the pivots in one bottom-up pass, where each row is reduced
+against rows that are already final.  `smith` stays dense: it runs on a few
+small lattices.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .polyring import ChowError, Poly, VarTable
@@ -42,8 +48,22 @@ def row_hnf(rows, transform=True):
     Returns (H, U, pivots) with H = U * M (U unimodular), pivot entries
     positive, entries above each pivot reduced into [0, pivot).  `pivots` is a
     list of (row_index, col_index) pairs in echelon order.  With `transform`
-    false, U is not built and None is returned in its place; H and the pivots
-    are the same either way.
+    false, U is not built and None is returned in its place.  `transform` may
+    also be a collection of row indices of M: then only U's columns at those
+    indices are built, and every other column of U reads 0.  The columns of U
+    evolve independently under row operations, so the columns built equal
+    those of the full U.  H and the pivots are the same in every case.
+
+    Forward elimination brings M to echelon form one column at a time, with
+    Euclidean steps and positive pivots.  Then one bottom-up pass reduces
+    each row against the rows below it, which are final by then, visiting
+    the pivot columns the row holds in increasing order, from a heap because
+    a subtraction can bring in later ones (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.4).  H is the unique Hermite
+    form of the row lattice, and U = E * F, where F is the forward transform
+    and E the one unit upper triangular matrix that takes the echelon form
+    to H; so neither depends on the order in which the entries above the
+    pivots are reduced.
 
     Each row of H and U is held as a {column: entry} dict while it is
     reduced, so a row operation walks only the nonzero entries of the row it
@@ -51,22 +71,20 @@ def row_hnf(rows, transform=True):
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    H = [{j: a for j, a in enumerate(row) if a} for row in rows]
-    U = [{i: 1} for i in range(m)] if transform else None
-
-    def sub(row, other, q):
-        # row -= q * other, in place, dropping entries that cancel
-        for k, b in other.items():
-            x = row.get(k, 0) - q * b
-            if x:
-                row[k] = x
-            else:
-                del row[k]
+    # {column: entry} for the nonzero entries of each row
+    H = [dict(zip(compress(range(ncols), row), filter(None, row))) for row in rows]
+    if transform is True:
+        U = [{i: 1} for i in range(m)]
+    elif transform is False:
+        U = None
+    else:
+        keep = set(transform)
+        U = [{i: 1} if i in keep else {} for i in range(m)]
 
     def row_op_sub(i, j, q):
-        sub(H[i], H[j], q)
+        _sub(H[i], H[j], q)
         if U is not None:
-            sub(U[i], U[j], q)
+            _sub(U[i], U[j], q)
 
     def row_swap(i, j):
         H[i], H[j] = H[j], H[i]
@@ -100,16 +118,47 @@ def row_hnf(rows, transform=True):
                 H[r] = {k: -x for k, x in H[r].items()}
                 if U is not None:
                     U[r] = {k: -x for k, x in U[r].items()}
-            p = H[r][col]
-            for i in range(r):
-                q = H[i].get(col, 0) // p
-                if q:
-                    row_op_sub(i, r, q)
             pivots.append((r, col))
             r += 1
             if r == m:
                 break
+
+    # back-substitution: row i against the final rows below it
+    pivot_row = {c: i for i, c in pivots}
+    for i, c in reversed(pivots):
+        row = H[i]
+        heap = [k for k in row if k != c and k in pivot_row]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            j = pivot_row[k]
+            q = row.get(k, 0) // H[j][k]
+            if not q:
+                continue
+            # row -= q * H[j], queueing the pivot columns it brings in
+            for kk, b in H[j].items():
+                a = row.get(kk)
+                if a is None:
+                    row[kk] = -q * b
+                    if kk in pivot_row:
+                        heapq.heappush(heap, kk)
+                elif a != q * b:
+                    row[kk] = a - q * b
+                else:
+                    del row[kk]
+            if U is not None:
+                _sub(U[i], U[j], q)
     return _dense(H, ncols), (None if U is None else _dense(U, m)), pivots
+
+
+def _sub(row, other, q):
+    """row -= q * other, in place, dropping entries that cancel."""
+    for k, b in other.items():
+        x = row.get(k, 0) - q * b
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 def _dense(sparse_rows, n):
@@ -126,8 +175,11 @@ def hnf_solve(H, U, pivots, v):
     """Integer x with x * M == v, given (H, U, pivots) = row_hnf(M); or None.
 
     Back-substitutes v against the echelon rows of H, then carries the
-    coefficients over to the rows of M through U.
+    coefficients over to the rows of M through U.  Where U was built for
+    some columns only, the other coefficients read 0.
     """
+    if U is None:
+        raise GradedError("no transform was built for this Hermite form")
     v = list(v)
     used = []
     for r, c in pivots:

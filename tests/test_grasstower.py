@@ -18,7 +18,9 @@ from chowcalc.grasstower import (
     schur_from_chern,
     subset_symmetrization,
 )
-from chowcalc.polyring import VarTable
+from chowcalc.polyring import Poly, VarTable
+from chowcalc.so4pipeline import So4Pipeline
+from chowcalc.zgraded import hnf_solve, row_hnf
 
 
 def elementary_values(roots):
@@ -258,6 +260,56 @@ def test_fiber_product_gysin_factors():
             for U in (T, G2.table)
         )
         assert GG.gysin(1, p).convert(tb) == G2.gysin(q).convert(tb)
+
+
+@pytest.fixture(scope="module")
+def so4_levels():
+    P = So4Pipeline(degree_bound=10).build_geometry()
+    return {"G(2,S)": P.GG.levels[1], "G3": P.G3}
+
+
+def _top_box_by_full_transform(fiber, d):
+    """Top-box coefficients of degree-d core classes, solved with every
+    column of the transform built: a map from class to image, or to None
+    where the class is outside the Schur-basis span."""
+    lat, labels, _, _, _ = fiber._solver(d)
+    rows = [
+        lat.reduce(lat.vector(fiber._schur[lam] * Poly(fiber.core_table, {m: 1})))
+        for lam, m in labels
+    ]
+    hnf = row_hnf(rows)
+
+    def solve(p):
+        x = hnf_solve(*hnf, lat.reduce(lat.vector(p)))
+        if x is None:
+            return None
+        out = {}
+        for coeff, (lam, m) in zip(x, labels):
+            if coeff and lam == fiber.top:
+                out[m] = out.get(m, 0) + coeff
+        return fiber.core_table.poly(out)
+
+    return solve
+
+
+@pytest.mark.parametrize("name", ["G(2,S)", "G3"])
+def test_solver_reads_the_same_top_box_coefficients_as_a_full_solve(
+    so4_levels, name
+):
+    """The solver builds only the top-box columns of its transform; every
+    degree-9 and degree-10 core monomial gets the same image, or the same
+    TowerError, as from a solve with the whole transform."""
+    fiber = so4_levels[name]._fiber
+    for d in (9, 10):
+        full = _top_box_by_full_transform(fiber, d)
+        for mono in fiber.core_table.monomials(d):
+            p = Poly(fiber.core_table, {mono: 1})
+            want = full(p)
+            if want is None:
+                with pytest.raises(TowerError, match="Schur-basis module span"):
+                    fiber._solve_core(p)
+            else:
+                assert fiber._solve_core(p) == want, str(p)
 
 
 def test_fiber_product_renames_clashing_sub_bundle_variables():

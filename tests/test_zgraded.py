@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc import grasstower
+from chowcalc import grasstower, zgraded
 from chowcalc.polyring import VarTable
 from chowcalc.so4pipeline import So4Pipeline
 from chowcalc.zgraded import (
@@ -337,6 +337,57 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     for rows in (g3, fiber.core_ring.lattice(10).rows, solver_rows[0]):
         for transform in (True, False):
             assert row_hnf(rows, transform) == _dense_row_hnf(rows, transform)
+
+
+@st.composite
+def echelon_matrices(draw):
+    """Upper triangular with positive diagonal: already in echelon form."""
+    n = draw(st.integers(1, 7))
+    return [
+        [0] * i + [draw(st.integers(1, 5))]
+        + [draw(st.integers(-6, 6)) for _ in range(n - i - 1)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(echelon_matrices())
+def test_row_hnf_back_substitutes_against_final_rows(M):
+    """The forward pass has nothing to do on an echelon input, so every
+    transform row that is subtracted is subtracted by the back pass, and
+    each must be final by then: a row of the returned U."""
+    subtracted = []
+    sub = zgraded._sub
+
+    def spy(row, other, q):
+        subtracted.append(dict(other))
+        sub(row, other, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zgraded, "_sub", spy)
+        H, U, _ = row_hnf(M)
+    assert (H, U) == _dense_row_hnf(M)[:2]
+    final = [{j: x for j, x in enumerate(r) if x} for r in U]
+    for other in subtracted:
+        assert other in final
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_row_hnf_builds_only_the_transform_columns_asked_for(M, data):
+    m = len(M)
+    H, U, pivots = row_hnf(M)
+    subsets = [set(), data.draw(st.sets(st.integers(0, m - 1)))]
+    for S in subsets:
+        Hs, Us, pivots_s = row_hnf(M, S)
+        assert (Hs, pivots_s) == (H, pivots)
+        assert Us == [[x if j in S else 0 for j, x in enumerate(r)] for r in U]
+
+
+def test_hnf_solve_needs_a_transform():
+    H, U, pivots = row_hnf([[2, 1], [0, 3]], transform=False)
+    with pytest.raises(GradedError, match="no transform was built"):
+        hnf_solve(H, U, pivots, [2, 1])
 
 
 @settings(max_examples=150, deadline=None)
