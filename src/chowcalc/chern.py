@@ -190,16 +190,16 @@ def exterior_square(E):
     return Bundle(rank, chern)
 
 
-def formal_quotient(total, sub, rank=None):
+def formal_quotient(total, sub):
     """Series quotient c(total)/c(sub) packaged as a bundle, unvalidated.
 
-    Used where an exact sequence exists only after further restriction, so
-    the classes above the quotient rank need not vanish in the ambient ring.
+    Its rank is rank(total) - rank(sub).  Used where an exact sequence
+    exists only after further restriction, so the classes above the
+    quotient rank need not vanish in the ambient ring.
     """
     if total.table != sub.table:
         raise BundleError("bundles over different tables")
-    if rank is None:
-        rank = total.rank - sub.rank
+    rank = total.rank - sub.rank
     if rank < 0:
         raise BundleError("quotient rank must be nonnegative")
     return Bundle(rank, series_parts(total.total(), sub.total(), rank))

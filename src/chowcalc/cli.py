@@ -95,9 +95,9 @@ def _cmd_eval(args):
     if bound is None:
         bound = _default_degree_bound()
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     events, ok = dsl.run_script(text, degree_bound=bound)

@@ -326,14 +326,10 @@ class TowerLevel:
     def relations(self):
         return self.ring.relations
 
-    def schur(self, lam, which="sub"):
-        lam = check_partition(lam, self.k if which == "sub" else self.n - self.k,
-                              self.n - self.k if which == "sub" else self.k)
-        if which == "sub":
-            return schur_from_chern(self.taut_sub, lam)
-        if which == "quot":
-            return schur_from_chern(self.taut_quot, lam)
-        raise TowerError("which must be 'sub' or 'quot'")
+    def schur(self, lam):
+        """Schur class of the tautological sub-bundle; lam fits in k x (n-k)."""
+        lam = check_partition(lam, self.k, self.n - self.k)
+        return schur_from_chern(self.taut_sub, lam)
 
     def normal_form(self, p):
         return self.ring.normal_form(p)

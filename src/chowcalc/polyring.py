@@ -132,10 +132,11 @@ class VarTable:
             self._mono_cache[d] = out
         return self._mono_cache[d]
 
-    def extended(self, extra, degree_bound=None):
-        """A new table with `extra` (name, degree) pairs appended."""
-        bound = self.degree_bound if degree_bound is None else degree_bound
-        return VarTable(list(zip(self.names, self.degrees)) + list(extra), bound)
+    def extended(self, extra):
+        """A new table with `extra` (name, degree) pairs appended, same bound."""
+        return VarTable(
+            list(zip(self.names, self.degrees)) + list(extra), self.degree_bound
+        )
 
     def poly(self, terms):
         """Build a polynomial from an exponent->coefficient mapping."""

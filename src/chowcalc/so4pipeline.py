@@ -248,8 +248,8 @@ class So4Pipeline:
         self.ell = self.GG.table.var("c1") - self.GG.table.var("b1")
         # K = kernel of wedge^2 S -> that line; honest only after restriction,
         # so the quotient is formal (high classes need not vanish here)
-        self.K = chern.formal_quotient(w2S_up, chern.line(self.ell), rank=5)
-        self.KF = chern.formal_quotient(self.K, self.F, rank=2)
+        self.K = chern.formal_quotient(w2S_up, chern.line(self.ell))
+        self.KF = chern.formal_quotient(self.K, self.F)
         self._built = True
         return self
 

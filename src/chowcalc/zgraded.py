@@ -18,11 +18,13 @@ read off it: `DegreeLattice.solve` and the Gysin solver, which asks for the
 columns of U it reads and no others.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
-and U sparse, as a {column: entry} dict, while it reduces them, and returns
-them as dense lists.  It brings the rows to echelon form first, then reduces
-the entries above the pivots in one bottom-up pass, where each row is reduced
-against rows that are already final.  `smith` stays dense: it runs on a few
-small lattices.
+and U sparse, as a {column: entry} dict, and returns them that way; this
+module is the only one that reads the entries of such a row.  It brings the
+rows to echelon form first, then reduces the entries above the pivots in one
+bottom-up pass, where each row is reduced against rows that are already
+final.  A dense vector is reduced against H by `_back_substitute`, which
+serves both `DegreeLattice.reduce` and `hnf_solve`.  `smith` stays dense: it
+runs on a few small lattices.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def row_hnf(rows, transform=True):
     to H; so neither depends on the order in which the entries above the
     pivots are reduced.
 
-    Each row of H and U is held as a {column: entry} dict while it is
-    reduced, so a row operation walks only the nonzero entries of the row it
-    subtracts; H and U are returned as dense lists of rows.
+    M is a list of dense rows.  Each row of H and U is held as a
+    {column: entry} dict of its nonzero entries, so a row operation walks
+    only the nonzero entries of the row it subtracts, and H and U are
+    returned as lists of such dicts.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -148,7 +151,7 @@ def row_hnf(rows, transform=True):
                     del row[kk]
             if U is not None:
                 _sub(U[i], U[j], q)
-    return _dense(H, ncols), (None if U is None else _dense(U, m)), pivots
+    return H, U, pivots
 
 
 def _sub(row, other, q):
@@ -161,42 +164,40 @@ def _sub(row, other, q):
             del row[k]
 
 
-def _dense(sparse_rows, n):
-    out = []
-    for row in sparse_rows:
-        dense = [0] * n
-        for k, x in row.items():
-            dense[k] = x
-        out.append(dense)
-    return out
+def _back_substitute(H, pivots, v):
+    """Bring each pivot entry of the dense vector v into [0, pivot), in place.
+
+    Walks the pivots in echelon order, subtracting q * H[r] from v; returns
+    the (r, q) pairs it subtracted.
+    """
+    used = []
+    for r, c in pivots:
+        q = v[c] // H[r][c]
+        if q:
+            for k, h in H[r].items():
+                v[k] -= q * h
+            used.append((r, q))
+    return used
 
 
 def hnf_solve(H, U, pivots, v):
     """Integer x with x * M == v, given (H, U, pivots) = row_hnf(M); or None.
 
-    Back-substitutes v against the echelon rows of H, then carries the
-    coefficients over to the rows of M through U.  Where U was built for
-    some columns only, the other coefficients read 0.
+    Back-substitutes v against the echelon rows of H; v is in the lattice
+    exactly when nothing is left, and then every quotient was exact.  The
+    coefficients are carried over to the rows of M through U.  Where U was
+    built for some columns only, the other coefficients read 0.
     """
     if U is None:
         raise GradedError("no transform was built for this Hermite form")
     v = list(v)
-    used = []
-    for r, c in pivots:
-        a = v[c]
-        if not a:
-            continue
-        p = H[r][c]
-        if a % p:
-            return None
-        q = a // p
-        v[c:] = [x - q * h for x, h in zip(v[c:], H[r][c:])]
-        used.append((q, U[r]))
+    used = _back_substitute(H, pivots, v)
     if any(v):
         return None
     x = [0] * len(U)
-    for q, u in used:
-        x = [a + q * b for a, b in zip(x, u)]
+    for r, q in used:
+        for k, b in U[r].items():
+            x[k] += q * b
     return x
 
 
@@ -352,10 +353,7 @@ class DegreeLattice:
         """
         H, _, pivots = self._echelon(False)
         v = list(v)
-        for r, c in pivots:
-            q = v[c] // H[r][c]
-            if q:
-                v[c:] = [x - q * h for x, h in zip(v[c:], H[r][c:])]
+        _back_substitute(H, pivots, v)
         return v
 
     def solve(self, v):
@@ -608,9 +606,7 @@ class GradedIdeal:
         for d in range(up_to + 1):
             a = self.lattice(d)
             b = DegreeLattice(self._reduced, theirs, d)
-            Ha = [r for r in a.H if any(r)]
-            Hb = [r for r in b.H if any(r)]
-            if Ha != Hb:
+            if [r for r in a.H if r] != [r for r in b.H if r]:
                 return False, ("degree-%d spans differ" % d, None)
         return True, None
 

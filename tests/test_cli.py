@@ -153,6 +153,17 @@ def test_eval_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+def test_eval_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    script = tmp_path / "latin1.chow"
+    script.write_bytes(b"let a = 1;\xff\n")
+    assert run_cli(["eval", str(script)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "can't decode byte 0xff" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_eval_evaluation_error(tmp_path, capsys):
     script = tmp_path / "boom.chow"
     script.write_text("check frobnicate(1) == 1;\n")
@@ -171,7 +182,7 @@ def test_eval_tower_error_names_its_line(tmp_path, capsys):
 def eval_error(tmp_path, capsys, text):
     """Exit code and stderr of `eval` on a script that must fail."""
     script = tmp_path / "bad.chow"
-    script.write_text(text)
+    script.write_text(text, encoding="utf-8")
     code = run_cli(["eval", str(script)])
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -234,11 +245,12 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             BUNDLE + "let T = bundle(c, 3);\n",
             "line 2, col 1: variable 'c1' declared twice",
         ),
+        ("let a = \u00b2;\n", "line 1, col 9: unexpected character '\u00b2'"),
     ],
     ids=[
         "unknown-name", "unknown-function", "arity", "kind-bundle",
         "kind-ideal", "kind-tower", "rel", "kind-int", "variadic-arity",
-        "pass-1",
+        "pass-1", "non-decimal-digit",
     ],
 )
 def test_eval_error_names_its_line(tmp_path, capsys, text, message):

@@ -82,6 +82,22 @@ def _dense_row_hnf(rows, transform=True):
     return H, U, pivots
 
 
+def sparse(rows):
+    """Dense rows as the {column: entry} dicts that `row_hnf` returns."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def dense(rows, n):
+    """{column: entry} rows as dense rows of length n."""
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
+
+
+def sparse_reference(rows, transform=True):
+    """`_dense_row_hnf` with H and U in the form `row_hnf` returns."""
+    H, U, pivots = _dense_row_hnf(rows, transform)
+    return sparse(H), (None if U is None else sparse(U)), pivots
+
+
 def random_matrix(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
@@ -109,6 +125,7 @@ def test_row_hnf_properties():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, m, n)
         H, U, pivots = row_hnf(M)
+        H, U = dense(H, n), dense(U, m)
         # H = U * M and U unimodular
         assert mat_mul(U, M) == H
         assert det(U) in (1, -1)
@@ -130,7 +147,7 @@ def test_row_hnf_canonical_under_row_shuffle():
         shuffled = M[:]
         rng.shuffle(shuffled)
         H2, _, _ = row_hnf(shuffled)
-        assert [r for r in H1 if any(r)] == [r for r in H2 if any(r)]
+        assert [r for r in H1 if r] == [r for r in H2 if r]
 
 
 def test_smith_known_invariants():
@@ -306,13 +323,13 @@ def sparse_matrices(draw, max_rows=12, max_cols=16):
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.booleans())
 def test_row_hnf_matches_the_dense_reference(M, transform):
-    assert row_hnf(M, transform) == _dense_row_hnf(M, transform)
+    assert row_hnf(M, transform) == sparse_reference(M, transform)
 
 
 def test_row_hnf_matches_the_dense_reference_on_edge_shapes():
     for M in ([], [[]], [[0]], [[0, 0], [0, 0]], [[-3]], [[0], [-2], [4]]):
         for transform in (True, False):
-            assert row_hnf(M, transform) == _dense_row_hnf(M, transform)
+            assert row_hnf(M, transform) == sparse_reference(M, transform)
 
 
 def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
@@ -336,7 +353,7 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
     for rows in (g3, fiber.core_ring.lattice(10).rows, solver_rows[0]):
         for transform in (True, False):
-            assert row_hnf(rows, transform) == _dense_row_hnf(rows, transform)
+            assert row_hnf(rows, transform) == sparse_reference(rows, transform)
 
 
 @st.composite
@@ -366,10 +383,9 @@ def test_row_hnf_back_substitutes_against_final_rows(M):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zgraded, "_sub", spy)
         H, U, _ = row_hnf(M)
-    assert (H, U) == _dense_row_hnf(M)[:2]
-    final = [{j: x for j, x in enumerate(r) if x} for r in U]
+    assert (H, U) == sparse_reference(M)[:2]
     for other in subtracted:
-        assert other in final
+        assert other in U
 
 
 @settings(max_examples=300, deadline=None)
@@ -381,7 +397,7 @@ def test_row_hnf_builds_only_the_transform_columns_asked_for(M, data):
     for S in subsets:
         Hs, Us, pivots_s = row_hnf(M, S)
         assert (Hs, pivots_s) == (H, pivots)
-        assert Us == [[x if j in S else 0 for j, x in enumerate(r)] for r in U]
+        assert Us == [{j: x for j, x in r.items() if j in S} for r in U]
 
 
 def test_hnf_solve_needs_a_transform():
@@ -399,6 +415,24 @@ def test_hnf_solve_recovers_a_row_combination(M, data):
     y = hnf_solve(*row_hnf(M), v)
     assert y is not None
     assert [sum(y[i] * M[i][j] for i in range(m)) for j in range(n)] == v
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_back_substitute_brings_pivot_entries_into_range(M, data):
+    """Each pivot entry ends in [0, pivot), and what was taken off v is the
+    combination of H's rows given by the (row, quotient) pairs returned."""
+    n = len(M[0])
+    H, U, pivots = row_hnf(M)
+    v = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    w = list(v)
+    used = zgraded._back_substitute(H, pivots, w)
+    for r, c in pivots:
+        assert 0 <= w[c] < H[r][c]
+    rows = dense(H, n)
+    taken = [sum(q * rows[r][k] for r, q in used) for k in range(n)]
+    assert [a - b for a, b in zip(v, w)] == taken
+    assert hnf_solve(H, U, pivots, taken) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,7 +472,8 @@ def test_row_hnf_transform_is_optional_and_exact(M):
     H, U, pivots = row_hnf(M)
     H2, U2, pivots2 = row_hnf(M, transform=False)
     assert (H2, U2, pivots2) == (H, None, pivots)
-    assert mat_mul(U, M) == H
+    U = dense(U, len(M))
+    assert mat_mul(U, M) == dense(H, len(M[0]))
     assert det(U) in (1, -1)
 
 
