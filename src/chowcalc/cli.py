@@ -70,8 +70,11 @@ def build_parser():
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ChowError("cannot write %s: %s" % (out_path, exc.strerror or exc))
     else:
         print(text)
 

@@ -183,6 +183,13 @@ class _Fiber:
             ],
             table.degree_bound,
         )
+        self._to_core = table.rekey(self.core_table, self.core_names)
+        self._to_spectator = table.rekey(
+            self.target_table, [nm for nm in table.names if nm not in core]
+        )
+        self._base_to_target = self.core_table.rekey(
+            self.target_table, self.base_names
+        )
         self.core_relations = tuple(r.convert(self.core_table) for r in relations)
         self.core_ring = GradedRing(self.core_table, self.core_relations)
         self.box = partitions_in_box(k, n - k)
@@ -195,25 +202,21 @@ class _Fiber:
         self._solvers = {}
 
     def _split_spectators(self, p):
-        """Group terms by spectator monomial; values over the core table."""
-        table = self.table
-        spec_idx = [
-            i for i, nm in enumerate(table.names) if nm not in set(self.core_names)
-        ]
-        core_idx = [table.index[nm] for nm in self.core_names]
+        """Group terms by spectator monomial: pairs of its key over the
+        target table and the polynomial over the core table it multiplies."""
+        to_core, to_spectator = self._to_core, self._to_spectator
         groups = {}
-        for expo, c in p.terms.items():
-            spec = tuple(expo[i] for i in spec_idx)
-            core = tuple(expo[i] for i in core_idx)
-            groups.setdefault(spec, {})[core] = c
-        out = []
-        for spec, terms in groups.items():
-            out.append((spec, self.core_table.poly(terms)))
-        return out, spec_idx
+        for k, c in p.terms.items():
+            groups.setdefault(to_spectator(k), {})[to_core(k)] = c
+        return [(spec, Poly(self.core_table, t)) for spec, t in groups.items()]
 
     def _solver(self, d):
         """Rows NF(s_mu * m) for the degree-d Schur-coefficient solve."""
         if d not in self._solvers:
+            core = self.core_table
+            sub_fields = 0
+            for v in self.subvars:
+                sub_fields |= core.mask << core.offsets[core.index[v]]
             lat = self.core_ring.lattice(d)
             rows = []
             labels = []
@@ -223,14 +226,10 @@ class _Fiber:
                     continue
                 s = self._schur[lam]
                 base_monos = [
-                    m
-                    for m in self.core_table.monomials(rem)
-                    if all(
-                        m[self.core_table.index[v]] == 0 for v in self.subvars
-                    )
+                    m for m in core.monomial_keys(rem) if not m & sub_fields
                 ]
                 for m in base_monos:
-                    prod = s * Poly(self.core_table, {m: 1})
+                    prod = s * Poly(core, {m: 1})
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
@@ -253,8 +252,8 @@ class _Fiber:
         out_terms = {}
         for coeff, (lam, m) in zip(coeffs, labels):
             if coeff and lam == self.top:
-                out_terms[m] = out_terms.get(m, 0) + coeff
-        return self.core_table.poly(out_terms)
+                out_terms[m] = coeff
+        return Poly(self.core_table, out_terms)
 
     def gysin(self, p):
         """Pushforward to the target table (all variables minus the subvars)."""
@@ -266,23 +265,14 @@ class _Fiber:
             raise TowerError("Gysin pushforward requires a homogeneous class")
         if p.degree() < self.relative_dim:
             return self.target_table.zero()
-        groups, spec_idx = self._split_spectators(p)
-        spec_names = [self.table.names[i] for i in spec_idx]
-        out = self.target_table.zero()
-        for spec, p_core in groups:
-            coeff = self._solve_core(p_core)
-            # reassemble: spectator monomial times the base-variable result
-            for core_expo, c in coeff.terms.items():
-                expo = [0] * self.target_table.nvars
-                for nm, e in zip(spec_names, spec):
-                    if e:
-                        expo[self.target_table.index[nm]] = e
-                for nm, e in zip(self.core_table.names, core_expo):
-                    if e:
-                        expo[self.target_table.index[nm]] += e
-                key = tuple(expo)
-                out = out + Poly(self.target_table, {key: c})
-        return out
+        to_target = self._base_to_target
+        terms = {}
+        for spec, p_core in self._split_spectators(p):
+            # spectator monomial times the base-variable result: the two
+            # touch disjoint fields, so every product key is a distinct sum
+            for k, c in self._solve_core(p_core).terms.items():
+                terms[spec + to_target(k)] = c
+        return Poly(self.target_table, terms)
 
 
 # -- tower levels ------------------------------------------------------------

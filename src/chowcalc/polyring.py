@@ -6,6 +6,24 @@ weight of each variable, and a global truncation degree.  All arithmetic is
 exact integer arithmetic; products are truncated above the table's degree
 bound.
 
+Each term of `Poly.terms` is keyed by one packed int, not by its exponent
+tuple.  With n variables and B = degree_bound.bit_length(), the key of an
+exponent vector e of weighted degree d is
+
+    d << (n * B)  |  e_0 << ((n - 1) * B)  |  ...  |  e_(n-1)
+
+one B-bit field per variable, earlier variables more significant, under a
+top field holding the weighted degree.  So int order is the graded-lex term
+order, `key >> (n * B)` is the degree and the constant term has key 0.
+Every exponent of a term is at most its degree, so it fits its field.  The
+key of a product is the sum of the keys: when the degrees add up to at most
+the bound, every exponent of the product is at most the bound too, so no
+field carries into the next; when they add up to more, the sum is at least
+(bound + 1) << (n * B), so one comparison with that limit is the truncation
+test.  Exponent tuples are met only at the boundary: `VarTable.poly`,
+`monomials`, `Poly.coeff` and `Poly.leading`, through `VarTable.pack` and
+`unpack`.
+
 Series division, the one step behind every Whitney and Thom-Porteous
 computation, is :func:`series_parts`: it returns the homogeneous parts
 q_0..q_k of a / b for a series b with constant term 1, by the recurrence
@@ -40,10 +58,15 @@ class VarTable:
 
     The order of the variables is fixed at creation and determines the
     canonical term order: graded lexicographic, earlier variables more
-    significant.
+    significant.  It also fixes the packed key layout (see the module
+    docstring): `bits` per exponent field, `offsets` of the fields, and the
+    degree field at `shift`.
     """
 
-    __slots__ = ("names", "degrees", "degree_bound", "index", "_mono_cache")
+    __slots__ = (
+        "names", "degrees", "degree_bound", "index",
+        "bits", "mask", "shift", "offsets", "limit", "_mono_cache", "_mono_text",
+    )
 
     def __init__(self, variables, degree_bound=10):
         names = []
@@ -63,7 +86,15 @@ class VarTable:
         self.degrees = tuple(degrees)
         self.degree_bound = int(degree_bound)
         self.index = {n: i for i, n in enumerate(self.names)}
+        n = len(names)
+        self.bits = self.degree_bound.bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.shift = n * self.bits
+        self.offsets = tuple((n - 1 - i) * self.bits for i in range(n))
+        # every key at or above the limit is above the degree bound
+        self.limit = (self.degree_bound + 1) << self.shift
         self._mono_cache = {}
+        self._mono_text = {}
 
     # Tables compare by content so that rebuilt/lifted tables interoperate.
     def __eq__(self, other):
@@ -88,6 +119,30 @@ class VarTable:
     def mono_degree(self, expo):
         return sum(map(operator.mul, expo, self.degrees))
 
+    def pack(self, expo):
+        """The key of an exponent vector of this table's monomials.
+
+        Raises PolyError unless `expo` has one nonnegative integral entry
+        per variable and weighted degree at most the bound.
+        """
+        if len(expo) != len(self.names):
+            raise PolyError("exponent vector has wrong length")
+        key = d = 0
+        for e, w in zip(expo, self.degrees):
+            e = _integral(e, "exponent")
+            if e < 0:
+                raise PolyError("negative exponent %r" % (e,))
+            key = key << self.bits | e
+            d += e * w
+        if d > self.degree_bound:
+            raise PolyError("term exceeds the degree bound")
+        return d << self.shift | key
+
+    def unpack(self, key):
+        """The exponent vector of a key."""
+        mask = self.mask
+        return tuple([key >> off & mask for off in self.offsets])
+
     def zero(self):
         return Poly(self, {})
 
@@ -95,41 +150,50 @@ class VarTable:
         n = int(n)
         if n == 0:
             return self.zero()
-        return Poly(self, {(0,) * self.nvars: n})
+        return Poly(self, {0: n})
 
     def one(self):
         return self.const(1)
 
-    def var(self, name):
+    def var_key(self, name):
+        """The key of the monomial `name`."""
         if name not in self.index:
             raise PolyError("unknown variable %r" % (name,))
-        expo = [0] * self.nvars
-        expo[self.index[name]] = 1
-        return Poly(self, {tuple(expo): 1})
+        i = self.index[name]
+        return self.degrees[i] << self.shift | 1 << self.offsets[i]
+
+    def var(self, name):
+        return Poly(self, {self.var_key(name): 1})
 
     def gens(self):
         return [self.var(n) for n in self.names]
 
     def monomials(self, d):
         """All exponent vectors of weighted degree exactly d, descending lex."""
+        return [self.unpack(k) for k in self.monomial_keys(d)]
+
+    def monomial_keys(self, d):
+        """The keys of `monomials(d)`, in the same (descending) order."""
         if d < 0 or d > self.degree_bound:
             raise PolyError("degree %d out of range [0, %d]" % (d, self.degree_bound))
         if d not in self._mono_cache:
-            out = []
+            keys = []
+            last = len(self.names) - 1
 
-            def rec(i, remaining, prefix):
-                if i == self.nvars:
-                    if remaining == 0:
-                        out.append(tuple(prefix))
+            def rec(i, remaining, key):
+                w, off = self.degrees[i], self.offsets[i]
+                if i == last:
+                    if remaining % w == 0:
+                        keys.append(key | remaining // w << off)
                     return
-                w = self.degrees[i]
                 for e in range(remaining // w, -1, -1):
-                    prefix.append(e)
-                    rec(i + 1, remaining - e * w, prefix)
-                    prefix.pop()
+                    rec(i + 1, remaining - e * w, key | e << off)
 
-            rec(0, d, [])
-            self._mono_cache[d] = out
+            if last >= 0:
+                rec(0, d, d << self.shift)
+            elif d == 0:
+                keys.append(0)
+            self._mono_cache[d] = keys
         return self._mono_cache[d]
 
     def extended(self, extra):
@@ -138,34 +202,77 @@ class VarTable:
             list(zip(self.names, self.degrees)) + list(extra), self.degree_bound
         )
 
+    def rekey(self, target, names):
+        """A function taking keys of this table to keys of `target`.
+
+        It keeps the exponents of the variables `names` (which both tables
+        have), drops every other exponent, and recomputes the degree with
+        the target's weights.  A result above the target's degree bound is
+        at or above `target.limit`: the caller drops or rejects it.
+        """
+        moves = [
+            (self.offsets[self.index[nm]], target.offsets[target.index[nm]],
+             target.degrees[target.index[nm]])
+            for nm in names
+        ]
+        mask, shift = self.mask, target.shift
+
+        def move(key):
+            out = deg = 0
+            for src, dst, w in moves:
+                e = key >> src & mask
+                if e:
+                    out |= e << dst
+                    deg += e * w
+            return deg << shift | out
+
+        return move
+
     def poly(self, terms):
-        """Build a polynomial from an exponent->coefficient mapping."""
+        """Build a polynomial from an exponent->coefficient mapping.
+
+        Exponents must be nonnegative integers and coefficients integers
+        (an integral float or Fraction is taken as its integer).
+        """
         clean = {}
         for expo, c in terms.items():
-            c = int(c)
-            if c == 0:
-                continue
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.nvars:
-                raise PolyError("exponent vector has wrong length")
-            if self.mono_degree(expo) > self.degree_bound:
-                raise PolyError("term exceeds the degree bound")
-            clean[expo] = c
+            c = _integral(c, "coefficient")
+            key = self.pack(expo)
+            if c:
+                clean[key] = c
         return Poly(self, clean)
 
 
-def _fmt_mono(table, expo):
-    parts = []
-    for name, e in zip(table.names, expo):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append("%s^%d" % (name, e))
-    return "*".join(parts)
+def _integral(x, what):
+    """x as an int, or PolyError if it is not an integer."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise PolyError("%s %r is not an integer" % (what, x)) from None
+    if n != x:
+        raise PolyError("%s %r is not an integer" % (what, x))
+    return n
+
+
+def _fmt_mono(table, key):
+    """The monomial of a key as text, remembered per table."""
+    text = table._mono_text.get(key)
+    if text is None:
+        parts = []
+        mask = table.mask
+        for name, off in zip(table.names, table.offsets):
+            e = key >> off & mask
+            if e == 1:
+                parts.append(name)
+            elif e:
+                parts.append("%s^%d" % (name, e))
+        text = table._mono_text[key] = "*".join(parts)
+    return text
 
 
 class Poly:
-    """Sparse polynomial: a finite map from exponent vector to nonzero int."""
+    """Sparse polynomial: a finite map from packed monomial key to nonzero
+    int (see the module docstring for the key layout)."""
 
     __slots__ = ("table", "terms")
 
@@ -182,43 +289,43 @@ class Poly:
         """Maximum weighted degree of a term; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        md = self.table.mono_degree
-        return max(md(e) for e in self.terms)
+        return max(self.terms) >> self.table.shift
 
     def is_homogeneous(self):
         if not self.terms:
             return True
-        md = self.table.mono_degree
-        degs = {md(e) for e in self.terms}
-        return len(degs) == 1
+        shift = self.table.shift
+        return min(self.terms) >> shift == max(self.terms) >> shift
 
     def coeff(self, expo):
-        return self.terms.get(tuple(expo), 0)
+        """Coefficient of the monomial with exponent vector `expo`."""
+        return self.terms.get(self.table.pack(expo), 0)
 
     def constant(self):
-        return self.terms.get((0,) * self.table.nvars, 0)
+        return self.terms.get(0, 0)
 
     def leading(self):
         """(expo, coeff) of the graded-lex greatest term."""
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        md = self.table.mono_degree
-        expo = max(self.terms, key=lambda e: (md(e), e))
-        return expo, self.terms[expo]
+        key = max(self.terms)
+        return self.table.unpack(key), self.terms[key]
 
     def variables(self):
         """Names of the variables actually occurring."""
-        used = set()
-        for expo in self.terms:
-            for name, e in zip(self.table.names, expo):
-                if e:
-                    used.add(name)
-        return used
+        table = self.table
+        used = 0
+        for key in self.terms:
+            used |= key
+        return {
+            name for name, off in zip(table.names, table.offsets)
+            if used >> off & table.mask
+        }
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatchError("polynomials over different variable tables")
 
     def __add__(self, other):
@@ -253,28 +360,23 @@ class Poly:
                 return self.table.zero()
             return Poly(self.table, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        table = self.table
-        md = table.mono_degree
-        bound = table.degree_bound
-        add = operator.add
+        limit = self.table.limit
         terms = {}
-        # right operand in ascending degree, so each row stops at the bound
-        b_items = sorted(
-            ((e, c, md(e)) for e, c in other.terms.items()),
-            key=operator.itemgetter(2),
-        )
-        for ea, ca in self.terms.items():
-            room = bound - md(ea)
-            for eb, cb, db in b_items:
-                if db > room:
+        get = terms.get
+        # right operand in ascending key order, so ascending degree: each row
+        # stops at the first key past the degree bound
+        b_items = sorted(other.terms.items())
+        for ka, ca in self.terms.items():
+            for kb, cb in b_items:
+                k = ka + kb
+                if k >= limit:
                     break
-                e = tuple(map(add, ea, eb))
-                s = terms.get(e, 0) + ca * cb
+                s = get(k, 0) + ca * cb
                 if s:
-                    terms[e] = s
+                    terms[k] = s
                 else:
-                    del terms[e]
-        return Poly(table, terms)
+                    del terms[k]
+        return Poly(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -308,20 +410,20 @@ class Poly:
         table = self.table
         if d < 0 or d > table.degree_bound:
             raise PolyError("degree %d out of range [0, %d]" % (d, table.degree_bound))
-        md = table.mono_degree
-        return Poly(table, {e: c for e, c in self.terms.items() if md(e) == d})
+        shift = table.shift
+        return Poly(table, {k: c for k, c in self.terms.items() if k >> shift == d})
 
     def graded_parts(self):
         """Map degree -> homogeneous part, for occurring degrees only."""
-        md = self.table.mono_degree
+        shift = self.table.shift
         out = {}
-        for e, c in self.terms.items():
-            out.setdefault(md(e), {})[e] = c
+        for k, c in self.terms.items():
+            out.setdefault(k >> shift, {})[k] = c
         return {d: Poly(self.table, t) for d, t in sorted(out.items())}
 
     def truncated(self, d):
-        md = self.table.mono_degree
-        return Poly(self.table, {e: c for e, c in self.terms.items() if md(e) <= d})
+        below = (d + 1) << self.table.shift
+        return Poly(self.table, {k: c for k, c in self.terms.items() if k < below})
 
     # -- substitution ------------------------------------------------------
 
@@ -362,10 +464,13 @@ class Poly:
                 pow_cache[key] = images[name] ** e
             return pow_cache[key]
 
+        fields = list(zip(self.table.names, self.table.offsets))
+        mask = self.table.mask
         out = target.zero()
-        for expo, c in self.terms.items():
+        for key, c in self.terms.items():
             term = target.const(c)
-            for name, e in zip(self.table.names, expo):
+            for name, off in fields:
+                e = key >> off & mask
                 if e:
                     term = term * power(name, e)
                     if term.is_zero():
@@ -381,30 +486,31 @@ class Poly:
         """
         if table == self.table:
             return self
-        src = self.table.index
-        for name in self.table.names:
-            if name not in table.index and any(
-                e[src[name]] for e in self.terms
-            ):
+        for name in self.variables():
+            if name not in table.index:
                 raise PolyError("variable %r missing from target table" % (name,))
-        pick = [src.get(name) for name in table.names]
-        md = table.mono_degree
-        bound = table.degree_bound
+        move = self.table.rekey(
+            table, [nm for nm in self.table.names if nm in table.index]
+        )
+        limit = table.limit
         terms = {}
-        for expo, c in self.terms.items():
-            e = tuple(0 if i is None else expo[i] for i in pick)
-            if md(e) <= bound:
-                terms[e] = c
+        for key, c in self.terms.items():
+            k = move(key)
+            if k < limit:
+                terms[k] = c
         return Poly(table, terms)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, values):
         """Evaluate at numeric values (int or Fraction) for every used variable."""
+        fields = list(zip(self.table.names, self.table.offsets))
+        mask = self.table.mask
         total = 0
-        for expo, c in self.terms.items():
+        for key, c in self.terms.items():
             v = c
-            for name, e in zip(self.table.names, expo):
+            for name, off in fields:
+                e = key >> off & mask
                 if e:
                     v *= values[name] ** e
             total += v
@@ -415,12 +521,10 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        md = self.table.mono_degree
-        keys = sorted(self.terms, key=lambda e: (md(e), e), reverse=True)
         pieces = []
-        for i, expo in enumerate(keys):
-            c = self.terms[expo]
-            mono = _fmt_mono(self.table, expo)
+        for i, key in enumerate(sorted(self.terms, reverse=True)):
+            c = self.terms[key]
+            mono = _fmt_mono(self.table, key)
             mag = abs(c)
             if mono:
                 body = mono if mag == 1 else "%d*%s" % (mag, mono)
@@ -517,21 +621,22 @@ class RootSet:
             raise PolyError("elementary index out of range")
         if i == 0:
             return self.table.one()
-        terms = {}
-        for combo in itertools.combinations(range(self.n), i):
-            expo = [0] * self.n
-            for j in combo:
-                expo[j] = 1
-            terms[tuple(expo)] = 1
-        return Poly(self.table, terms)
+        keys = [self.table.var_key(nm) for nm in self.names]
+        return Poly(
+            self.table,
+            {sum(combo): 1 for combo in itertools.combinations(keys, i)},
+        )
 
 
 def _swap_vars(p, i, j):
+    """p with variables i and j, of equal weight, exchanged: their two
+    exponent fields are swapped in each key, the degree field stays."""
+    oi, oj = p.table.offsets[i], p.table.offsets[j]
+    mask = p.table.mask
     terms = {}
-    for expo, c in p.terms.items():
-        e = list(expo)
-        e[i], e[j] = e[j], e[i]
-        terms[tuple(e)] = c
+    for key, c in p.terms.items():
+        x = (key >> oi ^ key >> oj) & mask
+        terms[key ^ (x << oi | x << oj)] = c
     return Poly(p.table, terms)
 
 

@@ -299,15 +299,16 @@ def primitive(vec):
 class DegreeLattice:
     """The degree-d slice of the span of generator*monomial products.
 
-    Columns are the degree-d monomials in descending graded-lex order; rows
-    are labelled by (generator index, cofactor monomial).  The Hermite form
-    is computed on first use, with its transform only once `solve` needs one.
+    Columns are the keys of the degree-d monomials in descending graded-lex
+    order; rows are labelled by (generator index, cofactor monomial key).
+    The Hermite form is computed on first use, with its transform only once
+    `solve` needs one.
     """
 
     def __init__(self, table, generators, d):
         self.table = table
         self.degree = d
-        self.cols = table.monomials(d)
+        self.cols = table.monomial_keys(d)
         self.col_index = {e: i for i, e in enumerate(self.cols)}
         rows = []
         labels = []
@@ -315,7 +316,7 @@ class DegreeLattice:
             gd = g.degree()
             if gd < 0 or gd > d:
                 continue
-            for mono in table.monomials(d - gd):
+            for mono in table.monomial_keys(d - gd):
                 prod = g * Poly(table, {mono: 1})
                 rows.append(self.vector(prod))
                 labels.append((gi, mono))
@@ -376,10 +377,14 @@ def _unit_variable(g):
 
 def _split(p, i):
     """p as {e: p_e} with p = sum_e v^e * p_e, v the i-th variable."""
+    table = p.table
+    off, mask = table.offsets[i], table.mask
+    unit = table.var_key(table.names[i])  # the key of v^e is e * unit
     parts = {}
-    for expo, c in p.terms.items():
-        parts.setdefault(expo[i], {})[expo[:i] + (0,) + expo[i + 1:]] = c
-    return {e: Poly(p.table, t) for e, t in parts.items()}
+    for k, c in p.terms.items():
+        e = k >> off & mask
+        parts.setdefault(e, {})[k - e * unit] = c
+    return {e: Poly(table, t) for e, t in parts.items()}
 
 
 def _substitute(parts, rho):

@@ -17,6 +17,7 @@ from chowcalc.so4pipeline import REPORT_SCHEMA, PipelineError, So4Pipeline
 from chowcalc.zgraded import GradedError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(argv):
@@ -90,6 +91,24 @@ def test_out_file(tmp_path, capsys):
     jsonschema.validate(data, REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-so4", "--degree-bound", "3"],
+        ["eval", EXAMPLE, "--degree-bound", "6"],
+    ],
+    ids=["verify-so4", "eval"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "no-such-dir" / "report.txt"
+    assert run_cli(argv + ["--out", str(target)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write %s" % target)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not target.exists()
+
+
 def test_env_var_default(monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_DEGREE_BOUND, "3")
     assert run_cli(["verify-so4"]) == cli.EXIT_OK
@@ -120,6 +139,16 @@ def test_eval_example_script(monkeypatch, capsys):
     assert "overall: fail" in out
     assert "3*c1 - 2*f1" in out  # the computed divisor class is shown
     assert out.count("FAIL") == 2
+
+
+@pytest.mark.parametrize("bound", [10, 14])
+def test_eval_example_output_matches_the_golden_copy(capsys, bound):
+    """The printed classes and verdicts, byte for byte.  The golden copies
+    are the output of `chowcalc eval examples/so4.chow --degree-bound N`."""
+    code = run_cli(["eval", EXAMPLE, "--degree-bound", str(bound)])
+    assert code == cli.EXIT_CHECK_FAILED
+    with open(os.path.join(GOLDEN, "so4-eval-b%d.txt" % bound), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 def test_eval_json(monkeypatch, capsys):

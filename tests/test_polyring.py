@@ -1,9 +1,10 @@
 """Unit tests for the sparse exact polynomial layer."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowcalc.polyring import (
@@ -45,6 +46,30 @@ def test_table_validation():
         VarTable([("a", 1)], degree_bound=0)
     with pytest.raises(PolyError):
         VarTable([("", 1)])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(-1, 1): 1},  # would borrow from the next key field
+        {(1.5, 0): 1},
+        {(1, 0): 1.5},
+        {(1, 0): "2"},
+        {("1", 0): 1},
+        {(1, 0, 0): 1},
+        {(1, 3): 1},  # degree 7 above the bound
+    ],
+)
+def test_poly_rejects_bad_exponents_and_coefficients(terms):
+    t = VarTable([("a", 1), ("b", 2)], 6)
+    with pytest.raises(PolyError):
+        t.poly(terms)
+
+
+def test_poly_takes_integral_values_of_other_types():
+    t = VarTable([("a", 1), ("b", 2)], 6)
+    p = t.poly({(2.0, 0): 3.0, (0, Fraction(1)): Fraction(-2)})
+    assert p == 3 * t.var("a") ** 2 - 2 * t.var("b")
 
 
 def test_table_equality_by_content():
@@ -241,11 +266,17 @@ def test_power_newton_identity():
 
 
 def reference_mul(a, b):
-    """All-pairs product of the terms, dropping each one above the bound."""
+    """All-pairs product of the terms, dropping each one above the bound.
+
+    It adds exponent tuples read through `unpack`, never packed keys, so it
+    checks the no-carry argument behind `Poly.__mul__` instead of using it.
+    """
     table = a.table
+    a_terms = [(table.unpack(k), c) for k, c in a.terms.items()]
+    b_terms = [(table.unpack(k), c) for k, c in b.terms.items()]
     terms = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
             e = tuple(x + y for x, y in zip(ea, eb))
             if table.mono_degree(e) <= table.degree_bound:
                 terms[e] = terms.get(e, 0) + ca * cb
@@ -265,16 +296,68 @@ def reference_quotient(a, b):
 
 @st.composite
 def weighted_tables(draw):
-    """Tables of one to three variables of weights 1-3 (mixed weights)."""
-    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    bound = draw(st.integers(1, 7))
+    """Tables of one to five variables of weights 1-3 (mixed weights).  The
+    bounds 1-17 cross the key field widths 3->4 and 4->5 bits at 7/8 and
+    15/16."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    bound = draw(st.integers(1, 17))
     return VarTable([("v%d" % i, w) for i, w in enumerate(weights)], bound)
 
 
+def draw_monomial(data, table):
+    degrees = [d for d in range(table.degree_bound + 1) if table.monomial_keys(d)]
+    d = data.draw(st.sampled_from(degrees))
+    return table.unpack(data.draw(st.sampled_from(table.monomial_keys(d))))
+
+
 def draw_poly(data, table, max_terms=8):
-    monos = [m for d in range(table.degree_bound + 1) for m in table.monomials(d)]
-    picks = data.draw(st.lists(st.sampled_from(monos), max_size=max_terms))
+    """Up to max_terms drawn terms, and maybe a pure power v^(bound // w) of
+    one variable: the largest exponent a key field holds, the bound itself
+    for a weight-1 variable."""
+    n = data.draw(st.integers(0, max_terms))
+    picks = [draw_monomial(data, table) for _ in range(n)]
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, table.nvars - 1))
+        top = [0] * table.nvars
+        top[i] = table.degree_bound // table.degrees[i]
+        picks.append(tuple(top))
     return table.poly({m: data.draw(st.integers(-5, 5)) for m in picks})
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_tables())
+@example(VarTable([("v%d" % i, 1) for i in range(4)], 7))
+@example(VarTable([("v%d" % i, 1) for i in range(4)], 8))
+@example(VarTable([("v%d" % i, 1 + i % 2) for i in range(5)], 15))
+@example(VarTable([("v%d" % i, 1 + i % 2) for i in range(5)], 16))
+def test_keys_round_trip_and_follow_the_graded_lex_order(table):
+    # counts[d]: exponent vectors of weighted degree d, one variable at a time
+    counts = [1] + [0] * table.degree_bound
+    for w in table.degrees:
+        for d in range(w, table.degree_bound + 1):
+            counts[d] += counts[d - w]
+    for d in range(table.degree_bound + 1):
+        monos = table.monomials(d)
+        assert len(set(monos)) == len(monos) == counts[d]
+        assert all(table.mono_degree(e) == d for e in monos)
+        assert [table.pack(e) for e in monos] == table.monomial_keys(d)
+    monos = [m for d in range(table.degree_bound + 1) for m in table.monomials(d)]
+    keys = [table.pack(e) for e in monos]
+    assert [table.unpack(k) for k in keys] == monos
+    by_key = [e for _, e in sorted(zip(keys, monos))]
+    assert by_key == sorted(monos, key=lambda e: (table.mono_degree(e), e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_leading_is_the_graded_lex_greatest_term(table, data):
+    p = draw_poly(data, table)
+    if p.is_zero():
+        return
+    terms = {table.unpack(k): c for k, c in p.terms.items()}
+    expo = max(terms, key=lambda e: (table.mono_degree(e), e))
+    assert p.leading() == (expo, terms[expo])
+    assert p.coeff(expo) == terms[expo]
 
 
 def draw_series(data, table):
