@@ -5,7 +5,8 @@ truncation, Chern-class calculus, Gysin pushforwards pinned by classical
 normalizations, and integer-lattice ideal arithmetic via Hermite/Smith
 normal forms.  The headline application is the verification pipeline for
 the equivariant Chow ring of SO(4), exposed both as a library
-(`so4pipeline.run`) and through the `chowcalc` command line tool.
+(`so4pipeline.run`) and through the `chowcalc` command line tool.  The
+pipeline is imported on first use of `Report`, `So4Pipeline` or `run`.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .polyring import ChowError, Poly, PolyError, VarTable
 from .chern import Bundle, BundleError
 from .zgraded import GradedIdeal, GradedError
 from .grasstower import GradedRing, TowerError, extend, fiber_product, free_ring
-from .so4pipeline import Report, So4Pipeline, run
 
 __all__ = [
     "__version__",
@@ -35,3 +35,12 @@ __all__ = [
     "So4Pipeline",
     "run",
 ]
+
+
+def __getattr__(name):
+    # The pipeline is loaded on first use, not by every import of chowcalc.
+    if name in ("Report", "So4Pipeline", "run"):
+        from . import so4pipeline
+
+        return getattr(so4pipeline, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -8,8 +8,7 @@ import os
 import sys
 
 from . import __version__
-from .polyring import ChowError
-from .so4pipeline import DEFAULT_DEGREE_BOUND, PipelineError, So4Pipeline
+from .polyring import DEFAULT_DEGREE_BOUND, ChowError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -25,7 +24,7 @@ def _default_degree_bound():
     try:
         return int(raw)
     except ValueError:
-        raise PipelineError(
+        raise ChowError(
             "%s must be an integer, got %r" % (ENV_DEGREE_BOUND, raw)
         )
 
@@ -68,22 +67,41 @@ def build_parser():
     return parser
 
 
+def _cannot_write(path, exc):
+    return ChowError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
+def _check_writable(out_path):
+    """Fail before any work if `out_path` cannot be opened for writing.
+
+    The probe opens for appending, so an existing file keeps its bytes, and
+    removes a file that it created.
+    """
+    existed = os.path.lexists(out_path)
+    try:
+        open(out_path, "a").close()
+    except OSError as exc:
+        raise _cannot_write(out_path, exc)
+    if not existed:
+        os.remove(out_path)
+
+
 def _emit(text, out_path):
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise ChowError("cannot write %s: %s" % (out_path, exc.strerror or exc))
+            raise _cannot_write(out_path, exc)
     else:
         print(text)
 
 
 def _cmd_verify(args):
-    bound = args.degree_bound
-    if bound is None:
-        bound = _default_degree_bound()
-    pipeline = So4Pipeline(degree_bound=bound, seed=args.seed)
+    # imported here so that eval does not pay for loading the pipeline
+    from .so4pipeline import So4Pipeline
+
+    pipeline = So4Pipeline(degree_bound=args.degree_bound, seed=args.seed)
     report = pipeline.run_all()
     body = report.to_json() if args.format == "json" else report.to_text()
     _emit(body, args.out)
@@ -94,16 +112,13 @@ def _cmd_eval(args):
     # imported here so that verify-so4 does not pay for loading the DSL
     from . import dsl
 
-    bound = args.degree_bound
-    if bound is None:
-        bound = _default_degree_bound()
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    events, ok = dsl.run_script(text, degree_bound=bound)
+    events, ok = dsl.run_script(text, degree_bound=args.degree_bound)
     if args.format == "json":
         body = json.dumps(
             {"events": events, "overall": "pass" if ok else "fail"}, indent=2
@@ -132,6 +147,10 @@ def main(argv=None):
         parser.print_help()
         return EXIT_USAGE
     try:
+        if args.degree_bound is None:
+            args.degree_bound = _default_degree_bound()
+        if args.out:
+            _check_writable(args.out)
         if args.command == "verify-so4":
             return _cmd_verify(args)
         return _cmd_eval(args)

@@ -13,11 +13,9 @@ evaluates every statement over that table.  Names bind once per script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import chern
 from .grasstower import GradedRing, TowerLevel
-from .polyring import ChowError, Poly, PolyError, VarTable
+from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, PolyError, Record, VarTable
 from .zgraded import GradedIdeal
 
 
@@ -39,12 +37,14 @@ class ParseError(DslError):
 # -- tokens ------------------------------------------------------------------
 
 
-@dataclass
-class Token:
-    kind: str  # NAME, INT, punctuation/operator literal
-    value: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind  # NAME, INT, punctuation/operator literal
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 _PUNCT = ("==", "+", "-", "*", "^", "(", ")", ",", ";", "=")
@@ -101,52 +101,89 @@ def tokenize(text):
 # -- syntax tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+_set = object.__setattr__  # fills in the fields of an immutable node
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node(Record):
+    """A syntax-tree node: immutable, and hashed by its class and fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a syntax-tree node" % name)
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Ref(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    left: object
-    right: object
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        _set(self, "op", op)  # "+", "-", "*"
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    expr: object
-    line: int = field(compare=False, default=0)
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class CheckStmt:
-    lhs: object
-    rhs: object
-    line: int = field(compare=False, default=0)
+class Call(_Node):
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn, args):
+        _set(self, "fn", fn)
+        _set(self, "args", args)
+
+
+class Let(_Node):
+    __slots__ = ("name", "expr", "line")
+
+    def __init__(self, name, expr, line=0):
+        _set(self, "name", name)
+        _set(self, "expr", expr)
+        _set(self, "line", line)
+
+    def _values(self):
+        return (self.name, self.expr)  # equality leaves the line out
+
+
+class CheckStmt(_Node):
+    __slots__ = ("lhs", "rhs", "line")
+
+    def __init__(self, lhs, rhs, line=0):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "line", line)
+
+    def _values(self):
+        return (self.lhs, self.rhs)  # equality leaves the line out
 
 
 class _Parser:
@@ -411,7 +448,7 @@ def _arg_kinds(fn, n):
 class Session:
     """Evaluates a parsed script; holds the environment and the table."""
 
-    def __init__(self, degree_bound=10):
+    def __init__(self, degree_bound=DEFAULT_DEGREE_BOUND):
         self.degree_bound = degree_bound
         self.env = {}
         self.table = None
@@ -559,7 +596,7 @@ def _loose_eq(a, b):
     return a == b
 
 
-def run_script(text, degree_bound=10):
+def run_script(text, degree_bound=DEFAULT_DEGREE_BOUND):
     """Parse and evaluate; returns (events, all_checks_passed)."""
     stmts = parse(text)
     session = Session(degree_bound=degree_bound)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 
 from .chern import Bundle
-from .polyring import ChowError, Poly, VarTable, poly_det, series_parts
+from .polyring import (
+    DEFAULT_DEGREE_BOUND, ChowError, Poly, VarTable, poly_det, series_parts,
+)
 from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
@@ -138,7 +140,7 @@ class GradedRing:
         return "GradedRing(%r, %d relations)" % (self.table, len(self.relations))
 
 
-def free_ring(variables, degree_bound=10):
+def free_ring(variables, degree_bound=DEFAULT_DEGREE_BOUND):
     return GradedRing(VarTable(variables, degree_bound))
 
 

@@ -37,6 +37,11 @@ import itertools
 import operator
 
 
+# The truncation degree when none is given: of every table, session and
+# command.
+DEFAULT_DEGREE_BOUND = 10
+
+
 class ChowError(Exception):
     """Root of every error chowcalc raises on purpose."""
 
@@ -51,6 +56,28 @@ class TableMismatchError(PolyError):
 
 class NotSymmetricError(PolyError):
     """Input to the symmetric reduction is not symmetric in the roots."""
+
+
+class Record:
+    """A plain value class: a subclass lists its fields in `__slots__` and
+    sets them in `__init__`; instances compare equal when they are of one
+    class with equal fields, and print as `Name(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__),
+        )
 
 
 class VarTable:
@@ -68,7 +95,7 @@ class VarTable:
         "bits", "mask", "shift", "offsets", "limit", "_mono_cache", "_mono_text",
     )
 
-    def __init__(self, variables, degree_bound=10):
+    def __init__(self, variables, degree_bound=DEFAULT_DEGREE_BOUND):
         names = []
         degrees = []
         for name, deg in variables:
@@ -466,7 +493,7 @@ class Poly:
 
         fields = list(zip(self.table.names, self.table.offsets))
         mask = self.table.mask
-        out = target.zero()
+        out = {}
         for key, c in self.terms.items():
             term = target.const(c)
             for name, off in fields:
@@ -475,8 +502,13 @@ class Poly:
                     term = term * power(name, e)
                     if term.is_zero():
                         break
-            out = out + term
-        return out
+            for k, t in term.terms.items():
+                s = out.get(k, 0) + t
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return Poly(target, out)
 
     def convert(self, table):
         """Re-express over another table containing all used variables.

@@ -26,13 +26,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from math import gcd
 
 from . import chern
 from .grasstower import extend, fiber_product, free_ring, subset_symmetrization
-from .polyring import ChowError, VarTable
+from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Record, VarTable
 from .zgraded import GradedIdeal, GroupStructure, primitive
 
 
@@ -42,7 +41,6 @@ class PipelineError(ChowError):
 
 MIN_DEGREE_BOUND = 3
 GEOMETRY_BOUND = 4  # below this the polynomial checks are all skipped
-DEFAULT_DEGREE_BOUND = 10
 
 # [G(2,E)] = [Y] * c2((K/F) (x) (wedge^2 B)^dual) has degree 3 + 2.
 G2E_DEGREE = 5
@@ -98,24 +96,34 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class Check:
-    name: str
-    paper_ref: str
-    expected: str
-    computed: str
-    status: str
-    degree_bound: int
-    elapsed_ms: float
+class Check(Record):
+    """One row of a Report; `to_dict` gives it as a REPORT_SCHEMA item."""
+
+    __slots__ = ("name", "paper_ref", "expected", "computed", "status",
+                 "degree_bound", "elapsed_ms")
+
+    def __init__(self, name, paper_ref, expected, computed, status,
+                 degree_bound, elapsed_ms):
+        self.name = name
+        self.paper_ref = paper_ref
+        self.expected = expected
+        self.computed = computed
+        self.status = status
+        self.degree_bound = degree_bound
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self):
-        return asdict(self)
+        return {f: getattr(self, f) for f in self.__slots__}
 
 
-@dataclass
-class Report:
-    checks: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
+class Report(Record):
+    """The checks of one run, in report order, and the run's config."""
+
+    __slots__ = ("checks", "config")
+
+    def __init__(self, checks=None, config=None):
+        self.checks = [] if checks is None else checks
+        self.config = {} if config is None else config
 
     @property
     def overall(self):
@@ -144,8 +152,7 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass
-class Lemma4Data:
+class Lemma4Data(Record):
     """Data for the degree-one lattice argument.
 
     divisor: integer coefficients (u, v) of the divisor class u*c1 + v*f1.
@@ -153,9 +160,12 @@ class Lemma4Data:
     pullback_N: the restriction of the residual normal class (a multiple of L).
     """
 
-    divisor: tuple
-    pullback_c1: int = 4
-    pullback_N: int = 2
+    __slots__ = ("divisor", "pullback_c1", "pullback_N")
+
+    def __init__(self, divisor, pullback_c1=4, pullback_N=2):
+        self.divisor = divisor
+        self.pullback_c1 = pullback_c1
+        self.pullback_N = pullback_N
 
 
 def lemma4_check(data):

@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from chowcalc import __version__, cli
+from chowcalc import __version__, cli, dsl
 from chowcalc.chern import BundleError
 from chowcalc.dsl import DslError
 from chowcalc.grasstower import TowerError
@@ -99,12 +99,19 @@ def test_out_file(tmp_path, capsys):
     ],
     ids=["verify-so4", "eval"],
 )
-def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # refused before any work: the pipeline and the script runner never run
+    def never(*args, **kwargs):
+        raise AssertionError("ran the command before checking --out")
+
+    monkeypatch.setattr(So4Pipeline, "run_all", never)
+    monkeypatch.setattr(dsl, "run_script", never)
     target = tmp_path / "no-such-dir" / "report.txt"
     assert run_cli(argv + ["--out", str(target)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: cannot write %s" % target)
-    assert captured.err.count("\n") == 1
+    assert captured.err == (
+        "error: cannot write %s: No such file or directory\n" % target
+    )
     assert captured.out == ""
     assert not target.exists()
 
@@ -324,3 +331,54 @@ def test_importing_the_cli_leaves_the_dsl_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+COLD_START = """
+import json, sys
+before = set(sys.modules)
+import chowcalc.cli
+added = set(sys.modules) - before
+code = chowcalc.cli.main(["eval", sys.argv[1], "--out", sys.argv[2]])
+after_eval = "chowcalc.so4pipeline" in sys.modules
+from chowcalc import Report, So4Pipeline, run
+print(json.dumps({
+    "added": sorted({"dataclasses", "inspect", "chowcalc.so4pipeline"} & added),
+    "eval": [code, after_eval],
+    "lazy": [Report.__name__, So4Pipeline.__name__, run.__module__],
+}))
+"""
+
+
+def test_cold_start_loads_only_what_the_command_runs(tmp_path):
+    script = tmp_path / "small.chow"
+    script.write_text("let S = bundle(c, 2);\ncheck c1 * c2 == c2 * c1;\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(script), str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {
+        "added": [],
+        "eval": [cli.EXIT_OK, False],
+        "lazy": ["Report", "So4Pipeline", "chowcalc.so4pipeline"],
+    }
+    assert (tmp_path / "out.txt").read_text().endswith("overall: pass\n")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_writable_out_probe_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing):
+    # the probe must neither leave a file behind nor truncate one when the
+    # command then fails
+    def fail(*args, **kwargs):
+        raise DslError("stopped")
+
+    monkeypatch.setattr(dsl, "run_script", fail)
+    target = tmp_path / "report.txt"
+    if existing:
+        target.write_text("old report\n")
+    assert run_cli(["eval", EXAMPLE, "--out", str(target)]) == cli.EXIT_USAGE
+    if existing:
+        assert target.read_text() == "old report\n"
+    else:
+        assert not target.exists()

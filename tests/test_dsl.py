@@ -73,6 +73,32 @@ def test_parse_statements():
     assert stmts == [Let("a", IntLit(1)), CheckStmt(Ref("a"), IntLit(1))]
 
 
+def test_node_equality_is_by_type_and_fields():
+    assert Ref("a") != Call("a", ())
+    assert Ref("a") != IntLit("a")
+    one = IntLit(1)
+    assert BinOp("+", Ref("a"), one) == BinOp(op="+", left=Ref("a"), right=one)
+    assert BinOp("+", Ref("a"), IntLit(1)) != BinOp("-", Ref("a"), IntLit(1))
+    # a statement's line is not part of its value
+    assert Let("a", IntLit(1), 3) == Let("a", IntLit(1), 7)
+    assert Let("a", IntLit(1), 3) != Let("b", IntLit(1), 3)
+    assert CheckStmt(Ref("a"), IntLit(1), line=2) == CheckStmt(Ref("a"), IntLit(1))
+    assert Let("a", IntLit(1)).line == 0
+
+
+def test_nodes_are_hashable_and_immutable():
+    nodes = {
+        Neg(Ref("a")), Neg(Ref("a")), Pow(Ref("a"), 2),
+        Let("a", IntLit(1), 3), Let("a", IntLit(1), 7),
+        CheckStmt(Ref("a"), IntLit(1)),
+    }
+    assert len(nodes) == 4
+    assert hash(Call("f", (IntLit(1),))) == hash(Call("f", (IntLit(1),)))
+    with pytest.raises(AttributeError):
+        Ref("a").name = "b"
+    assert repr(Let("a", IntLit(1), 3)) == "Let(name='a', expr=IntLit(value=1), line=3)"
+
+
 @pytest.mark.parametrize(
     "bad,line,col",
     [

@@ -10,9 +10,11 @@ import pytest
 from chowcalc import so4pipeline
 from chowcalc.so4pipeline import (
     DEFAULT_DEGREE_BOUND,
+    Check,
     Lemma4Data,
     PipelineError,
     REPORT_SCHEMA,
+    Report,
     So4Pipeline,
     lemma4_check,
     theorem1_structure_oracle,
@@ -33,6 +35,19 @@ def report():
 
 def by_name(report):
     return {c.name: c for c in report.checks}
+
+
+def test_report_records():
+    # each Report starts with lists and dicts of its own
+    a, b = Report(), Report()
+    a.checks.append(Check("n", "r", "e", "c", "pass", 3, 1.5))
+    assert (b.checks, b.config) == ([], {})
+    assert a != b and Report(checks=list(a.checks)) == a
+    assert list(a.checks[0].to_dict().items()) == [
+        ("name", "n"), ("paper_ref", "r"), ("expected", "e"), ("computed", "c"),
+        ("status", "pass"), ("degree_bound", 3), ("elapsed_ms", 1.5),
+    ]
+    assert Lemma4Data((13, -2)) == Lemma4Data(divisor=(13, -2), pullback_c1=4)
 
 
 def test_report_schema(report):

@@ -285,6 +285,22 @@ def test_contains_and_equal(table):
     assert not ok
 
 
+def test_equal_by_two_sided_containment(table):
+    c1, c2, c3 = table.var("c1"), table.var("c2"), table.var("c3")
+    gens = [c1 ** 2, c2, c3]
+    # a second generating set of the same ideal
+    other = GradedIdeal([c1 ** 2 + c2, c2, c3 - c1 * c2])
+    assert GradedIdeal(gens).equal(other, 8) == (True, None)
+    # dropping a generator leaves c3 out of the smaller ideal
+    smaller = GradedIdeal(gens[:2])
+    assert GradedIdeal(gens).equal(smaller, 8) == (
+        False, ("missing from right ideal", c3)
+    )
+    assert smaller.equal(GradedIdeal(gens), 8) == (
+        False, ("missing from left ideal", c3)
+    )
+
+
 def test_equal_detects_span_difference(table):
     c1 = table.var("c1")
     a = GradedIdeal([c1])
