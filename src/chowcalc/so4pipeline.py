@@ -452,9 +452,10 @@ class So4Pipeline:
         )
 
     def _check_oracle_agreement(self, rng):
-        """Pushforward normalization against the symmetrization formula."""
+        """Pushforward normalization against the symmetrization formula,
+        checked on the image that `pushforward-G2E` reports."""
         ge = self.class_G2E
-        img = self.GG.gysin(1, ge)
+        img = self._pf[0]
         for _ in range(10):
             roots = rng.sample(range(-25, 25), 4)
             e = [0] * 5

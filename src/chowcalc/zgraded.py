@@ -20,11 +20,15 @@ columns of U it reads and no others.
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
 module is the only one that reads the entries of such a row.  It brings the
-rows to echelon form first, then reduces the entries above the pivots in one
-bottom-up pass, where each row is reduced against rows that are already
-final.  A dense vector is reduced against H by `_back_substitute`, which
-serves both `DegreeLattice.reduce` and `hnf_solve`.  `smith` stays dense: it
-runs on a few small lattices.
+rows to echelon form first, pivoting in each column on a row of least
+|entry|, the sparsest of those tied (Markowitz's fill-in rule for a fixed
+column order), then reduces the entries above the pivots in one bottom-up
+pass, where each row is reduced against rows that are already final.  H and
+the pivots do not depend on the pivot rule, since the Hermite form is
+unique; U depends on it only when M has dependent rows.  A dense vector is
+reduced against H by `_back_substitute`, which serves both
+`DegreeLattice.reduce` and `hnf_solve`.  `smith` stays dense: it runs on a
+few small lattices.
 """
 
 from __future__ import annotations
@@ -56,15 +60,21 @@ def row_hnf(rows, transform=True):
     those of the full U.  H and the pivots are the same in every case.
 
     Forward elimination brings M to echelon form one column at a time, with
-    Euclidean steps and positive pivots.  Then one bottom-up pass reduces
-    each row against the rows below it, which are final by then, visiting
-    the pivot columns the row holds in increasing order, from a heap because
-    a subtraction can bring in later ones (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, section 2.4).  H is the unique Hermite
-    form of the row lattice, and U = E * F, where F is the forward transform
-    and E the one unit upper triangular matrix that takes the echelon form
-    to H; so neither depends on the order in which the entries above the
-    pivots are reduced.
+    Euclidean steps and positive pivots.  Each step pivots on a row of least
+    |entry| in the column: among rows tied there, the one with the fewest
+    nonzero entries, then the lowest index, since a sparse pivot row makes
+    cheap row operations and little fill-in (Markowitz, "The elimination
+    form of the inverse and its application to linear programming", 1957).
+    Then one bottom-up pass reduces each row against the rows below it,
+    which are final by then, visiting the pivot columns the row holds in
+    increasing order, from a heap because a subtraction can bring in later
+    ones (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    section 2.4).  H is the unique Hermite form of the row lattice, and
+    U = E * F, where F is the forward transform and E the one unit upper
+    triangular matrix that takes the echelon form to H; so neither depends
+    on the order in which the entries above the pivots are reduced.  H and
+    the pivots do not depend on the pivot rule either; U depends on it only
+    when M has dependent rows, since otherwise H = U * M fixes U.
 
     M is a list of dense rows.  Each row of H and U is held as a
     {column: entry} dict of its nonzero entries, so a row operation walks
@@ -101,7 +111,8 @@ def row_hnf(rows, transform=True):
             nonzero = [i for i in range(r, m) if col in H[i]]
             if not nonzero:
                 break
-            piv = min(nonzero, key=lambda i: abs(H[i][col]))
+            # least |entry|, then fewest nonzero entries, then lowest index
+            piv = min(nonzero, key=lambda i: (abs(H[i][col]), len(H[i])))
             if piv != r:
                 row_swap(piv, r)
             # after the swap, every row below r with an entry here is in
@@ -167,11 +178,15 @@ def _back_substitute(H, pivots, v):
     """Bring each pivot entry of the dense vector v into [0, pivot), in place.
 
     Walks the pivots in echelon order, subtracting q * H[r] from v; returns
-    the (r, q) pairs it subtracted.
+    the (r, q) pairs it subtracted.  Most pivot entries of v are 0, and
+    those are skipped before H is read.
     """
     used = []
     for r, c in pivots:
-        q = v[c] // H[r][c]
+        a = v[c]
+        if not a:
+            continue
+        q = a // H[r][c]
         if q:
             for k, h in H[r].items():
                 v[k] -= q * h
@@ -331,10 +346,6 @@ class DegreeLattice:
             else:
                 self._hnf = ([], [], [])
         return self._hnf
-
-    @property
-    def H(self):
-        return self._echelon(False)[0]
 
     def vector(self, p):
         v = [0] * len(self.cols)

@@ -7,7 +7,7 @@ import time
 import jsonschema
 import pytest
 
-from chowcalc import so4pipeline
+from chowcalc import grasstower, so4pipeline
 from chowcalc.so4pipeline import (
     DEFAULT_DEGREE_BOUND,
     Check,
@@ -169,6 +169,24 @@ def test_shared_work_is_timed_in_the_first_check_that_reads_it(monkeypatch):
     assert checks["pushforward-G2E"].elapsed_ms >= 50
     # built once, then shared by every later check that reads them
     assert len(calls) == 1
+
+
+def test_g2e_class_is_pushed_forward_once(monkeypatch):
+    """`pushforward-G2E` reports the image of [G(2,E)], and the oracle check
+    and `lattice-generation-computed` read that same image."""
+    original = grasstower.TowerLevel.gysin
+    pushed = []
+
+    def counting_gysin(self, p):
+        pushed.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(grasstower.TowerLevel, "gysin", counting_gysin)
+    pipeline = So4Pipeline(degree_bound=10, seed=0)
+    checks = by_name(pipeline.run_all())
+    assert checks["gysin-oracle-agreement"].status == "pass"
+    assert checks["lattice-generation-computed"].status == "pass"
+    assert sum(p == pipeline.class_G2E for p in pushed) == 1
 
 
 def test_seed_invariance(report):

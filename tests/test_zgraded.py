@@ -21,13 +21,16 @@ from chowcalc.zgraded import (
 )
 
 
-def _dense_row_hnf(rows, transform=True):
+def _dense_row_hnf(rows, transform=True, sparsest=True):
     """Reference for `row_hnf`: the same operations on dense rows.
 
-    `row_hnf` must make the same choices: the same pivot (the first row at
-    index >= r of least |entry|), the same Euclidean loop, the same sign
-    normalization and the same back-reduction, so (H, U, pivots) agree
-    entry for entry.
+    `row_hnf` must make the same choices: the same pivot (among the rows at
+    index >= r, the least |entry|, then the fewest nonzero entries, then the
+    lowest index), the same Euclidean loop, the same sign normalization and
+    the same back-reduction, so (H, U, pivots) agree entry for entry.  With
+    `sparsest` false the pivot is the first row of least |entry|, the rule
+    `row_hnf` followed before; H and the pivots are the same under both
+    rules, and U differs only where M has dependent rows.
     """
     m = len(rows)
     H = [list(r) for r in rows]
@@ -53,7 +56,8 @@ def _dense_row_hnf(rows, transform=True):
             nonzero = [i for i in range(r, m) if H[i][col]]
             if not nonzero:
                 break
-            piv = min(nonzero, key=lambda i: abs(H[i][col]))
+            piv = min(nonzero, key=lambda i: (
+                abs(H[i][col]), ncols - H[i].count(0) if sparsest else 0))
             if piv != r:
                 row_swap(piv, r)
             done = True
@@ -92,10 +96,19 @@ def dense(rows, n):
     return [[r.get(j, 0) for j in range(n)] for r in rows]
 
 
-def sparse_reference(rows, transform=True):
+def sparse_reference(rows, transform=True, sparsest=True):
     """`_dense_row_hnf` with H and U in the form `row_hnf` returns."""
-    H, U, pivots = _dense_row_hnf(rows, transform)
+    H, U, pivots = _dense_row_hnf(rows, transform, sparsest)
     return sparse(H), (None if U is None else sparse(U)), pivots
+
+
+def assert_matches_the_reference(M, transform):
+    """(H, U, pivots) equal the reference's; H and the pivots also equal
+    those of the old first-row rule."""
+    H, U, pivots = row_hnf(M, transform)
+    assert (H, U, pivots) == sparse_reference(M, transform)
+    H_old, _, pivots_old = sparse_reference(M, transform, sparsest=False)
+    assert (H, pivots) == (H_old, pivots_old)
 
 
 def random_matrix(rng, m, n, lo=-9, hi=9):
@@ -339,13 +352,28 @@ def sparse_matrices(draw, max_rows=12, max_cols=16):
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(), st.booleans())
 def test_row_hnf_matches_the_dense_reference(M, transform):
-    assert row_hnf(M, transform) == sparse_reference(M, transform)
+    assert_matches_the_reference(M, transform)
 
 
 def test_row_hnf_matches_the_dense_reference_on_edge_shapes():
     for M in ([], [[]], [[0]], [[0, 0], [0, 0]], [[-3]], [[0], [-2], [4]]):
         for transform in (True, False):
-            assert row_hnf(M, transform) == sparse_reference(M, transform)
+            assert_matches_the_reference(M, transform)
+
+
+def test_row_hnf_pivots_on_the_sparsest_row_of_least_entry():
+    """Rows 1 and 2 tie at |entry| 1 in column 0 and row 2 is sparser, so it
+    is the pivot and, already reduced, it is H's first row as it stands:
+    U[0] picks out row 2 alone.  The first-row rule pivots on row 1 and
+    reaches the same H through another U."""
+    M = [[0, 1], [1, 1], [1, 0]]
+    H, U, pivots = row_hnf(M)
+    assert (H, pivots) == ([{0: 1}, {1: 1}, {}], [(0, 0), (1, 1)])
+    assert U == [{2: 1}, {1: 1, 2: -1}, {0: 1, 1: -1, 2: 1}]
+    assert (H, U, pivots) == sparse_reference(M)
+    H_old, U_old, pivots_old = sparse_reference(M, sparsest=False)
+    assert (H_old, pivots_old) == (H, pivots)
+    assert U_old[0] == {0: -1, 1: 1}
 
 
 def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
@@ -369,7 +397,7 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
     for rows in (g3, fiber.core_ring.lattice(10).rows, solver_rows[0]):
         for transform in (True, False):
-            assert row_hnf(rows, transform) == sparse_reference(rows, transform)
+            assert_matches_the_reference(rows, transform)
 
 
 @st.composite
