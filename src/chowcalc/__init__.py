@@ -2,8 +2,8 @@
 
 Everything is integer-exact: sparse Z-polynomials with a global degree
 truncation, Chern-class calculus, Gysin pushforwards pinned by classical
-normalizations, and integer-lattice ideal arithmetic via Hermite/Smith
-normal forms.  The headline application is the verification pipeline for
+normalizations, and integer-lattice ideal arithmetic via echelon bases and
+Smith normal forms.  The headline application is the verification pipeline for
 the equivariant Chow ring of SO(4), exposed both as a library
 (`so4pipeline.run`) and through the `chowcalc` command line tool.  The
 pipeline is imported on first use of `Report`, `So4Pipeline` or `run`.

@@ -8,7 +8,9 @@ gysin, nf, rel) and ideals (ideal, member, contains, structure).
 
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
-evaluates every statement over that table.  Names bind once per script.
+evaluates every statement over that table.  A declaration is the whole
+right-hand side of a `let`; a `bundle` or `grass` call anywhere else is an
+error.  Names bind once per script.
 """
 
 from __future__ import annotations
@@ -364,13 +366,16 @@ def pretty_script(stmts):
 # -- evaluation --------------------------------------------------------------
 
 
+_DECLARING = ("bundle", "grass")
+
+
 def _declaration(node):
     """(names, bundle expression) of a `bundle` or `grass` call, else None.
 
     `bundle(c, r)` declares c1..cr and has no bundle expression;
     `grass(E, k, b)` declares b1..bk of the sub-bundle of E.
     """
-    if not isinstance(node, Call) or node.fn not in ("bundle", "grass"):
+    if not isinstance(node, Call) or node.fn not in _DECLARING:
         return None
     args = node.args
     if node.fn == "bundle":
@@ -484,7 +489,8 @@ class Session:
         if isinstance(s, Let):
             if s.name in self.env or s.name in self.table.index:
                 raise DslError("name %r bound twice" % s.name)
-            value = self.eval(s.expr)
+            decl = _declaration(s.expr)
+            value = self._declare(*decl) if decl else self.eval(s.expr)
             self.env[s.name] = value
             return {"kind": "let", "name": s.name, "value": _show(value)}
         lhs = self.eval(s.lhs)
@@ -519,9 +525,11 @@ class Session:
         if isinstance(node, Pow):
             return self._as("class", self.eval(node.base)) ** node.exponent
         if isinstance(node, Call):
-            decl = _declaration(node)
-            if decl is not None:
-                return self._declare(*decl)
+            if node.fn in _DECLARING:
+                raise DslError(
+                    "%s declares variables, so it must be the whole"
+                    " right-hand side of a let" % node.fn
+                )
             if node.fn not in _BUILTINS:
                 raise DslError("unknown function %r" % node.fn)
             kinds = _arg_kinds(node.fn, len(node.args))

@@ -3,8 +3,8 @@
 Every homogeneous question (membership, containment, quotient structure) is
 answered degree by degree: the degree-d slice of an ideal is the integer span
 of generator-times-monomial products, a sublattice of the free module on the
-degree-d monomials.  Hermite and Smith normal forms make the answers exact
-and certifiable.
+degree-d monomials.  Echelon bases and Smith normal forms make the answers
+exact and certifiable.
 
 Before any lattice is built, a `GradedIdeal` uses each generator whose
 leading term is +-v for a single variable v to substitute v out of the other
@@ -13,27 +13,30 @@ table of the remaining variables, and a query is substituted first.  Normal
 forms stay canonical (each monomial with an eliminated variable would be a
 pivot column with pivot 1), quotient groups are unchanged, and membership
 certificates are lifted back to the original generators through divided
-differences.  The Hermite transform U is built only where a certificate is
-read off it: `DegreeLattice.solve` and the Gysin solver, which asks for the
+differences.  The transform U is built only where a certificate is read
+off it: `DegreeLattice.solve` and the Gysin solver, which asks for the
 columns of U it reads and no others.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
 module is the only one that reads the entries of such a row.  It brings the
-rows to echelon form first, pivoting in each column on a row of least
-|entry|, the sparsest of those tied (Markowitz's fill-in rule for a fixed
-column order), then reduces the entries above the pivots in one bottom-up
-pass, where each row is reduced against rows that are already final.  H and
-the pivots do not depend on the pivot rule, since the Hermite form is
-unique; U depends on it only when M has dependent rows.  A dense vector is
-reduced against H by `_back_substitute`, which serves both
-`DegreeLattice.reduce` and `hnf_solve`.  `smith` stays dense: it runs on a
-few small lattices.
+rows to echelon form, pivoting in each column on a row of least |entry|, the
+sparsest of those tied (Markowitz's fill-in rule for a fixed column order),
+and stops there: H is an echelon basis of the row lattice with positive
+pivots, not its Hermite normal form, since the entries above the pivots are
+left as they are.  An echelon basis suffices because every answer is read
+off one routine, `_back_substitute`, which brings each pivot entry of a
+dense vector into [0, pivot); it serves `DegreeLattice.reduce`, `hnf_solve`
+and through them membership, normal forms and the Gysin solver.  For any
+echelon basis of a lattice the pivot columns and pivot values are the same,
+the representative of a vector with every pivot entry in [0, pivot) is the
+same, and so are membership and, when the rows of M are independent, the
+solution x of x * M = v.  `smith` stays dense: it runs on a few small
+lattices.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import compress
 from math import gcd
 
@@ -44,42 +47,37 @@ class GradedError(ChowError):
     pass
 
 
-# -- integer matrix canonical forms -----------------------------------------
+# -- integer matrix reduction -----------------------------------------------
 
 
 def row_hnf(rows, transform=True):
-    """Row-style Hermite normal form, with its transform on request.
+    """Row echelon basis of the row lattice, with its transform on request.
 
-    Returns (H, U, pivots) with H = U * M (U unimodular), pivot entries
-    positive, entries above each pivot reduced into [0, pivot).  `pivots` is a
-    list of (row_index, col_index) pairs in echelon order.  With `transform`
-    false, U is not built and None is returned in its place.  `transform` may
-    also be a collection of row indices of M: then only U's columns at those
-    indices are built, and every other column of U reads 0.  The columns of U
-    evolve independently under row operations, so the columns built equal
-    those of the full U.  H and the pivots are the same in every case.
+    Returns (H, U, pivots) with H = U * M (U unimodular) in row echelon form
+    with positive pivot entries; the entries above the pivots are not
+    reduced.  `pivots` is a list of (row_index, col_index) pairs in echelon
+    order; the pivot columns and values are those of the Hermite normal
+    form, which no caller needs (see the module docstring).  With
+    `transform` false, U is not built and None is returned in its place.
+    `transform` may also be a collection of row indices of M: then only U's
+    columns at those indices are built, and every other column of U reads
+    0.  The columns of U evolve independently under row operations, so the
+    columns built equal those of the full U.  H and the pivots are the same
+    in every case.
 
-    Forward elimination brings M to echelon form one column at a time, with
+    Elimination brings M to echelon form one column at a time, with
     Euclidean steps and positive pivots.  Each step pivots on a row of least
     |entry| in the column: among rows tied there, the one with the fewest
     nonzero entries, then the lowest index, since a sparse pivot row makes
     cheap row operations and little fill-in (Markowitz, "The elimination
     form of the inverse and its application to linear programming", 1957).
-    Then one bottom-up pass reduces each row against the rows below it,
-    which are final by then, visiting the pivot columns the row holds in
-    increasing order, from a heap because a subtraction can bring in later
-    ones (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-    section 2.4).  H is the unique Hermite form of the row lattice, and
-    U = E * F, where F is the forward transform and E the one unit upper
-    triangular matrix that takes the echelon form to H; so neither depends
-    on the order in which the entries above the pivots are reduced.  H and
-    the pivots do not depend on the pivot rule either; U depends on it only
-    when M has dependent rows, since otherwise H = U * M fixes U.
+    H and U depend on this rule; the pivots do not.
 
     M is a list of dense rows.  Each row of H and U is held as a
     {column: entry} dict of its nonzero entries, so a row operation walks
     only the nonzero entries of the row it subtracts, and H and U are
-    returned as lists of such dicts.
+    returned as lists of such dicts.  The name says Hermite form; it stays
+    because `bench/tracing.py` patches the kernel by name.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
@@ -135,32 +133,6 @@ def row_hnf(rows, transform=True):
             r += 1
             if r == m:
                 break
-
-    # back-substitution: row i against the final rows below it
-    pivot_row = {c: i for i, c in pivots}
-    for i, c in reversed(pivots):
-        row = H[i]
-        heap = [k for k in row if k != c and k in pivot_row]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            j = pivot_row[k]
-            q = row.get(k, 0) // H[j][k]
-            if not q:
-                continue
-            # row -= q * H[j], queueing the pivot columns it brings in
-            for kk, b in H[j].items():
-                a = row.get(kk)
-                if a is None:
-                    row[kk] = -q * b
-                    if kk in pivot_row:
-                        heapq.heappush(heap, kk)
-                elif a != q * b:
-                    row[kk] = a - q * b
-                else:
-                    del row[kk]
-            if U is not None:
-                _sub(U[i], U[j], q)
     return H, U, pivots
 
 
@@ -178,8 +150,10 @@ def _back_substitute(H, pivots, v):
     """Bring each pivot entry of the dense vector v into [0, pivot), in place.
 
     Walks the pivots in echelon order, subtracting q * H[r] from v; returns
-    the (r, q) pairs it subtracted.  Most pivot entries of v are 0, and
-    those are skipped before H is read.
+    the (r, q) pairs it subtracted.  A row subtracted later is 0 in every
+    earlier pivot column, so an entry once in range stays there; H need
+    only be an echelon basis.  Most pivot entries of v are 0, and those are
+    skipped before H is read.
     """
     used = []
     for r, c in pivots:
@@ -199,11 +173,12 @@ def hnf_solve(H, U, pivots, v):
 
     Back-substitutes v against the echelon rows of H; v is in the lattice
     exactly when nothing is left, and then every quotient was exact.  The
-    coefficients are carried over to the rows of M through U.  Where U was
+    coefficients are carried over to the rows of M through U; x is unique
+    when the rows of M are independent, else it depends on U.  Where U was
     built for some columns only, the other coefficients read 0.
     """
     if U is None:
-        raise GradedError("no transform was built for this Hermite form")
+        raise GradedError("no transform was built for this echelon basis")
     v = list(v)
     used = _back_substitute(H, pivots, v)
     if any(v):
@@ -315,8 +290,10 @@ class DegreeLattice:
 
     Columns are the keys of the degree-d monomials in descending graded-lex
     order; rows are labelled by (generator index, cofactor monomial key).
-    The Hermite form is computed on first use, with its transform only once
-    `solve` needs one.
+    An echelon basis of the rows is computed on first use, with its
+    transform only once `solve` needs one.  Nothing needs the Hermite form:
+    `reduce` returns the same vector against every echelon basis, and
+    `solve` a valid x against any.
     """
 
     def __init__(self, table, generators, d):
@@ -336,16 +313,16 @@ class DegreeLattice:
                 labels.append((gi, mono))
         self.rows = rows
         self.labels = labels
-        self._hnf = None
+        self._basis = None
 
     def _echelon(self, transform):
         """(H, U, pivots), built once; rebuilt once if U is asked for later."""
-        if self._hnf is None or (transform and self._hnf[1] is None):
+        if self._basis is None or (transform and self._basis[1] is None):
             if self.rows:
-                self._hnf = row_hnf(self.rows, transform)
+                self._basis = row_hnf(self.rows, transform)
             else:
-                self._hnf = ([], [], [])
-        return self._hnf
+                self._basis = ([], [], [])
+        return self._basis
 
     def vector(self, p):
         v = [0] * len(self.cols)
@@ -360,7 +337,11 @@ class DegreeLattice:
         """Canonical representative of v modulo the lattice.
 
         Pivot-column entries are reduced into [0, pivot); the surviving
-        monomials are the graded-lex-least spanning set.
+        monomials are the graded-lex-least spanning set.  Two vectors of
+        v + L with every pivot entry in range differ by a lattice vector
+        whose first nonzero pivot entry would be a nonzero multiple of its
+        pivot smaller than it, so there is one such vector, the same
+        against every echelon basis of L.
         """
         H, _, pivots = self._echelon(False)
         v = list(v)

@@ -282,11 +282,27 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             "line 2, col 1: variable 'c1' declared twice",
         ),
         ("let a = \u00b2;\n", "line 1, col 9: unexpected character '\u00b2'"),
+        (
+            BUNDLE + "let n = nf(grass(S, 1, g), c1);\n",
+            "line 2, col 1: grass declares variables, so it must be the whole"
+            " right-hand side of a let",
+        ),
+        (
+            BUNDLE + "let x = c(bundle(c, 2), 1);\n",
+            "line 2, col 1: bundle declares variables, so it must be the whole"
+            " right-hand side of a let",
+        ),
+        (
+            BUNDLE + "check bundle(c, 2) == 1;\n",
+            "line 2, col 1: bundle declares variables, so it must be the whole"
+            " right-hand side of a let",
+        ),
     ],
     ids=[
         "unknown-name", "unknown-function", "arity", "kind-bundle",
         "kind-ideal", "kind-tower", "rel", "kind-int", "variadic-arity",
-        "pass-1", "non-decimal-digit",
+        "pass-1", "non-decimal-digit", "nested-grass", "nested-bundle",
+        "check-bundle",
     ],
 )
 def test_eval_error_names_its_line(tmp_path, capsys, text, message):
