@@ -6,7 +6,9 @@ normalizations, and integer-lattice ideal arithmetic via echelon bases and
 Smith normal forms.  The headline application is the verification pipeline for
 the equivariant Chow ring of SO(4), exposed both as a library
 (`so4pipeline.run`) and through the `chowcalc` command line tool.  The
-pipeline is imported on first use of `Report`, `So4Pipeline` or `run`.
+pipeline evaluates the SO(4) script shipped in the package (`so4.chow`) with
+the script language (`dsl`), and is imported on first use of `Report`,
+`So4Pipeline` or `run`.
 """
 
 __version__ = "0.1.0"

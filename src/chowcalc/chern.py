@@ -205,27 +205,40 @@ def formal_quotient(total, sub):
     return Bundle(rank, series_parts(total.total(), sub.total(), rank))
 
 
-def whitney_quotient(total, sub, ring=None):
-    """Solve 0 -> sub -> total -> Q -> 0 for Q by Whitney series division.
+def whitney_split(total, sub):
+    """c(total) / c(sub) through degree rank(total), as (the classes of
+    degree <= rank(Q), the excess classes above it) for Q = total / sub.
 
-    The computed classes above rank(Q) must vanish up to the degree bound --
-    modulo the relations of `ring` when one is supplied, identically
-    otherwise -- else the data is inconsistent and we raise.
+    Higher parts need no computing: there c(total) has no part, so
+    q_d = -sum_{j >= 1} c_j(sub) q_{d-j} with every d - j > rank(Q), and
+    they vanish, modulo an ideal too, once the excess classes do.
     """
     if total.table != sub.table:
         raise BundleError("bundles over different tables")
     if total.rank < sub.rank:
         raise BundleError("sub-bundle rank exceeds total rank")
     rank = total.rank - sub.rank
-    q = series_parts(total.total(), sub.total(), total.table.degree_bound)
-    for d, part in enumerate(q[rank + 1 :], start=rank + 1):
+    q = series_parts(total.total(), sub.total(), total.rank)
+    return q[: rank + 1], q[rank + 1 :]
+
+
+def whitney_quotient(total, sub, ring=None):
+    """Solve 0 -> sub -> total -> Q -> 0 for Q by Whitney series division.
+
+    The excess classes of `whitney_split` must vanish -- modulo the
+    relations of `ring` when one is supplied, identically otherwise -- else
+    the data is inconsistent and we raise.
+    """
+    classes, excess = whitney_split(total, sub)
+    rank = total.rank - sub.rank
+    for d, part in enumerate(excess, start=rank + 1):
         if ring is not None:
             part = ring.normal_form(part)
         if not part.is_zero():
             raise InconsistentSequenceError(
                 "quotient class in degree %d does not vanish: %s" % (d, part)
             )
-    return Bundle(rank, q[: rank + 1])
+    return Bundle(rank, classes)
 
 
 def porteous(E, F, r):

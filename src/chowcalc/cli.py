@@ -109,7 +109,7 @@ def _cmd_verify(args):
 
 
 def _cmd_eval(args):
-    # imported here so that verify-so4 does not pay for loading the DSL
+    # imported here so that importing the cli does not load the DSL
     from . import dsl
 
     try:

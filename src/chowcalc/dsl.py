@@ -15,6 +15,8 @@ error.  Names bind once per script.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from . import chern
 from .grasstower import GradedRing, TowerLevel
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, PolyError, Record, VarTable
@@ -465,25 +467,27 @@ class Session:
         {"kind": "check", "text", "ok", "lhs", "rhs"}.  Every error is
         raised as one DslError that names the line of its statement.
         """
-        line = None
-        try:
-            degrees = {}
-            for s in stmts:
-                line = s.line
+        self.declare(stmts)
+        return [self.execute(s) for s in stmts]
+
+    def declare(self, stmts):
+        """Pass 1: build the table from the script's declarations."""
+        degrees = {}
+        for s in stmts:
+            with _at(s.line):
                 decl = _declaration(s.expr) if isinstance(s, Let) else None
                 for degree, name in enumerate(decl[0] if decl else (), start=1):
                     if name in degrees:
                         raise DslError("variable %r declared twice" % name)
                     degrees[name] = degree
-            line = None
+        with _at(None):
             self.table = VarTable(list(degrees.items()), self.degree_bound)
-            events = []
-            for s in stmts:
-                line = s.line
-                events.append(self._statement(s))
-        except (ChowError, RecursionError) as exc:
-            raise DslError(str(exc), line, 1) from exc
-        return events
+
+    def execute(self, s):
+        """Pass 2, one statement: evaluate it over the table; returns its
+        transcript event."""
+        with _at(s.line):
+            return self._statement(s)
 
     def _statement(self, s):
         if isinstance(s, Let):
@@ -557,6 +561,15 @@ class Session:
         if isinstance(value, _KINDS[kind][0]):
             return value
         raise DslError("expected %s, found %s" % (_KINDS[kind][1], _kind(value)))
+
+
+@contextmanager
+def _at(line):
+    """Raise every error inside as one DslError that names `line`."""
+    try:
+        yield
+    except (ChowError, RecursionError) as exc:
+        raise DslError(str(exc), line, 1) from exc
 
 
 def _kind(value):

@@ -7,19 +7,16 @@ per degree by integer lattice reduction, Gysin pushforwards by Schur-basis
 coefficient extraction (an exact per-degree linear solve).
 
 `TowerLevel` is the one level type.  `extend` builds a level over the base
-table plus its sub-bundle variables, `FiberProduct` builds both of its
-levels over one joined table, and the script language builds its levels
-over the session table.
+table plus its sub-bundle variables, the script language builds its levels
+over the session table, and `FiberProduct` puts two levels over one table.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .chern import Bundle
-from .polyring import (
-    DEFAULT_DEGREE_BOUND, ChowError, Poly, VarTable, poly_det, series_parts,
-)
+from .chern import Bundle, whitney_split
+from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, VarTable, poly_det
 from .zgraded import DegreeLattice, hnf_solve, row_hnf
 
 
@@ -78,18 +75,6 @@ def schur_from_chern(bundle, lam):
         for i in range(n)
     ]
     return poly_det(rows)
-
-
-def tautological_quotient(E, sub):
-    """Quotient classes and defining relations of G(k, E) with sub-bundle `sub`.
-
-    The parts of c(E) / c(sub) of degree <= n - k are the Chern classes of
-    the tautological quotient; its nonzero parts of degree n - k + 1 .. n
-    are the relations.  Returns (quotient classes, relations).
-    """
-    q = series_parts(E.total(), sub.total(), E.rank)
-    top = E.rank - sub.rank
-    return q[: top + 1], tuple(p for p in q[top + 1 :] if not p.is_zero())
 
 
 # -- graded rings ------------------------------------------------------------
@@ -302,9 +287,8 @@ class TowerLevel:
         self.table = table
         self.E = Bundle(n, [c.convert(table) for c in E.chern])
         self.taut_sub = Bundle(k, [table.one()] + [table.var(nm) for nm in subvars])
-        quot_chern, self.new_relations = tautological_quotient(
-            self.E, self.taut_sub
-        )
+        quot_chern, excess = whitney_split(self.E, self.taut_sub)
+        self.new_relations = tuple(p for p in excess if not p.is_zero())
         self.taut_quot = Bundle(n - k, quot_chern)
         base_rels = tuple(r.convert(table) for r in base.relations)
         self.ring = GradedRing(table, base_rels + self.new_relations)
@@ -347,18 +331,22 @@ def extend(base, E, k, subvar_names):
 
 
 class FiberProduct:
-    """Two tower levels over a common base, joined into one table.
+    """Two tower levels over a common base and over one table.
 
-    The joined table holds the base variables, then the first level's
-    sub-bundle variables, then the second's, renamed with a `_2` suffix
-    where they clash with the first's.  `levels` rebuilds both levels over
-    it, so pushing forward along one carries the other's variables along.
+    Levels over one table with distinct sub-bundle variables, as a script's
+    are, are kept.  Otherwise `levels` rebuilds both over a joined table:
+    the base variables, then the first level's sub-bundle variables, then
+    the second's, renamed with a `_2` suffix where they clash with the
+    first's.  Pushing forward along one level carries the other's along.
     """
 
     def __init__(self, a, b):
         if a.base != b.base:
             raise TowerError("fiber product requires the same base ring")
         taken = set(a.subvars)
+        if a.table == b.table and not taken & set(b.subvars):
+            self.table, self.levels = a.table, (a, b)
+            return
         b_names = [nm + "_2" if nm in taken else nm for nm in b.subvars]
         if taken & set(b_names):
             raise TowerError("could not disambiguate sub-bundle variables")

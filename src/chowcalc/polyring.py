@@ -602,12 +602,8 @@ def series_parts(a, b, up_to):
 
 def series_invert(p):
     """Truncated multiplicative inverse of a series with constant term 1."""
-    return series_quotient(p.table.one(), p)
-
-
-def series_quotient(a, b):
-    """Truncated quotient a / b for a series b with constant term 1."""
-    return sum(series_parts(a, b, a.table.degree_bound), a.table.zero())
+    t = p.table
+    return sum(series_parts(t.one(), p, t.degree_bound), t.zero())
 
 
 def poly_det(rows):

@@ -1,8 +1,12 @@
 """End-to-end verification pipeline for the SO(4) Chow ring computation.
 
-Rebuilds the Grassmannian-bundle geometry, recomputes every intermediate
-class, pushforward, relation and lattice fact against a table of recorded
-reference values, and emits a Report of named pass/fail checks.
+Evaluates the SO(4) script shipped beside this module (`so4.chow`, the same
+file as `examples/so4.chow`) for the geometry, the two degeneracy classes
+and the six pushforwards, in one `dsl.Session` and only as far as the name
+a check reads; checks them, the tower relations and the lattice facts
+against a table of recorded reference values; and emits a Report of named
+pass/fail checks.  Classes that reach an ideal are converted once to the
+c/f table, the script's table without b1 and b2.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
@@ -24,13 +28,14 @@ pushforward normalization agrees with the classical symmetrization formula.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from functools import cached_property, partial
 from math import gcd
 
-from . import chern
-from .grasstower import extend, fiber_product, free_ring, subset_symmetrization
+from . import chern, dsl
+from .grasstower import FiberProduct, subset_symmetrization
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Record, VarTable
 from .zgraded import GradedIdeal, GroupStructure, primitive
 
@@ -38,6 +43,9 @@ from .zgraded import GradedIdeal, GroupStructure, primitive
 class PipelineError(ChowError):
     pass
 
+
+# The SO(4) script; its `let`s build every class the checks read.
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "so4.chow")
 
 MIN_DEGREE_BOUND = 3
 GEOMETRY_BOUND = 4  # below this the polynomial checks are all skipped
@@ -231,53 +239,42 @@ class So4Pipeline:
             )
         self.degree_bound = degree_bound
         self.seed = seed
-        self._built = False
+        self._session = None
 
-    # -- geometry ----------------------------------------------------------
+    # -- geometry and the script's classes ---------------------------------
 
     def build_geometry(self):
-        """Base ring, the two tower levels, their fiber product, and the
-        bundles F (rank 3), K (rank 5) and K/F (rank 2)."""
-        if self._built:
-            return self
-        self.base = free_ring(self.BASE_VARS, self.degree_bound)
-        tb = self.base.table
-        self.S = chern.Bundle(
-            4, [tb.one()] + [tb.var(n) for n, _ in self.BASE_VARS]
-        )
-        self.w2S = chern.exterior_square(self.S)
-        self.G3 = extend(self.base, self.w2S, 3, self.F_VARS)
-        self.G2S = extend(self.base, self.S, 2, self.B_VARS)
-        self.GG = fiber_product(self.G3, self.G2S)
-        # plain polynomial ring in c, f for pushforward targets and ideals
-        self.cf_table = self.G3.table
-        # F and wedge^2 S over the joined table
-        self.F = self.GG.levels[0].taut_sub
-        w2S_up = self.GG.levels[0].E
-        # the line L4 (x) (wedge^2 B)^dual, first Chern class c1 - b1
-        self.ell = self.GG.table.var("c1") - self.GG.table.var("b1")
-        # K = kernel of wedge^2 S -> that line; honest only after restriction,
-        # so the quotient is formal (high classes need not vanish here)
-        self.K = chern.formal_quotient(w2S_up, chern.line(self.ell))
-        self.KF = chern.formal_quotient(self.K, self.F)
-        self._built = True
+        """The script's levels G3 = G(3, wedge^2 S) and G2 = G(2, S), their
+        fiber product GG over the script's table, and the c/f table: the
+        script's `let`s evaluated through L."""
+        if self._session is None:
+            try:
+                with open(SCRIPT, encoding="utf-8") as fh:
+                    stmts = dsl.parse(fh.read())
+            except OSError as exc:
+                raise PipelineError("cannot read the SO(4) script: %s" % exc)
+            self._session = dsl.Session(self.degree_bound)
+            self._session.declare(stmts)
+            self._lets = (s for s in stmts if isinstance(s, dsl.Let))
+            self.G3 = self.script_value("G3")
+            self.GG = FiberProduct(self.G3, self.script_value("G2"))
+            self.script_value("L")
+            # plain polynomial ring in c, f for pushforward targets and ideals
+            self.cf_table = VarTable(
+                self.BASE_VARS
+                + [(nm, i) for i, nm in enumerate(self.F_VARS, start=1)],
+                self.degree_bound,
+            )
         return self
 
-    def class_Y(self):
-        """Degeneracy class of F -> L4 (x) (wedge^2 B)^dual (a Porteous
-        determinant; here the full top Chern class of the Hom bundle)."""
+    def script_value(self, name):
+        """The value of the script's `let name`, over the script's table;
+        the `let`s before it are evaluated first, in order, once."""
         self.build_geometry()
-        return chern.porteous(self.F, chern.line(self.ell), 0)
-
-    def class_G2E_factor(self):
-        """The rank-2 degeneracy factor c2((K/F) (x) (wedge^2 B)^dual)."""
-        self.build_geometry()
-        return chern.porteous(chern.line(self.GG.table.var("b1")), self.KF, 0)
-
-    @cached_property
-    def class_G2E(self):
-        """[G(2,E)], the product of the two degeneracy classes."""
-        return self.class_Y() * self.class_G2E_factor()
+        env = self._session.env
+        while name not in env:
+            self._session.execute(next(self._lets))
+        return env[name]
 
     # -- reference values --------------------------------------------------
 
@@ -324,21 +321,18 @@ class So4Pipeline:
         return p.substitute({"c1": 0, "f1": 0})
 
     def pushforwards(self):
-        """Gysin images of [G(2,E)] * b1^i * b2^j, for the PUSHFORWARDS rows.
+        """The script's images p0..p5 of [G(2,E)] * b1^i * b2^j, for the
+        PUSHFORWARDS rows, over the c/f table.
 
         The first is returned exactly; the rest are reduced mod J = (c1, f1).
         Entries whose product degree exceeds the bound are returned as None.
         """
-        self.build_geometry()
-        T = self.GG.table
-        ge = self.class_G2E
         out = []
         for k, (_, i, j) in enumerate(PUSHFORWARDS):
             if G2E_DEGREE + i + 2 * j > self.degree_bound:
                 out.append(None)
                 continue
-            mult = T.var("b1") ** i * T.var("b2") ** j
-            img = self.GG.gysin(1, ge * mult)
+            img = self.script_value("p%d" % k).convert(self.cf_table)
             out.append(img if k == 0 else self._mod_J(img))
         return out
 
@@ -376,7 +370,11 @@ class So4Pipeline:
         self.build_geometry()
         t = self.cf_table
         final = self.final_ideal
-        ftilde = chern.whitney_quotient(self.G3.E, self.G3.taut_sub, ring=final)
+        E, F = (
+            chern.Bundle(B.rank, [c.convert(t) for c in B.chern])
+            for B in (self.G3.E, self.G3.taut_sub)
+        )
+        ftilde = chern.whitney_quotient(E, F, ring=final)
         f2t = ftilde.c(2)
         c2, f2 = t.var("c2"), t.var("f2")
         ok1, _ = final.member(f2t - (2 * c2 - f2))
@@ -403,7 +401,7 @@ class So4Pipeline:
     def _t_rels(self):
         """The G3 relations t4, t5, t6 over the c/f table."""
         self.build_geometry()
-        return self.G3.new_relations
+        return [r.convert(self.cf_table) for r in self.G3.new_relations]
 
     @cached_property
     def _computed_ideal(self):
@@ -418,14 +416,9 @@ class So4Pipeline:
 
     # -- checks: each returns (expected, computed, ok) ---------------------
 
-    def _check_class_Y(self):
-        want, _ = self._display_polys()
-        got = self.class_Y()
-        return str(want), str(got), got == want
-
-    def _check_class_G2E_factor(self):
-        _, want = self._display_polys()
-        got = self.class_G2E_factor()
+    def _check_display(self, k, name):
+        want = self._display_polys()[k]
+        got = self.script_value(name)
         return str(want), str(got), got == want
 
     def _check_pushforward(self, k):
@@ -454,7 +447,7 @@ class So4Pipeline:
     def _check_oracle_agreement(self, rng):
         """Pushforward normalization against the symmetrization formula,
         checked on the image that `pushforward-G2E` reports."""
-        ge = self.class_G2E
+        ge = self.script_value("GE")
         img = self._pf[0]
         for _ in range(10):
             roots = rng.sample(range(-25, 25), 4)
@@ -577,7 +570,7 @@ class So4Pipeline:
         """Pushforwards of unlisted monomials stay inside the ideal."""
         T = self.GG.table
         ideal = self._computed_ideal
-        ge = self.class_G2E
+        ge = self.script_value("GE")
         max_deg = min(6, self.degree_bound - G2E_DEGREE)
         listed = {(i, j) for _, i, j in PUSHFORWARDS}
         candidates = [
@@ -617,9 +610,9 @@ class So4Pipeline:
         all_pf = max(pf_bounds)
         rows = [
             ("class-Y", "reference: degeneracy class display",
-             GEOMETRY_BOUND, self._check_class_Y),
+             GEOMETRY_BOUND, partial(self._check_display, 0, "Y")),
             ("class-G2E-factor", "reference: degeneracy class display",
-             GEOMETRY_BOUND, self._check_class_G2E_factor),
+             GEOMETRY_BOUND, partial(self._check_display, 1, "Z")),
         ]
         for k, (label, _, _) in enumerate(PUSHFORWARDS):
             name = "pushforward-G2E" + ("" if k == 0 else ".%s-mod-J" % label)

@@ -191,37 +191,28 @@ def hnf_solve(H, U, pivots, v):
 
 
 def smith(M):
-    """Smith normal form with transforms: returns (D, U, V) with U*M*V = D.
+    """Smith normal form D of M, with no transforms.
 
     Diagonal entries are nonnegative and satisfy the divisibility chain.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     D = [list(r) for r in M]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_sub(i, j, q):
         for k in range(n):
             D[i][k] -= q * D[j][k]
-        for k in range(m):
-            U[i][k] -= q * U[j][k]
 
     def col_sub(i, j, q):
         for k in range(m):
             D[k][i] -= q * D[k][j]
-        for k in range(n):
-            V[k][i] -= q * V[k][j]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
         for k in range(m):
             D[k][i], D[k][j] = D[k][j], D[k][i]
-        for k in range(n):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
 
     t = 0
     while t < min(m, n):
@@ -255,7 +246,6 @@ def smith(M):
                 break
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
         # enforce divisibility: fold offending later entries into this pivot
         redo = False
         for i in range(t + 1, m):
@@ -268,7 +258,7 @@ def smith(M):
                 break
         if not redo:
             t += 1
-    return D, U, V
+    return D
 
 
 def primitive(vec):
@@ -618,7 +608,7 @@ class GradedIdeal:
         ncols = len(lat.cols)
         if not lat.rows:
             return GroupStructure(d, ncols, ())
-        D, _, _ = smith(lat.rows)
+        D = smith(lat.rows)
         diag = [D[i][i] for i in range(min(len(lat.rows), ncols)) if D[i][i]]
         torsion = tuple(x for x in diag if x > 1)
         return GroupStructure(d, ncols - len(diag), torsion)

@@ -60,8 +60,8 @@ def test_exact_class_reproduction(pipeline):
     f1, f2, f3 = (T.var(n) for n in ("f1", "f2", "f3"))
     b1 = T.var("b1")
     d = c1 - b1
-    assert pipeline.class_Y() == -f3 + d * f2 - d * d * f1 + d ** 3
-    assert pipeline.class_G2E_factor() == (
+    assert pipeline.script_value("Y") == -f3 + d * f2 - d * d * f1 + d ** 3
+    assert pipeline.script_value("Z") == (
         b1 * b1 - c1 * b1 + c1 * c1 - 2 * c1 * f1 + f1 * f1 - f2 + 2 * c2
     )
 

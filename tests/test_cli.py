@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from chowcalc import __version__, cli, dsl
+from chowcalc import __version__, cli, dsl, so4pipeline
 from chowcalc.chern import BundleError
 from chowcalc.dsl import DslError
 from chowcalc.grasstower import TowerError
@@ -337,8 +337,17 @@ def test_library_error_is_usage_error(monkeypatch, capsys, error):
     assert captured.out == ""
 
 
+def test_missing_so4_script_is_usage_error(monkeypatch, capsys, tmp_path):
+    # an installed package without its SO(4) script fails with one line
+    monkeypatch.setattr(so4pipeline, "SCRIPT", str(tmp_path / "so4.chow"))
+    assert run_cli(["verify-so4", "--degree-bound", "4"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read the SO(4) script: ")
+    assert err.count("\n") == 1
+
+
 def test_importing_the_cli_leaves_the_dsl_unloaded():
-    # verify-so4 never evaluates a script, so it should not import the DSL
+    # each command imports what it runs when it runs, not on import
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = "import sys, chowcalc.cli; print('chowcalc.dsl' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)

@@ -330,6 +330,14 @@ def test_fiber_product_renames_clashing_sub_bundle_variables():
         assert GG.gysin(0, p).is_zero()
 
 
+def test_fiber_product_keeps_levels_that_share_a_table():
+    # the SO(4) script's two levels are built over its one table
+    P = So4Pipeline(degree_bound=6).build_geometry()
+    G2 = P.script_value("G2")
+    assert P.GG.levels[0] is P.G3 and P.GG.levels[1] is G2
+    assert P.GG.table == P.G3.table == G2.table
+
+
 def test_fiber_product_requires_common_base():
     b1 = free_ring([("c1", 1)], 6)
     b2 = free_ring([("d1", 1)], 6)

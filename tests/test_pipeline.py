@@ -23,6 +23,7 @@ from chowcalc.so4pipeline import (
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "..", "bench", "golden", "verify-b14.json"
 )
+EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 
 # the two recorded reference values the computation does not reproduce
 KNOWN_FAILING = {"pushforward-G2E", "pushforward-G2E.b1^2*b2-mod-J"}
@@ -186,7 +187,26 @@ def test_g2e_class_is_pushed_forward_once(monkeypatch):
     checks = by_name(pipeline.run_all())
     assert checks["gysin-oracle-agreement"].status == "pass"
     assert checks["lattice-generation-computed"].status == "pass"
-    assert sum(p == pipeline.class_G2E for p in pushed) == 1
+    assert sum(p == pipeline.script_value("GE") for p in pushed) == 1
+
+
+def test_the_example_is_the_packaged_script():
+    with open(EXAMPLE, "rb") as a, open(so4pipeline.SCRIPT, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_classes_come_from_the_packaged_script(tmp_path, monkeypatch):
+    """An altered `let Y` in the script is what class-Y reports."""
+    with open(so4pipeline.SCRIPT) as fh:
+        text = fh.read()
+    let_y = "let Y = porteous(F, L, 0);"
+    assert let_y in text
+    altered = tmp_path / "so4.chow"
+    altered.write_text(text.replace(let_y, "let Y = 2 * porteous(F, L, 0);"))
+    monkeypatch.setattr(so4pipeline, "SCRIPT", str(altered))
+    checks = by_name(So4Pipeline(degree_bound=4, seed=0).run_all())
+    assert {n for n, c in checks.items() if c.status == "fail"} == {"class-Y"}
+    assert checks["class-Y"].computed.startswith("2*c1^3")
 
 
 def test_seed_invariance(report):

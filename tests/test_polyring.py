@@ -18,7 +18,6 @@ from chowcalc.polyring import (
     poly_det,
     series_invert,
     series_parts,
-    series_quotient,
     symmetric_reduce,
 )
 
@@ -192,7 +191,7 @@ def test_series_invert_roundtrip():
         p = p - p.constant() + 1  # force constant term 1
         inv = series_invert(p)
         assert (p * inv).truncated(7) == t.one()
-        assert series_quotient(p, p) == t.one()
+        assert sum(series_parts(p, p, 7), t.zero()) == t.one()
     with pytest.raises(PolyError):
         series_invert(2 * t.one())
 
@@ -384,7 +383,7 @@ def test_series_parts_are_the_graded_parts_of_the_quotient(table, data):
     assert full == reference_quotient(a, b)
     top = min(k, table.degree_bound)
     assert parts == [full.graded_part(d) for d in range(top + 1)]
-    assert series_quotient(a, b) == full
+    assert sum(series_parts(a, b, table.degree_bound), table.zero()) == full
     if k >= table.degree_bound:
         assert reference_mul(sum(parts, table.zero()), b) == a
 
@@ -396,7 +395,6 @@ def test_series_parts_reject_a_constant_term_other_than_one(constant):
     for divide in (
         lambda: series_parts(t.one(), b, 3),
         lambda: series_invert(b),
-        lambda: series_quotient(t.var("v"), b),
     ):
         with pytest.raises(PolyError):
             divide()
