@@ -5,7 +5,9 @@
 The two tests compare against recorded reference values that the program
 does not reproduce (see ROADMAP.md, aim 3).  Any other failure or error
 fails the check, and so does a pass, a skip or the absence of either of the
-two.
+two.  Each of the two must fail on an assertion: a failure whose message
+does not start with `assert` or `AssertionError` (a KeyError, say) fails the
+check too.
 """
 
 import sys
@@ -18,10 +20,15 @@ BY_DESIGN = {
 
 
 def failing_tests(path):
-    failing = set()
+    """{test id: message of its failure or error}."""
+    failing = {}
     for case in ET.parse(path).iter("testcase"):
-        if case.find("failure") is not None or case.find("error") is not None:
-            failing.add("%s::%s" % (case.get("classname"), case.get("name")))
+        bad = case.find("failure")
+        if bad is None:
+            bad = case.find("error")
+        if bad is not None:
+            name = "%s::%s" % (case.get("classname"), case.get("name"))
+            failing[name] = bad.get("message", "")
     return failing
 
 
@@ -30,11 +37,18 @@ def main(argv):
         print("usage: python .github/check_tier1.py JUNIT_XML", file=sys.stderr)
         return 2
     failing = failing_tests(argv[1])
-    for name in sorted(failing - BY_DESIGN):
+    for name in sorted(failing.keys() - BY_DESIGN):
         print("unexpected failure: %s" % name)
-    for name in sorted(BY_DESIGN - failing):
+    for name in sorted(BY_DESIGN - failing.keys()):
         print("by-design failure did not fail: %s" % name)
-    if failing != BY_DESIGN:
+    not_asserted = sorted(
+        name for name in BY_DESIGN & failing.keys()
+        if not failing[name].startswith(("assert", "AssertionError"))
+    )
+    for name in not_asserted:
+        print("by-design failure did not fail on its assertion: %s: %s"
+              % (name, failing[name]))
+    if failing.keys() != BY_DESIGN or not_asserted:
         return 1
     print("failing set is exactly the %d by-design failures" % len(BY_DESIGN))
     return 0

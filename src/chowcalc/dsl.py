@@ -260,15 +260,14 @@ class _Parser:
         node = self.atom()
         if self.peek().kind == "^":
             self.next()
-            tok = self.expect("INT")
-            node = Pow(node, int(tok.value))
+            node = Pow(node, _int(self.expect("INT")))
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            return IntLit(int(tok.value))
+            return IntLit(_int(tok))
         if tok.kind == "(":
             self.next()
             node = self.expr()
@@ -292,6 +291,13 @@ class _Parser:
             tok.line,
             tok.col,
         )
+
+
+def _int(tok):
+    try:
+        return int(tok.value)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise ParseError("integer literal too long", tok.line, tok.col) from None
 
 
 def parse(text):
@@ -401,6 +407,10 @@ def _relation(level, degree):
     for r in level.new_relations:
         if r.degree() == degree:
             return r
+    if degree > level.table.degree_bound:
+        raise DslError(
+            "a relation of degree %d needs a degree bound >= %d" % (degree, degree)
+        )
     raise DslError("no relation of degree %d on this level" % degree)
 
 

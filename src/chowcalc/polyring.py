@@ -554,18 +554,21 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for i, key in enumerate(sorted(self.terms, reverse=True)):
-            c = self.terms[key]
-            mono = _fmt_mono(self.table, key)
-            mag = abs(c)
-            if mono:
-                body = mono if mag == 1 else "%d*%s" % (mag, mono)
-            else:
-                body = str(mag)
-            if i == 0:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
+        try:
+            for i, key in enumerate(sorted(self.terms, reverse=True)):
+                c = self.terms[key]
+                mono = _fmt_mono(self.table, key)
+                mag = abs(c)
+                if mono:
+                    body = mono if mag == 1 else "%d*%s" % (mag, mono)
+                else:
+                    body = str(mag)
+                if i == 0:
+                    pieces.append(body if c > 0 else "-" + body)
+                else:
+                    pieces.append((" + " if c > 0 else " - ") + body)
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise PolyError("coefficient too large to print") from None
         return "".join(pieces)
 
     def __repr__(self):

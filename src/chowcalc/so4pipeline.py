@@ -1,22 +1,23 @@
 """End-to-end verification pipeline for the SO(4) Chow ring computation.
 
 Evaluates the SO(4) script shipped beside this module (`so4.chow`, the same
-file as `examples/so4.chow`) for the geometry, the two degeneracy classes
-and the six pushforwards, in one `dsl.Session` and only as far as the name
-a check reads; checks them, the tower relations and the lattice facts
-against a table of recorded reference values; and emits a Report of named
-pass/fail checks.  Classes that reach an ideal are converted once to the
-c/f table, the script's table without b1 and b2.
+file as `examples/so4.chow`) for the geometry, the two degeneracy classes,
+the six pushforwards and the recorded values, in one `dsl.Session` and only
+as far as the name a check reads; checks the classes, the tower relations
+and the lattice facts; and emits a Report of named pass/fail checks.  The
+recorded values are the script's `let NAME_rec` and its final ideal `I`;
+none is written here.  Classes that reach an ideal are converted once to
+the c/f table, the script's table without b1 and b2.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
 exceeds the degree bound is skipped; any other runs its check method, which
 returns (expected, computed, ok), and is timed.  A minimum bound is the
 degree of the class its check reads.  The results several checks share (the
-reference polynomials, the geometry, the six pushforwards, the G3 relations,
-the final and computed-pushforward ideals, the presentation) are built on
-first use and kept on the pipeline, so each cost lands in the `elapsed_ms`
-of the first check that needs it.
+geometry, the six pushforwards, the G3 relations, the final and
+computed-pushforward ideals, the presentation) are built on first use and
+kept on the pipeline, so each cost lands in the `elapsed_ms` of the first
+check that needs it.
 
 Two of the recorded reference values are not reproduced by the computation
 (the first pushforward and the sixth); the checks are kept honest and simply
@@ -276,44 +277,9 @@ class So4Pipeline:
             self._session.execute(next(self._lets))
         return env[name]
 
-    # -- reference values --------------------------------------------------
-
-    def _reference_polys(self):
-        """Recorded reference values as polynomials over the c/f table."""
-        t = self.cf_table
-        c1, c2, c3, c4 = (t.var(n) for n, _ in self.BASE_VARS)
-        f1, f2, f3 = (t.var(n) for n in self.F_VARS)
-        x = c2 - f2
-        return {
-            "pushforward": 13 * c1 - 2 * f1,
-            "pushforward_modJ": [
-                t.zero(),
-                -2 * f3,
-                c3 - f3,
-                x * x - 4 * c4,
-                c2 * f3 + f2 * c3,
-            ],
-            "t_modJ": [
-                x * x - 4 * c4,
-                2 * f2 * f3 - 2 * c2 * f3,
-                f2 * (-(x * x) + 4 * c4) + f3 * f3 - c3 * c3,
-            ],
-            "final_ideal": [c1, f1, 2 * c3, c3 - f3, x * x - 4 * c4, x * c3],
-        }
-
-    def _display_polys(self):
-        """The two recorded intermediate classes, over the joined table."""
-        self.build_geometry()
-        T = self.GG.table
-        c1, c2 = T.var("c1"), T.var("c2")
-        f1, f2, f3 = (T.var(n) for n in self.F_VARS)
-        b1 = T.var("b1")
-        d = c1 - b1
-        ref_Y = -f3 + d * f2 - d * d * f1 + d * d * d
-        ref_factor = (
-            b1 * b1 - c1 * b1 + c1 * c1 - 2 * c1 * f1 + f1 * f1 - f2 + 2 * c2
-        )
-        return ref_Y, ref_factor
+    def _recorded(self, name):
+        """The script's recorded value `let NAME_rec`, over the c/f table."""
+        return self.script_value(name + "_rec").convert(self.cf_table)
 
     # -- pushforwards ------------------------------------------------------
 
@@ -351,7 +317,7 @@ class So4Pipeline:
         x = pres.var("x")
         c2 = pres.var("c2")
         relations = []
-        for g in self._refs["final_ideal"]:
+        for g in self.final_ideal.generators:
             img = g.substitute(
                 {"f1": 0, "f3": pres.var("c3").convert(self.cf_table)}
             ).substitute({"f2": c2 - x}, table=pres)
@@ -384,14 +350,10 @@ class So4Pipeline:
     # -- shared results, built by the first check that reads them ----------
 
     @cached_property
-    def _refs(self):
-        self.build_geometry()
-        return self._reference_polys()
-
-    @cached_property
     def final_ideal(self):
-        """The recorded final ideal over the c/f table."""
-        return GradedIdeal(self._refs["final_ideal"])
+        """The script's final ideal `I` over the c/f table."""
+        gens = self.script_value("I").generators
+        return GradedIdeal([g.convert(self.cf_table) for g in gens])
 
     @cached_property
     def _pf(self):
@@ -416,14 +378,13 @@ class So4Pipeline:
 
     # -- checks: each returns (expected, computed, ok) ---------------------
 
-    def _check_display(self, k, name):
-        want = self._display_polys()[k]
+    def _check_display(self, name):
+        want = self.script_value(name + "_rec")
         got = self.script_value(name)
         return str(want), str(got), got == want
 
     def _check_pushforward(self, k):
-        refs = self._refs
-        want = ([refs["pushforward"]] + refs["pushforward_modJ"])[k]
+        want = self._recorded("p%d" % k)
         got = self._pf[k]
         return str(want), str(got), got == want
 
@@ -432,10 +393,10 @@ class So4Pipeline:
         previously listed generators; record that consistency explicitly."""
         t = self.cf_table
         earlier = GradedIdeal(
-            [t.var("c1"), t.var("f1"), 2 * t.var("f3"),
-             t.var("c3") - t.var("f3")]
+            [t.var("c1"), t.var("f1"), self._recorded("p2"),
+             self._recorded("p3")]
         )
-        diff = self._pf[5] - self._refs["pushforward_modJ"][4]
+        diff = self._pf[5] - self._recorded("p5")
         ok, cert = earlier.member(diff)
         ok = ok and earlier.certificate_product(cert) == diff
         return (
@@ -469,7 +430,7 @@ class So4Pipeline:
         return ("agreement", "agreement at 10 specializations", True)
 
     def _check_tower_relation(self, i):
-        want = self._refs["t_modJ"][i]
+        want = self._recorded("t%d" % (i + 4))
         got = self._mod_J(self._t_rels[i])
         return str(want), str(got), got == want
 
@@ -610,9 +571,9 @@ class So4Pipeline:
         all_pf = max(pf_bounds)
         rows = [
             ("class-Y", "reference: degeneracy class display",
-             GEOMETRY_BOUND, partial(self._check_display, 0, "Y")),
+             GEOMETRY_BOUND, partial(self._check_display, "Y")),
             ("class-G2E-factor", "reference: degeneracy class display",
-             GEOMETRY_BOUND, partial(self._check_display, 1, "Z")),
+             GEOMETRY_BOUND, partial(self._check_display, "Z")),
         ]
         for k, (label, _, _) in enumerate(PUSHFORWARDS):
             name = "pushforward-G2E" + ("" if k == 0 else ".%s-mod-J" % label)

@@ -336,11 +336,17 @@ def test_cli_verify_and_example(capsys):
     texts = {
         e["text"]: e["ok"] for e in events if e["kind"] == "check"
     }
+    values = {e["name"]: e["value"] for e in events if e["kind"] == "let"}
+    # the script records the reference pushforward table
+    assert [values["p%d_rec" % k] for k in range(6)] == [
+        "13*c1 - 2*f1", "0", "-2*f3", "c3 - f3",
+        "c2^2 - 2*c2*f2 - 4*c4 + f2^2", "c2*f3 + c3*f2",
+    ]
     # the DSL path reproduces the pushforward checks
-    assert texts["member(p2 + 2 * f3, J) == 1"]
-    assert texts["member(p3 - (c3 - f3), J) == 1"]
-    assert texts["member(p4 - ((c2 - f2)^2 - 4 * c4), J) == 1"]
-    assert texts["p0 == 13 * c1 - 2 * f1"]
-    assert texts["member(p5 - (c2 * f3 + f2 * c3), J) == 1"]
+    assert texts["member(p2 - p2_rec, J) == 1"]
+    assert texts["member(p3 - p3_rec, J) == 1"]
+    assert texts["member(p4 - p4_rec, J) == 1"]
+    assert texts["p0 == p0_rec"]
+    assert texts["member(p5 - p5_rec, J) == 1"]
     assert code == cli.EXIT_OK
     assert data["overall"] == "pass"

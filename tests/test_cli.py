@@ -270,6 +270,10 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             "line 3, col 1: no relation of degree 7 on this level",
         ),
         (
+            LEVEL + "let x = rel(G, 12);\n",
+            "line 3, col 1: a relation of degree 12 needs a degree bound >= 12",
+        ),
+        (
             BUNDLE + "let x = c(S, c1);\n",
             "line 2, col 1: expected an integer, found a class",
         ),
@@ -282,6 +286,11 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             "line 2, col 1: variable 'c1' declared twice",
         ),
         ("let a = \u00b2;\n", "line 1, col 9: unexpected character '\u00b2'"),
+        ("let a = 2^20000;\n", "line 1, col 1: coefficient too large to print"),
+        (
+            "let a = %s;\n" % ("9" * 5000),
+            "line 1, col 9: integer literal too long",
+        ),
         (
             BUNDLE + "let n = nf(grass(S, 1, g), c1);\n",
             "line 2, col 1: grass declares variables, so it must be the whole"
@@ -300,9 +309,9 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
     ],
     ids=[
         "unknown-name", "unknown-function", "arity", "kind-bundle",
-        "kind-ideal", "kind-tower", "rel", "kind-int", "variadic-arity",
-        "pass-1", "non-decimal-digit", "nested-grass", "nested-bundle",
-        "check-bundle",
+        "kind-ideal", "kind-tower", "rel", "rel-above-bound", "kind-int",
+        "variadic-arity", "pass-1", "non-decimal-digit", "huge-value",
+        "huge-literal", "nested-grass", "nested-bundle", "check-bundle",
     ],
 )
 def test_eval_error_names_its_line(tmp_path, capsys, text, message):

@@ -335,9 +335,11 @@ def test_example_script_verdicts():
     checks = [e for e in events if e["kind"] == "check"]
     assert len(checks) == 16
     failing = [c["text"] for c in checks if not c["ok"]]
-    assert failing == [
-        "p0 == 13 * c1 - 2 * f1",
-        "member(p5 - (c2 * f3 + f2 * c3), J) == 1",
+    assert failing == ["p0 == p0_rec", "member(p5 - p5_rec, J) == 1"]
+    values = {e["name"]: e["value"] for e in events if e["kind"] == "let"}
+    assert [values["p%d_rec" % k] for k in range(6)] == [
+        "13*c1 - 2*f1", "0", "-2*f3", "c3 - f3",
+        "c2^2 - 2*c2*f2 - 4*c4 + f2^2", "c2*f3 + c3*f2",
     ]
 
 

@@ -222,16 +222,16 @@ def test_seed_invariance(report):
     assert stripped(other) == stripped(report)
 
 
-def test_tampered_reference_flags_exactly_that_check(report):
-    class Tampered(So4Pipeline):
-        def _reference_polys(self):
-            refs = super()._reference_polys()
-            t = self.cf_table
-            refs["t_modJ"] = list(refs["t_modJ"])
-            refs["t_modJ"][0] = refs["t_modJ"][0] + 7 * t.var("c4")
-            return refs
-
-    rep = Tampered(degree_bound=DEFAULT_DEGREE_BOUND, seed=0).run_all()
+def test_tampered_reference_flags_exactly_that_check(tmp_path, monkeypatch):
+    """An altered recorded value in the script fails exactly its check."""
+    with open(so4pipeline.SCRIPT) as fh:
+        text = fh.read()
+    let_t4 = "let t4_rec = x^2 - 4 * c4;"
+    assert let_t4 in text
+    altered = tmp_path / "so4.chow"
+    altered.write_text(text.replace(let_t4, "let t4_rec = x^2 + 3 * c4;"))
+    monkeypatch.setattr(so4pipeline, "SCRIPT", str(altered))
+    rep = So4Pipeline(degree_bound=DEFAULT_DEGREE_BOUND, seed=0).run_all()
     failing = {c.name for c in rep.checks if c.status == "fail"}
     assert failing == KNOWN_FAILING | {"tower-relation-t4-mod-J"}
 
