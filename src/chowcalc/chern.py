@@ -52,7 +52,9 @@ class Bundle:
                 if ci.table != table:
                     raise BundleError("Chern classes over different tables")
                 if i > bound and not ci.is_zero():
-                    raise BundleError("class above the degree bound must be zero")
+                    raise BundleError(
+                        "a nonzero c_%d needs a degree bound >= %d" % (i, i)
+                    )
                 if not ci.is_zero() and not (ci.is_homogeneous() and ci.degree() == i):
                     raise BundleError("c_%d must be homogeneous of degree %d" % (i, i))
         self.rank = rank

@@ -6,6 +6,12 @@ Whitney quotient classes above the quotient rank.  Normal forms are computed
 per degree by integer lattice reduction, Gysin pushforwards by Schur-basis
 coefficient extraction (an exact per-degree linear solve).
 
+The solve first substitutes out every base variable that a relation gives as
++-v + rho, rho free of v: for G(k, E) with E's Chern classes variables, that
+is E's top k classes, and the ring left is free, with no relation lattice to
+reduce against.  The substitution is a ring isomorphism of the quotient
+rings, so every image is the one solved for without it (see `_Fiber`).
+
 `TowerLevel` is the one level type.  `extend` builds a level over the base
 table plus its sub-bundle variables, the script language builds its levels
 over the session table, and `FiberProduct` puts two levels over one table.
@@ -17,7 +23,7 @@ import itertools
 
 from .chern import Bundle, whitney_split
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, VarTable, poly_det
-from .zgraded import DegreeLattice, hnf_solve, row_hnf
+from .zgraded import DegreeLattice, _split, _substitute, hnf_solve, row_hnf
 
 
 class TowerError(ChowError):
@@ -132,6 +138,47 @@ def free_ring(variables, degree_bound=DEFAULT_DEGREE_BOUND):
 # -- the Gysin solver --------------------------------------------------------
 
 
+def _substitute_units(relations, fixed):
+    """Substitute out each variable outside `fixed` that a relation gives
+    as +-v + rho with rho free of v, until no relation gives one.
+
+    Returns ({variable index: image}, the nonzero relations left), with
+    every image and every relation left free of the substituted variables.
+    A homogeneous relation of degree deg(v) with the term +-v has no other
+    term in v, so the coefficient of v is all there is to check.
+    """
+    rels = [r for r in relations if not r.is_zero()]
+    images = {}
+    while True:
+        found = None
+        for j, r in enumerate(rels):
+            found = _unit_term(r, fixed)
+            if found:
+                break
+        if not found:
+            return images, rels
+        i, sign = found
+        table = rels[j].table
+        # r == sign * (v - rho)
+        rho = table.var(table.names[i]) - sign * rels.pop(j)
+        rels = [_substitute(_split(q, i), rho) for q in rels]
+        rels = [q for q in rels if not q.is_zero()]
+        images = {h: _substitute(_split(img, i), rho) for h, img in images.items()}
+        images[i] = rho
+
+
+def _unit_term(r, fixed):
+    """(variable index, sign) of the first variable v outside `fixed` with
+    the term +-v in the homogeneous relation r; or None."""
+    table, d = r.table, r.degree()
+    for i, (nm, w) in enumerate(zip(table.names, table.degrees)):
+        if w == d and nm not in fixed:
+            c = r.terms.get(table.var_key(nm))
+            if c in (1, -1):
+                return i, c
+    return None
+
+
 class _Fiber:
     """The data needed to push forward along one Grassmannian factor.
 
@@ -142,6 +189,22 @@ class _Fiber:
     monomials and each piece is solved over the smaller core table.  The
     solve reads only the coefficients of the top-box Schur class, so each
     degree's solver builds only the transform columns of the top-box rows.
+
+    Before any lattice is built, each base variable v that a relation gives
+    as +-v + rho, rho free of v, is substituted out of the other relations
+    (`_substitute_units`).  `core_ring` is the ring of the variables left
+    modulo the relations left, and every core class is mapped into it by
+    phi, which sends each substituted v to its image and keeps the other
+    variables, through one memoised image per core monomial.  phi is an
+    isomorphism of the two quotient rings, so the solve has the same
+    solutions through it and every image is unchanged.  Where E's Chern
+    classes are variables, the relations of G(k, E) are e_j + (terms free
+    of e_j) for j > n - k, all of them go, and `core_ring` is a polynomial
+    ring with no relation lattice; for G(2, S) that removes c3 and c4.  It
+    is free over the base on the Schur classes (Fulton, "Intersection
+    Theory", ch. 14), so the solver matrix is square and unimodular and the
+    top-box coefficients are unique.  Where no relation gives such a
+    variable, as on G(3, wedge^2 S), phi is the identity.
     """
 
     def __init__(self, table, subvars, k, n, relations):
@@ -178,12 +241,24 @@ class _Fiber:
             self.target_table, self.base_names
         )
         self.core_relations = tuple(r.convert(self.core_table) for r in relations)
-        self.core_ring = GradedRing(self.core_table, self.core_relations)
+        ct = self.core_table
+        images, rels = _substitute_units(self.core_relations, self.subvars)
+        ring_table = VarTable(
+            [v for i, v in enumerate(zip(ct.names, ct.degrees)) if i not in images],
+            ct.degree_bound,
+        )
+        self.core_ring = GradedRing(ring_table, [r.convert(ring_table) for r in rels])
+        # (field offset, key, image) of each substituted variable
+        self._units = [
+            (ct.offsets[i], ct.var_key(ct.names[i]), rho.convert(ring_table))
+            for i, rho in sorted(images.items())
+        ]
+        self._to_ring = ct.rekey(ring_table, ring_table.names)
+        self._images = {}
         self.box = partitions_in_box(k, n - k)
         self.top = tuple([n - k] * k)
         sub = Bundle(
-            k,
-            [self.core_table.one()] + [self.core_table.var(v) for v in self.subvars],
+            k, [ring_table.one()] + [ring_table.var(v) for v in self.subvars]
         )
         self._schur = {lam: schur_from_chern(sub, lam) for lam in self.box}
         self._solvers = {}
@@ -197,8 +272,34 @@ class _Fiber:
             groups.setdefault(to_spectator(k), {})[to_core(k)] = c
         return [(spec, Poly(self.core_table, t)) for spec, t in groups.items()]
 
+    def _image(self, key):
+        """phi of the core monomial with this key, over the ring table:
+        phi(m / v) * phi(v) for the first substituted v dividing m, else m."""
+        img = self._images.get(key)
+        if img is None:
+            mask = self.core_table.mask
+            for off, unit, rho in self._units:
+                if key >> off & mask:
+                    img = self._image(key - unit) * rho
+                    break
+            else:
+                img = Poly(self.core_ring.table, {self._to_ring(key): 1})
+            self._images[key] = img
+        return img
+
+    def _substituted(self, p_core):
+        """phi of a core class: the class over `core_ring`'s table."""
+        if not self._units:
+            return p_core
+        terms = {}
+        get = terms.get
+        for k, c in p_core.terms.items():
+            for ki, ci in self._image(k).terms.items():
+                terms[ki] = get(ki, 0) + c * ci
+        return Poly(self.core_ring.table, {k: c for k, c in terms.items() if c})
+
     def _solver(self, d):
-        """Rows NF(s_mu * m) for the degree-d Schur-coefficient solve."""
+        """Rows NF(phi(s_mu * m)) for the degree-d Schur-coefficient solve."""
         if d not in self._solvers:
             core = self.core_table
             sub_fields = 0
@@ -216,7 +317,7 @@ class _Fiber:
                     m for m in core.monomial_keys(rem) if not m & sub_fields
                 ]
                 for m in base_monos:
-                    prod = s * Poly(core, {m: 1})
+                    prod = s * self._image(m)
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
@@ -233,7 +334,8 @@ class _Fiber:
         if d < 0:
             return self.core_table.zero()
         lat, labels, H, U, pivots = self._solver(d)
-        coeffs = hnf_solve(H, U, pivots, lat.reduce(lat.vector(p_core)))
+        v = lat.reduce(lat.vector(self._substituted(p_core)))
+        coeffs = hnf_solve(H, U, pivots, v)
         if coeffs is None:
             raise TowerError("class is not in the Schur-basis module span")
         out_terms = {}

@@ -158,6 +158,24 @@ def test_eval_example_output_matches_the_golden_copy(capsys, bound):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_eval_example_below_the_rank_of_S_names_the_bound_it_needs(
+    capsys, bound
+):
+    """`bundle(c, 4)` has a nonzero c_(bound + 1) above the bound: the
+    error names that class and the bound it needs, on the line of S."""
+    with open(EXAMPLE, encoding="utf-8") as fh:
+        line = 1 + fh.read().splitlines().index("let S = bundle(c, 4);")
+    code = run_cli(["eval", EXAMPLE, "--degree-bound", str(bound)])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: line %d, col 1: a nonzero c_%d needs a degree bound >= %d\n"
+        % (line, bound + 1, bound + 1)
+    )
+    assert captured.out == ""
+
+
 def test_eval_json(monkeypatch, capsys):
     monkeypatch.delenv(cli.ENV_DEGREE_BOUND, raising=False)
     code = run_cli(["eval", EXAMPLE, "--format", "json"])
@@ -274,6 +292,10 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             "line 3, col 1: a relation of degree 12 needs a degree bound >= 12",
         ),
         (
+            "let S = bundle(c, 11);\n",
+            "line 1, col 1: a nonzero c_11 needs a degree bound >= 11",
+        ),
+        (
             BUNDLE + "let x = c(S, c1);\n",
             "line 2, col 1: expected an integer, found a class",
         ),
@@ -309,7 +331,8 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
     ],
     ids=[
         "unknown-name", "unknown-function", "arity", "kind-bundle",
-        "kind-ideal", "kind-tower", "rel", "rel-above-bound", "kind-int",
+        "kind-ideal", "kind-tower", "rel", "rel-above-bound",
+        "bundle-above-bound", "kind-int",
         "variadic-arity", "pass-1", "non-decimal-digit", "huge-value",
         "huge-literal", "nested-grass", "nested-bundle", "check-bundle",
     ],

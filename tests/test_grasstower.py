@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowcalc import chern
+from chowcalc import chern, grasstower, zgraded
 from chowcalc.grasstower import (
     FiberProduct,
     TowerError,
@@ -233,6 +233,108 @@ def test_gysin_vs_symmetrization_oracle_g2s(g2s):
                 assert got == Fraction(img.eval(values))
 
 
+def free_bundle(prefix, n, degree_bound):
+    """The free ring on prefix1..prefix<n> and the bundle E with those
+    Chern classes."""
+    names = ["%s%d" % (prefix, i) for i in range(1, n + 1)]
+    base = free_ring([(nm, i) for i, nm in enumerate(names, start=1)], degree_bound)
+    tb = base.table
+    E = chern.Bundle(n, [tb.one()] + [tb.var(nm) for nm in names])
+    return base, E
+
+
+def random_class(rng, T, d, terms):
+    """A degree-d class of T with up to `terms` random monomials."""
+    monos = T.monomials(d)
+    return T.poly({rng.choice(monos): rng.choice((-3, -2, -1, 1, 2, 3))
+                   for _ in range(terms)})
+
+
+def assert_matches_oracle(level, rng, E_names, draw_roots, classes):
+    """Random classes of `level` push forward to what the oracle gives.
+
+    `draw_roots(rng)` returns distinct integer roots xs of the bundle whose
+    Chern classes are `E_names`, and the roots of the bundle the level
+    is built on; the image is evaluated at the elementary symmetric
+    functions of xs and at random values of the other variables.
+    """
+    T = level.table
+    for _ in range(classes):
+        d = rng.randint(level.relative_dim, T.degree_bound)
+        p = random_class(rng, T, d, 3)
+        img = level.gysin(p)
+        for _ in range(2):
+            xs, roots = draw_roots(rng)
+            values = dict(zip(E_names, elementary_values(xs)))
+            for nm in T.names:
+                if nm not in values and nm not in level.subvars:
+                    values[nm] = rng.randint(-9, 9)
+            got = subset_symmetrization(p, level.subvars, roots, values)
+            assert got == Fraction(img.eval(values)), str(p)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(2, 6) for k in range(1, n)]
+)
+def test_gysin_vs_symmetrization_oracle_free_bundles(n, k):
+    """G(k, E) for E with variable Chern classes e1..en: the fiber
+    substitutes e_(n-k+1)..e_n out, leaves a core ring with no relations,
+    and every image still equals the oracle's."""
+    base, E = free_bundle("e", n, 9)
+    level = extend(base, E, k, ["f%d" % i for i in range(1, k + 1)])
+    ring = level._fiber.core_ring
+    assert not ring.relations
+    assert ring.table.names == tuple(
+        ["e%d" % i for i in range(1, n - k + 1)] + list(level.subvars)
+    )
+
+    def draw_roots(rng):
+        xs = rng.sample(range(-30, 30), n)
+        return xs, xs
+
+    names = ["e%d" % i for i in range(1, n + 1)]
+    assert_matches_oracle(level, random.Random(100 * n + k), names, draw_roots, 12)
+
+
+def test_gysin_vs_symmetrization_oracle_without_substitution():
+    """On P(wedge^2 E) for E of rank 4 no relation gives a variable as
+    +-v + rho, so the fiber substitutes nothing and solves modulo its
+    relation lattice; the images still equal the oracle's, whose roots of
+    wedge^2 E are the sums x_i + x_j of two roots of E."""
+    base, E = free_bundle("c", 4, 10)
+    level = extend(base, chern.exterior_square(E), 1, ["f1"])
+    fiber = level._fiber
+    assert not fiber._units and fiber.core_ring.table == fiber.core_table
+    assert fiber.core_ring.relations
+
+    def draw_roots(rng):
+        while True:
+            xs = rng.sample(range(-30, 30), 4)
+            sums = [xs[i] + xs[j] for i in range(4) for j in range(i + 1, 4)]
+            if len(set(sums)) == 6:
+                return xs, sums
+
+    names = ["c1", "c2", "c3", "c4"]
+    assert_matches_oracle(level, random.Random(43), names, draw_roots, 20)
+
+
+def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
+    """The G(2, S) fiber has substituted c3 and c4 out, so its degree-10
+    solver reduces against no relation lattice: `row_hnf` runs once, on the
+    square solver matrix."""
+    fiber = So4Pipeline(degree_bound=10).build_geometry().GG.levels[1]._fiber
+    shapes = []
+
+    def counted(rows, transform=True):
+        shapes.append((len(rows), len(rows[0])))
+        return row_hnf(rows, transform)
+
+    monkeypatch.setattr(zgraded, "row_hnf", counted)
+    monkeypatch.setattr(grasstower, "row_hnf", counted)
+    lat, labels, _, _, _ = fiber._solver(10)
+    assert shapes == [(len(labels), len(labels))] and len(lat.cols) == len(labels)
+
+
 def test_oracle_requires_distinct_roots(g24):
     T = g24.table
     with pytest.raises(TowerError):
@@ -273,14 +375,18 @@ def _top_box_by_full_transform(fiber, d):
     column of the transform built: a map from class to image, or to None
     where the class is outside the Schur-basis span."""
     lat, labels, _, _, _ = fiber._solver(d)
+    # the rows and p go through the fiber's substitution, onto the table of
+    # its core ring
     rows = [
-        lat.reduce(lat.vector(fiber._schur[lam] * Poly(fiber.core_table, {m: 1})))
+        lat.reduce(lat.vector(
+            fiber._schur[lam] * fiber._substituted(Poly(fiber.core_table, {m: 1}))
+        ))
         for lam, m in labels
     ]
     hnf = row_hnf(rows)
 
     def solve(p):
-        x = hnf_solve(*hnf, lat.reduce(lat.vector(p)))
+        x = hnf_solve(*hnf, lat.reduce(lat.vector(fiber._substituted(p))))
         if x is None:
             return None
         out = {}

@@ -382,11 +382,14 @@ def test_row_hnf_pivots_on_the_sparsest_row_of_least_entry():
 def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     """Degree-10 lattices of the SO(4) geometry.  The G(3, wedge^2 S)
     relation lattice over the c and f variables (its fiber's core ring) has
-    pivots 2, 9, 15 and 885 and takes more than one Euclidean round in 12
-    columns, the G(2, S) Schur solver matrix in 4; the G(2, S) core ring is
-    the kind of lattice the Gysin solver reduces against."""
+    pivots 2, 9, 15 and 885 and takes more than one Euclidean round in 10
+    columns.  The G(2, S) relation lattice over the c and b variables is
+    built from the level's relations: its fiber substitutes c3 and c4 out,
+    so its core ring has none left, and its Schur solver matrix is square."""
     P = So4Pipeline(degree_bound=10).build_geometry()
     fiber = P.GG.levels[1]._fiber
+    g2s = DegreeLattice(fiber.core_table, fiber.core_relations, 10).rows
+    assert not fiber.core_ring.lattice(10).rows and len(g2s) > 100
     solver_rows = []
 
     def capture(rows, transform=True):
@@ -398,7 +401,7 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     g3 = P.G3._fiber.core_ring.lattice(10).rows
     H, _, pivots = row_hnf(g3, False)
     assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
-    for rows in (g3, fiber.core_ring.lattice(10).rows, solver_rows[0]):
+    for rows in (g3, g2s, solver_rows[0]):
         for transform in (True, False):
             assert_matches_the_reference(rows, transform)
 
