@@ -1,23 +1,18 @@
 """Formal vector bundle calculus: Chern classes and degeneracy loci.
 
 Bundles are purely formal: a rank plus a truncated total Chern class over a
-shared variable table.  Duals, determinants, line twists and exterior squares
-are computed by the splitting principle; Whitney quotients by truncated
-series division; degeneracy classes by the Thom-Porteous determinant.
+shared variable table.  Duals, determinants and line twists are computed by
+closed formulas from the splitting principle; exterior squares by Newton's
+identities, from power sums of the roots to power sums of their pairwise
+sums and back; Whitney quotients by truncated series division; degeneracy
+classes by the Thom-Porteous determinant.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .polyring import (
-    ChowError,
-    RootSet,
-    VarTable,
-    poly_det,
-    series_parts,
-    symmetric_reduce,
-)
+from .polyring import ChowError, Poly, VarTable, poly_det, series_parts
 
 
 class BundleError(ChowError):
@@ -146,38 +141,71 @@ def tensor_line(E, ell):
 
 
 # Universal exterior-square classes, cached per (rank, degree) in the
-# elementary symmetric basis.
+# elementary symmetric basis, computed by Newton's identities.
 _WEDGE2_CACHE = {}
 
 
 def _wedge2_universal(n, up_to):
+    """(e_table, e_names, [c_1, ..., c_k]) for k = min(C(n, 2), up_to): the
+    Chern classes of the exterior square of a rank-n bundle as polynomials
+    in its Chern classes e_1..e_n (variables of e_table, of degrees 1..n).
+
+    With x_1..x_n the roots, Newton's identities (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2) give the power sums p_k of the
+    roots from the e_i; the power sums of the pairwise sums x_i + x_j are
+
+        P_k = (sum_m C(k, m) p_m p_(k-m) - 2^k p_k) / 2,   p_0 = n,
+
+    and Newton's identities again give their elementary symmetric functions
+    E_k = c_k from k E_k = sum_(i=1..k) (-1)^(i-1) E_(k-i) P_i.
+    """
     key = (n, up_to)
     if key not in _WEDGE2_CACHE:
-        roots = RootSet(n, up_to)
-        pair_sums = []
-        xs = roots.roots()
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair_sums.append(xs[i] + xs[j])
-        # elementary symmetric functions of the pairwise sums, by degree
-        e_parts = [roots.table.one()]
-        for s in pair_sums:
-            new = [e_parts[0]]
-            for k in range(1, len(e_parts) + 1):
-                prev = e_parts[k] if k < len(e_parts) else roots.table.zero()
-                new.append(prev + e_parts[k - 1] * s)
-            e_parts = new
         e_names = ["e%d" % i for i in range(1, n + 1)]
         e_table = VarTable([(nm, i) for i, nm in enumerate(e_names, start=1)], up_to)
-        reduced = []
-        for k in range(1, min(len(pair_sums), up_to) + 1):
-            reduced.append(symmetric_reduce(e_parts[k], roots, e_table, e_names))
-        _WEDGE2_CACHE[key] = (e_table, e_names, reduced)
+        top = min(comb(n, 2), up_to)
+        e = [e_table.one()] + [e_table.var(nm) for nm in e_names[:top]]
+        # p_k = sum_(i=1..k-1) (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k,
+        # where e_i = 0 for i > n
+        p = [e_table.const(n)]
+        for k in range(1, top + 1):
+            acc = (-1) ** (k - 1) * k * e[k] if k <= n else e_table.zero()
+            for i in range(1, min(k - 1, n) + 1):
+                acc = acc + (-1) ** (i - 1) * (e[i] * p[k - i])
+            p.append(acc)
+        # the terms m and k - m of P_k's sum are equal, so it halves exactly
+        P = [None]
+        for k in range(1, top + 1):
+            acc = (n - 2 ** (k - 1)) * p[k]
+            for m in range(1, (k + 1) // 2):
+                acc = acc + comb(k, m) * (p[m] * p[k - m])
+            if k % 2 == 0:
+                acc = acc + comb(k, k // 2) // 2 * (p[k // 2] * p[k // 2])
+            P.append(acc)
+        E = [e_table.one()]
+        for k in range(1, top + 1):
+            acc = e_table.zero()
+            for i in range(1, k + 1):
+                acc = acc + (-1) ** (i - 1) * (E[k - i] * P[i])
+            E.append(_divided(acc, k))
+        _WEDGE2_CACHE[key] = (e_table, e_names, E[1:])
     return _WEDGE2_CACHE[key]
 
 
+def _divided(p, d):
+    """p / d for an integer d that divides every coefficient of p."""
+    terms = {}
+    for key, c in p.terms.items():
+        q, r = divmod(c, d)
+        if r:
+            raise BundleError("coefficient %d of %s is not divisible by %d" % (c, p, d))
+        terms[key] = q
+    return Poly(p.table, terms)
+
+
 def exterior_square(E):
-    """Second exterior power, rank C(n, 2), via the splitting principle."""
+    """Second exterior power, rank C(n, 2): the universal classes of
+    `_wedge2_universal` evaluated at the Chern classes of E."""
     n = E.rank
     if n < 2:
         raise BundleError("exterior square needs rank >= 2")

@@ -92,7 +92,8 @@ class VarTable:
 
     __slots__ = (
         "names", "degrees", "degree_bound", "index",
-        "bits", "mask", "shift", "offsets", "limit", "_mono_cache", "_mono_text",
+        "bits", "mask", "shift", "offsets", "limit",
+        "_mono_cache", "_mono_tails", "_mono_text",
     )
 
     def __init__(self, variables, degree_bound=DEFAULT_DEGREE_BOUND):
@@ -121,6 +122,7 @@ class VarTable:
         # every key at or above the limit is above the degree bound
         self.limit = (self.degree_bound + 1) << self.shift
         self._mono_cache = {}
+        self._mono_tails = {}
         self._mono_text = {}
 
     # Tables compare by content so that rebuilt/lifted tables interoperate.
@@ -200,28 +202,39 @@ class VarTable:
         return [self.unpack(k) for k in self.monomial_keys(d)]
 
     def monomial_keys(self, d):
-        """The keys of `monomials(d)`, in the same (descending) order."""
+        """The keys of `monomials(d)`, in the same (descending) order.
+
+        The enumeration recurses over the variables in order; it is
+        memoised on (variable index, remaining degree), so each
+        sub-enumeration is built once per table, whatever d asked for it.
+        """
         if d < 0 or d > self.degree_bound:
             raise PolyError("degree %d out of range [0, %d]" % (d, self.degree_bound))
         if d not in self._mono_cache:
-            keys = []
-            last = len(self.names) - 1
-
-            def rec(i, remaining, key):
-                w, off = self.degrees[i], self.offsets[i]
-                if i == last:
-                    if remaining % w == 0:
-                        keys.append(key | remaining // w << off)
-                    return
-                for e in range(remaining // w, -1, -1):
-                    rec(i + 1, remaining - e * w, key | e << off)
-
-            if last >= 0:
-                rec(0, d, d << self.shift)
-            elif d == 0:
-                keys.append(0)
+            if self.names:
+                top = d << self.shift
+                keys = [top | t for t in self._tails(0, d)]
+            else:
+                keys = [0] if d == 0 else []
             self._mono_cache[d] = keys
         return self._mono_cache[d]
+
+    def _tails(self, i, r):
+        """Keys, without the degree field, of the monomials in variables
+        i, i+1, ... of weighted degree r, descending."""
+        tails = self._mono_tails.get((i, r))
+        if tails is None:
+            w, off = self.degrees[i], self.offsets[i]
+            if i == len(self.names) - 1:
+                tails = [r // w << off] if r % w == 0 else []
+            else:
+                tails = [
+                    e << off | t
+                    for e in range(r // w, -1, -1)
+                    for t in self._tails(i + 1, r - e * w)
+                ]
+            self._mono_tails[(i, r)] = tails
+        return tails
 
     def extended(self, extra):
         """A new table with `extra` (name, degree) pairs appended, same bound."""

@@ -1,6 +1,8 @@
 """Unit tests for the formal bundle calculus."""
 
+import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from chowcalc.chern import (
     trivial,
     whitney_quotient,
 )
-from chowcalc.polyring import RootSet, VarTable, poly_det
+from chowcalc.polyring import RootSet, VarTable, poly_det, symmetric_reduce
 
 
 def random_bundle(rng, table, max_rank=4):
@@ -139,17 +141,59 @@ def test_exterior_square_split():
     assert W.total() == expected
 
 
-def test_exterior_square_rank4_c1(table):
-    rng = random.Random(9)
-    for _ in range(10):
-        E = random_bundle(rng, table, max_rank=4)
-        if E.rank < 2:
-            continue
-        W = exterior_square(E)
-        n = E.rank
+def test_exterior_square_of_split_bundles():
+    # c(wedge^2 E) = prod_{i<j} (1 + x_i + x_j) for E the sum of lines x_i,
+    # an oracle that needs no symmetric reduction
+    for n in range(2, 7):
+        names = ["x%d" % i for i in range(1, n + 1)]
+        t = VarTable([(nm, 1) for nm in names], degree_bound=14)
+        W = exterior_square(split_bundle(t, names))
         assert W.rank == n * (n - 1) // 2
-        assert W.c(1) == (n - 1) * E.c(1)
+        expected = t.one()
+        for i, j in itertools.combinations(names, 2):
+            expected = expected * (t.one() + t.var(i) + t.var(j))
+        assert W.total() == expected
 
+
+def wedge2_by_symmetric_reduction(n, up_to):
+    """The universal exterior-square classes by expanding e_k of the pairwise
+    root sums and rewriting each in e_1..e_n by symmetric reduction."""
+    roots = RootSet(n, up_to)
+    xs = roots.roots()
+    e_parts = [roots.table.one()]
+    for i, j in itertools.combinations(range(n), 2):
+        s = xs[i] + xs[j]
+        e_parts = [e_parts[0]] + [
+            e_parts[k] + e_parts[k - 1] * s for k in range(1, len(e_parts))
+        ] + [e_parts[-1] * s]
+    e_names = ["e%d" % i for i in range(1, n + 1)]
+    e_table = VarTable([(nm, i) for i, nm in enumerate(e_names, start=1)], up_to)
+    return [
+        symmetric_reduce(e_parts[k], roots, e_table, e_names)
+        for k in range(1, min(len(e_parts) - 1, up_to) + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, up_to",
+    [(n, b) for n in range(2, 7) for b in range(1, min(comb(n, 2), 10) + 1)],
+)
+def test_wedge2_universal_matches_symmetric_reduction(n, up_to):
+    # ranks above the bound too: rank 5 at bound 3 has e4, e5 of degree > 3
+    e_table, e_names, classes = chern._wedge2_universal(n, up_to)
+    assert e_names == ["e%d" % i for i in range(1, n + 1)]
+    expected = wedge2_by_symmetric_reduction(n, up_to)
+    assert len(classes) == min(comb(n, 2), up_to)
+    for got, want in zip(classes, expected):
+        assert got.table == e_table == want.table
+        assert got.terms == want.terms
+
+
+def test_wedge2_division_is_checked():
+    t = VarTable([("a", 1)], degree_bound=4)
+    assert chern._divided(4 * t.var("a") + 2, 2) == 2 * t.var("a") + 1
+    with pytest.raises(BundleError):
+        chern._divided(3 * t.var("a") + 2, 2)
 
 def test_porteous_zero_rank_is_top_chern_of_hom(table):
     # E -> F with E a line bundle: the r=0 locus class is c_top(E* (x) F)

@@ -1,5 +1,7 @@
 """Unit tests for the sparse exact polynomial layer."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -345,6 +347,43 @@ def test_keys_round_trip_and_follow_the_graded_lex_order(table):
     assert [table.unpack(k) for k in keys] == monos
     by_key = [e for _, e in sorted(zip(keys, monos))]
     assert by_key == sorted(monos, key=lambda e: (table.mono_degree(e), e))
+
+
+@st.composite
+def small_weighted_tables(draw):
+    """Tables of one to six variables of weights 1-4.  The bound is at most
+    16, and small enough that the exponent box, prod (bound // w + 1), has
+    at most 20,000 points, so that it can be enumerated."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+
+    def box(bound):
+        return math.prod(bound // w + 1 for w in weights)
+
+    top = max(b for b in range(1, 17) if box(b) <= 20_000)
+    bound = draw(st.integers(1, top))
+    return VarTable([("v%d" % i, w) for i, w in enumerate(weights)], bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_weighted_tables())
+@example(VarTable([("v0", 1)], 16))
+@example(VarTable([("v0", 3)], 10))
+def test_monomial_keys_match_a_brute_force_enumeration(table):
+    bound, weights = table.degree_bound, table.degrees
+    by_degree = [[] for _ in range(bound + 1)]
+    for expo in itertools.product(*(range(bound // w + 1) for w in weights)):
+        d = table.mono_degree(expo)
+        if d <= bound:
+            by_degree[d].append(table.pack(expo))
+    # coefficients of prod_i 1 / (1 - t^(w_i)) through t^bound
+    series = [1] + [0] * bound
+    for w in weights:
+        for d in range(w, bound + 1):
+            series[d] += series[d - w]
+    for d in range(bound + 1):
+        keys = table.monomial_keys(d)
+        assert keys == sorted(by_degree[d], reverse=True)
+        assert len(keys) == series[d]
 
 
 @settings(max_examples=80, deadline=None)
