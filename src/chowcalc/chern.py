@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .polyring import ChowError, Poly, VarTable, poly_det, series_parts
+from .polyring import ChowError, Poly, VarTable, poly_det, series_parts, sum_of_products
 
 
 class BundleError(ChowError):
@@ -68,10 +68,10 @@ class Bundle:
         return self.chern[i]
 
     def total(self):
-        out = self.table.zero()
+        terms = {}  # c_i has degree i: no two classes share a key
         for ci in self.chern:
-            out = out + ci
-        return out
+            terms.update(ci.terms)
+        return Poly(self.table, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Bundle):
@@ -129,15 +129,11 @@ def tensor_line(E, ell):
     powers = [table.one()]
     for _ in range(r):
         powers.append(powers[-1] * ell)
-    chern = [table.one()]
-    for i in range(1, r + 1):
-        ci = table.zero()
-        for j in range(i + 1):
-            coef = comb(r - j, i - j)
-            if coef:
-                ci = ci + coef * (E.c(j) * powers[i - j])
-        chern.append(ci)
-    return Bundle(r, chern)
+    return Bundle(r, [table.one()] + [
+        sum_of_products(table, [(comb(r - j, i - j), E.chern[j], powers[i - j])
+                                for j in range(i + 1)])
+        for i in range(1, r + 1)
+    ])
 
 
 # Universal exterior-square classes, cached per (rank, degree) in the
@@ -169,25 +165,21 @@ def _wedge2_universal(n, up_to):
         # where e_i = 0 for i > n
         p = [e_table.const(n)]
         for k in range(1, top + 1):
-            acc = (-1) ** (k - 1) * k * e[k] if k <= n else e_table.zero()
-            for i in range(1, min(k - 1, n) + 1):
-                acc = acc + (-1) ** (i - 1) * (e[i] * p[k - i])
-            p.append(acc)
+            p.append(sum_of_products(e_table, [
+                ((-1) ** (i - 1), e[i], p[k - i]) for i in range(1, min(k - 1, n) + 1)
+            ] + ([((-1) ** (k - 1) * k, e[k], e[0])] if k <= n else [])))
         # the terms m and k - m of P_k's sum are equal, so it halves exactly
         P = [None]
         for k in range(1, top + 1):
-            acc = (n - 2 ** (k - 1)) * p[k]
-            for m in range(1, (k + 1) // 2):
-                acc = acc + comb(k, m) * (p[m] * p[k - m])
-            if k % 2 == 0:
-                acc = acc + comb(k, k // 2) // 2 * (p[k // 2] * p[k // 2])
-            P.append(acc)
+            P.append(sum_of_products(e_table, [(n - 2 ** (k - 1), p[k], e[0])] + [
+                (comb(k, m) if 2 * m < k else comb(k, m) // 2, p[m], p[k - m])
+                for m in range(1, k // 2 + 1)
+            ]))
         E = [e_table.one()]
         for k in range(1, top + 1):
-            acc = e_table.zero()
-            for i in range(1, k + 1):
-                acc = acc + (-1) ** (i - 1) * (E[k - i] * P[i])
-            E.append(_divided(acc, k))
+            E.append(_divided(sum_of_products(
+                e_table, [((-1) ** (i - 1), E[k - i], P[i]) for i in range(1, k + 1)]
+            ), k))
         _WEDGE2_CACHE[key] = (e_table, e_names, E[1:])
     return _WEDGE2_CACHE[key]
 

@@ -73,6 +73,7 @@ def tokenize(text):
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch.isalpha() or ch == "_":
             j = i

@@ -114,11 +114,11 @@ class GradedRing:
             raise TowerError("polynomial over the wrong table")
         if p.is_zero() or not self.relations:
             return p
-        out = self.table.zero()
+        terms = {}  # one homogeneous part per degree: no two share a key
         for d, part in p.graded_parts().items():
             lat = self.lattice(d)
-            out = out + lat.poly(lat.reduce(lat.vector(part)))
-        return out
+            terms.update(lat.poly(lat.reduce(lat.vector(part))).terms)
+        return Poly(self.table, terms)
 
     def __eq__(self, other):
         return (

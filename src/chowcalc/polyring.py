@@ -28,11 +28,13 @@ Series division, the one step behind every Whitney and Thom-Porteous
 computation, is :func:`series_parts`: it returns the homogeneous parts
 q_0..q_k of a / b for a series b with constant term 1, by the recurrence
 q_d = a_d - sum_{j>=1} b_j q_{d-j}, so only the degrees a caller reads are
-ever multiplied.
+ever multiplied.  That sum, like every sum of products here and in the layers
+above, is built in one dict by :func:`sum_of_products`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -294,19 +296,28 @@ def _integral(x, what):
     return n
 
 
+def _exponents(table, key):
+    """(variable index, exponent) for each nonzero exponent field of a key,
+    in table order.  The highest set bit names the next field, so zero
+    fields are never visited."""
+    bits, last = table.bits, len(table.names) - 1
+    rest = key & ((1 << table.shift) - 1)
+    while rest:
+        off = (rest.bit_length() - 1) // bits * bits
+        e = rest >> off
+        rest ^= e << off
+        yield last - off // bits, e
+
+
 def _fmt_mono(table, key):
     """The monomial of a key as text, remembered per table."""
     text = table._mono_text.get(key)
     if text is None:
-        parts = []
-        mask = table.mask
-        for name, off in zip(table.names, table.offsets):
-            e = key >> off & mask
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append("%s^%d" % (name, e))
-        text = table._mono_text[key] = "*".join(parts)
+        names = table.names
+        text = table._mono_text[key] = "*".join([
+            names[i] if e == 1 else "%s^%d" % (names[i], e)
+            for i, e in _exponents(table, key)
+        ])
     return text
 
 
@@ -353,14 +364,8 @@ class Poly:
 
     def variables(self):
         """Names of the variables actually occurring."""
-        table = self.table
-        used = 0
-        for key in self.terms:
-            used |= key
-        return {
-            name for name, off in zip(table.names, table.offsets)
-            if used >> off & table.mask
-        }
+        used = functools.reduce(operator.or_, self.terms, 0)
+        return {self.table.names[i] for i, _ in _exponents(self.table, used)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -400,23 +405,16 @@ class Poly:
                 return self.table.zero()
             return Poly(self.table, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        limit = self.table.limit
-        terms = {}
-        get = terms.get
-        # right operand in ascending key order, so ascending degree: each row
-        # stops at the first key past the degree bound
-        b_items = sorted(other.terms.items())
-        for ka, ca in self.terms.items():
-            for kb, cb in b_items:
-                k = ka + kb
-                if k >= limit:
-                    break
-                s = get(k, 0) + ca * cb
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return Poly(self.table, terms)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a one-term operand shifts the other's keys: no two products
+            # share a key, so there is nothing to sort and nothing to cancel
+            ((ka, ca),) = a.items()
+            below = self.table.limit - ka
+            return Poly(self.table, {ka + kb: ca * cb for kb, cb in b.items() if kb < below})
+        return sum_of_products(self.table, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -504,24 +502,16 @@ class Poly:
                 pow_cache[key] = images[name] ** e
             return pow_cache[key]
 
-        fields = list(zip(self.table.names, self.table.offsets))
-        mask = self.table.mask
-        out = {}
-        for key, c in self.terms.items():
-            term = target.const(c)
-            for name, off in fields:
-                e = key >> off & mask
-                if e:
-                    term = term * power(name, e)
-                    if term.is_zero():
-                        break
-            for k, t in term.terms.items():
-                s = out.get(k, 0) + t
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Poly(target, out)
+        names, one = self.table.names, target.one()
+
+        def products():
+            # c * (the powers but the last) * (the last power), for each term
+            for key, c in self.terms.items():
+                fields = _exponents(self.table, key)
+                *rest, last = [power(names[i], e) for i, e in fields] or [one]
+                yield c, functools.reduce(operator.mul, rest) if rest else one, last
+
+        return sum_of_products(target, products())
 
     def convert(self, table):
         """Re-express over another table containing all used variables.
@@ -549,16 +539,12 @@ class Poly:
 
     def eval(self, values):
         """Evaluate at numeric values (int or Fraction) for every used variable."""
-        fields = list(zip(self.table.names, self.table.offsets))
-        mask = self.table.mask
+        names = self.table.names
         total = 0
         for key, c in self.terms.items():
-            v = c
-            for name, off in fields:
-                e = key >> off & mask
-                if e:
-                    v *= values[name] ** e
-            total += v
+            for i, e in _exponents(self.table, key):
+                c *= values[names[i]] ** e
+            total += c
         return total
 
     # -- canonical string --------------------------------------------------
@@ -588,6 +574,40 @@ class Poly:
         return "Poly(%s)" % (self,)
 
 
+# -- sums of products ----------------------------------------------------------
+
+
+def sum_of_products(table, triples):
+    """sum(coef * a * b) over the (int coef, Poly a, Poly b) triples, each
+    product truncated as `Poly.__mul__` truncates, built in one dict.
+
+    `triples` may be any iterable; it is consumed once.
+    """
+    limit = table.limit
+    terms = {}
+    get = terms.get
+    for coef, a, b in triples:
+        if not (a.table is table is b.table or a.table == table == b.table):
+            raise TableMismatchError("polynomials over different variable tables")
+        if not (coef and a.terms and b.terms):
+            continue
+        # b in ascending key order, so ascending degree: each row stops at
+        # the first key past the degree bound
+        b_items = sorted(b.terms.items())
+        for ka, ca in a.terms.items():
+            ca *= coef
+            for kb, cb in b_items:
+                k = ka + kb
+                if k >= limit:
+                    break
+                s = get(k, 0) + ca * cb
+                if s:
+                    terms[k] = s
+                else:
+                    del terms[k]
+    return Poly(table, terms)
+
+
 # -- power series helpers ---------------------------------------------------
 
 
@@ -600,19 +620,15 @@ def series_parts(a, b, up_to):
         raise PolyError("series inverse requires constant term 1")
     a._check(b)
     table = a.table
-    zero = table.zero()
+    zero, one = table.zero(), table.one()
     a_parts = a.graded_parts()
+    b_parts = [(j, bj) for j, bj in b.graded_parts().items() if j > 0]
     # q_d = a_d - sum_{j>=1} b_j q_{d-j}
-    minus_b = [(j, -bj) for j, bj in b.graded_parts().items() if j > 0]
     q = []
     for d in range(min(up_to, table.degree_bound) + 1):
-        acc = a_parts.get(d, zero)
-        for j, bj in minus_b:
-            if j > d:
-                break
-            if not q[d - j].is_zero():
-                acc = acc + bj * q[d - j]
-        q.append(acc)
+        q.append(sum_of_products(table, [(1, a_parts.get(d, zero), one)] + [
+            (-1, bj, q[d - j]) for j, bj in b_parts if j <= d
+        ]))
     return q
 
 
@@ -631,16 +647,11 @@ def poly_det(rows):
         raise PolyError("determinant matrix must be square")
     if n == 1:
         return rows[0][0]
-    table = rows[0][0].table
-    out = table.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = poly_det(minor)
-        out = out + (entry * sub if j % 2 == 0 else -(entry * sub))
-    return out
+    return sum_of_products(rows[0][0].table, (
+        (-1 if j % 2 else 1, entry,
+         poly_det([[r[k] for k in range(n) if k != j] for r in rows[1:]]))
+        for j, entry in enumerate(rows[0]) if not entry.is_zero()
+    ))
 
 
 # -- symmetric reduction (splitting principle) -------------------------------

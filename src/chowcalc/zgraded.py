@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd
 
-from .polyring import ChowError, Poly, Record, VarTable
+from .polyring import ChowError, Poly, Record, VarTable, sum_of_products
 
 
 class GradedError(ChowError):
@@ -370,13 +370,10 @@ def _split(p, i):
 
 def _substitute(parts, rho):
     """sum_e rho^e * p_e for the split {e: p_e} of a polynomial."""
-    out = parts.get(0, rho.table.zero())
-    power = rho.table.one()
-    for e in range(1, max(parts) + 1):
-        power = power * rho
-        if e in parts:
-            out = out + parts[e] * power
-    return out
+    powers = [rho.table.one()]
+    for _ in range(max(parts)):
+        powers.append(powers[-1] * rho)
+    return sum_of_products(rho.table, [(1, p, powers[e]) for e, p in parts.items()])
 
 
 def _divided_difference(parts, v, rho):
@@ -384,16 +381,15 @@ def _divided_difference(parts, v, rho):
 
     Delta = sum_e p_e * S_e with S_e = v^(e-1) + v^(e-2)*rho + ... + rho^(e-1).
     """
-    table = rho.table
-    out = table.zero()
-    s = power = table.one()
+    s = power = rho.table.one()
+    products = []
     for e in range(1, max(parts) + 1):
         if e > 1:
             power = power * rho
             s = v * s + power
         if e in parts:
-            out = out + parts[e] * s
-    return out
+            products.append((1, parts[e], s))
+    return sum_of_products(rho.table, products)
 
 
 class GroupStructure(Record):
@@ -545,10 +541,9 @@ class GradedIdeal:
         return True, cert
 
     def certificate_product(self, cert):
-        out = self.table.zero()
-        for gi, cofactor in cert:
-            out = out + cofactor * self.generators[gi]
-        return out
+        return sum_of_products(
+            self.table, [(1, cofactor, self.generators[gi]) for gi, cofactor in cert]
+        )
 
     def normal_form(self, p):
         """Canonical representative of a homogeneous p modulo the ideal.

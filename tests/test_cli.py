@@ -158,6 +158,19 @@ def test_eval_example_output_matches_the_golden_copy(capsys, bound):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+def test_eval_json_of_a_wide_table_matches_the_golden_copy(capsys):
+    """`eval --format json` of a hand-written script over 27 variables, byte
+    for byte: every Chern-class builtin, powers, normal forms and ideal
+    membership, printed over a table with many zero exponent fields."""
+    code = run_cli([
+        "eval", os.path.join(GOLDEN, "wide.chow"),
+        "--degree-bound", "14", "--format", "json",
+    ])
+    assert code == cli.EXIT_OK
+    with open(os.path.join(GOLDEN, "wide-eval-b14.json"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_eval_example_below_the_rank_of_S_names_the_bound_it_needs(
     capsys, bound

@@ -42,6 +42,14 @@ def test_tokenize_comments_and_eof():
     assert [t.kind for t in toks] == ["INT", "EOF"]
 
 
+def test_a_comment_advances_the_column():
+    # EOF right after a trailing comment sits one past the comment's end
+    toks = tokenize("let a = 1 # no semicolon")
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("EOF", 1, 25)
+    toks = tokenize("x # c\ny")
+    assert (toks[1].value, toks[1].line, toks[1].col) == ("y", 2, 1)
+
+
 def test_tokenize_rejects_garbage():
     with pytest.raises(ParseError) as exc:
         tokenize("let x = $;")
@@ -110,6 +118,7 @@ def test_nodes_are_hashable_and_immutable():
         ("let a = 1;\nlet b = ^;", 2, 9),
         ("let a = (1;", 1, 11),
         ("let a = x^y;", 1, 11),
+        ("let a = 1 # no semicolon", 1, 25),
     ],
 )
 def test_parse_errors_report_positions(bad, line, col):

@@ -1,7 +1,9 @@
-"""Every name a chowcalc module imports is read somewhere in that module."""
+"""Every name a chowcalc module imports is read somewhere in that module,
+and every module it imports comes with Python."""
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -38,3 +40,30 @@ def test_scan_finds_an_unused_import():
 def test_module_reads_every_imported_name(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def absolute_imports(source):
+    """The top-level package of each absolute import in a module source."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_absolute_imports_only():
+    source = (
+        "import os.path, json\nfrom . import dsl\nfrom .polyring import Poly\n"
+        "from collections import abc\n\ndef f():\n    import numpy\n"
+    )
+    assert absolute_imports(source) == {"os", "json", "collections", "numpy"}
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_module_imports_only_the_standard_library(module):
+    with open(os.path.join(SRC, module)) as fh:
+        outside = absolute_imports(fh.read()) - sys.stdlib_module_names
+    assert outside == set()

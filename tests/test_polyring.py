@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chowcalc import chern
 from chowcalc.polyring import (
     NotSymmetricError,
     Poly,
@@ -16,10 +17,12 @@ from chowcalc.polyring import (
     RootSet,
     TableMismatchError,
     VarTable,
+    _fmt_mono,
     is_symmetric,
     poly_det,
     series_invert,
     series_parts,
+    sum_of_products,
     symmetric_reduce,
 )
 
@@ -404,12 +407,202 @@ def draw_series(data, table):
     return p - p.constant() + 1
 
 
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over one drawn table."""
+    data = draw(st.data())
+    table = draw(weighted_tables())
+    return draw_poly(data, table), draw_poly(data, table)
+
+
+_T = VarTable([("u", 1), ("v", 2), ("w", 1)], 7)
+_U, _V, _W = _T.gens()
+_MANY = 3 * _U**3 - _V * _W + 2 * _V**3 - 5 + _U * _W**5
+
+
+# a one-term operand on either side: its products inside the bound, partly
+# and wholly past it, a constant, a coefficient past 2**64, and zero
 @settings(max_examples=80, deadline=None)
-@given(weighted_tables(), st.data())
-def test_mul_matches_the_all_pairs_product(table, data):
-    a, b = draw_poly(data, table), draw_poly(data, table)
+@given(poly_pairs())
+@example((-4 * _U**2 * _V, _MANY))
+@example((_MANY, -4 * _U**2 * _V))
+@example((7 * _W**7, _MANY))
+@example((_MANY, 7 * _W**7))
+@example((_T.const(-3), _MANY))
+@example((_MANY, _T.const(-3)))
+@example((2**70 * _V, _U**7 - _W))
+@example((_U**7 - _W, 2**70 * _V))
+@example((_T.zero(), -_U))
+@example((-_U, _T.zero()))
+@example((_U**3 * _V, _V * _W))
+def test_mul_matches_the_all_pairs_product(pair):
+    a, b = pair
     assert a * b == reference_mul(a, b)
     assert b * a == reference_mul(a, b)
+
+
+# -- sums of products ------------------------------------------------------------
+
+
+def reference_sum_of_products(table, triples):
+    return sum((c * reference_mul(a, b) for c, a, b in triples), table.zero())
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_sum_of_products_matches_the_sum_of_the_products(table, data):
+    """Term for term, over drawn tables and bounds; draw_poly's pure powers
+    put some products past the bound, and zero coefficients, the empty list
+    and a triple next to its negative (whose terms cancel) are drawn too."""
+    triples = [
+        (data.draw(st.integers(-3, 3)), draw_poly(data, table), draw_poly(data, table))
+        for _ in range(data.draw(st.integers(0, 5)))
+    ]
+    if triples and data.draw(st.booleans()):
+        c, a, b = data.draw(st.sampled_from(triples))
+        triples.append((-c, a, b))
+    got = sum_of_products(table, triples)
+    assert got.table is table
+    assert got.terms == reference_sum_of_products(table, triples).terms
+    assert 0 not in got.terms.values()
+    assert got.terms == sum_of_products(table, iter(triples)).terms
+
+
+def test_sum_of_products_edge_cases():
+    t = VarTable([("x", 1), ("y", 2)], 4)
+    x, y = t.gens()
+    assert sum_of_products(t, []) == t.zero()
+    assert sum_of_products(t, [(0, x, y)]) == t.zero()
+    # every product past the bound
+    assert sum_of_products(t, [(5, x**3, y), (1, y**2, x)]) == t.zero()
+    # part of a product past the bound
+    assert sum_of_products(t, [(2, x + y, x**3 + y)]) == 2 * x**4 + 2 * x * y + 2 * y**2
+    # full cancellation: nothing is left, not even zero coefficients
+    cancel = sum_of_products(t, [(1, x + y, x - 1), (-1, x - 1, x + y)])
+    assert cancel.terms == {}
+    assert sum_of_products(t, [(-3, x, t.one()), (3, t.one(), x)]).terms == {}
+
+
+def test_sum_of_products_rejects_other_tables():
+    t = VarTable([("x", 1)], 4)
+    other = VarTable([("x", 1)], 5)
+    with pytest.raises(TableMismatchError):
+        sum_of_products(t, [(1, t.var("x"), other.var("x"))])
+    with pytest.raises(TableMismatchError):
+        sum_of_products(t, [(1, other.var("x"), other.var("x"))])
+
+
+@st.composite
+def bundles(draw):
+    """A bundle of rank 0-5 whose Chern classes are drawn homogeneous
+    polynomials over a drawn table (a class may be zero)."""
+    table = draw(weighted_tables())
+    rank = draw(st.integers(0, 5))
+    chern_classes = [table.one()]
+    for i in range(1, min(rank, table.degree_bound) + 1):
+        keys = table.monomial_keys(i)
+        picks = draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else []
+        chern_classes.append(
+            Poly(table, {k: draw(st.integers(-4, 4).filter(bool)) for k in picks})
+        )
+    return chern.Bundle(rank, chern_classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bundles())
+def test_bundle_total_is_the_sum_of_the_classes(bundle):
+    for E in (bundle, chern.dual(bundle)):
+        total = E.table.zero()
+        for ci in E.chern:
+            total = total + ci
+        assert E.total().terms == total.terms
+
+
+# -- printing --------------------------------------------------------------------
+
+
+def reference_fmt_mono(table, key):
+    """The monomial of a key as text, read off every exponent field in turn."""
+    parts = []
+    for name, off in zip(table.names, table.offsets):
+        e = key >> off & table.mask
+        if e == 1:
+            parts.append(name)
+        elif e:
+            parts.append("%s^%d" % (name, e))
+    return "*".join(parts)
+
+
+def reference_str(p):
+    """`str(p)` assembled from `reference_fmt_mono`."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for i, key in enumerate(sorted(p.terms, reverse=True)):
+        c, mono = p.terms[key], reference_fmt_mono(p.table, key)
+        if mono:
+            body = mono if abs(c) == 1 else "%d*%s" % (abs(c), mono)
+        else:
+            body = str(abs(c))
+        if i == 0:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("nvars", range(1, 41))
+@pytest.mark.parametrize("bound", [1, 7, 8, 16])
+def test_fmt_mono_matches_the_field_by_field_reference(nvars, bound):
+    """Every exponent a field holds (1..bound // weight) on the first,
+    middle and last fields, alone and together, and random keys with up to
+    four nonzero fields, with mixed weights, over a fresh table (so an empty
+    cache, then a full one)."""
+    table = VarTable([("v%d" % i, 1 + i % 3) for i in range(nvars)], bound)
+    fields = sorted({0, nvars // 2, nvars - 1})
+    keys = [0]
+    for i in fields:
+        for e in range(1, bound // table.degrees[i] + 1):
+            expo = [0] * nvars
+            expo[i] = e
+            keys.append(table.pack(expo))
+    for e in range(1, bound + 1):
+        expo = [0] * nvars
+        for i in fields:
+            expo[i] = e
+        if table.mono_degree(expo) <= bound:
+            keys.append(table.pack(expo))
+    rng = random.Random(100 * nvars + bound)
+    for _ in range(50):
+        expo, room = [0] * nvars, bound
+        for i in rng.sample(range(nvars), min(nvars, 4)):
+            expo[i] = rng.randint(0, room // table.degrees[i])
+            room -= expo[i] * table.degrees[i]
+        keys.append(table.pack(expo))
+    for key in keys:
+        assert _fmt_mono(table, key) == reference_fmt_mono(table, key)
+        assert _fmt_mono(table, key) == reference_fmt_mono(table, key)  # cached
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, -1, 1), (-1, 1, -1), (-2, -7, -1), (2**64, -(2**64) - 1, 3**50), (-(2**70), 1, 0)],
+)
+@pytest.mark.parametrize("nvars", [1, 5, 30])
+def test_str_matches_the_reference_for_any_coefficient(coeffs, nvars):
+    table = VarTable([("v%d" % i, 1) for i in range(nvars)], 12)
+    first, last = table.var("v0"), table.var("v%d" % (nvars - 1))
+    monos = [first**3 * last, last**12, table.one()]
+    p = sum((c * m for c, m in zip(coeffs, monos)), table.zero())
+    assert str(p) == reference_str(p)
+
+
+def test_str_of_large_and_negative_coefficients():
+    t = VarTable([("x", 1), ("y", 1)], 4)
+    x, y = t.gens()
+    assert str(-x + 2**70 * y - 1) == "-x + 1180591620717411303424*y - 1"
+    assert str(-(2**64) * x**2 * y + x) == "-18446744073709551616*x^2*y + x"
+    assert str(t.const(-(2**65))) == "-36893488147419103232"
 
 
 @settings(max_examples=80, deadline=None)
