@@ -4,7 +4,7 @@ Scripts are sequences of `let NAME = expr;` bindings and
 `check expr == expr;` assertions.  Expressions combine ring arithmetic
 (+, -, *, ^) with builtin constructors for bundles (bundle, line, dual, det,
 wedge2, tensor_line, quotient, porteous, c, sub, quot), towers (grass, schur,
-gysin, nf, rel) and ideals (ideal, member, contains, structure).
+gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
 
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
@@ -415,12 +415,19 @@ def _relation(level, degree):
     raise DslError("no relation of degree %d on this level" % degree)
 
 
-# argument kind -> (accepted type, the noun an error names it by)
+def _member(p, I):
+    """Membership, true only when the certificate multiplies back to p."""
+    ok, cert = I.member(p)
+    return ok and I.certificate_product(cert) == p
+
+
+# argument kind -> (accepted type(s), the noun an error names it by)
 _KINDS = {
     "class": (Poly, "a class"),
     "bundle": (chern.Bundle, "a bundle"),
     "tower": (TowerLevel, "a tower level"),
     "ideal": (GradedIdeal, "an ideal"),
+    "reducer": ((TowerLevel, GradedIdeal), "a tower level or an ideal"),
     "int": (int, "an integer"),
 }
 
@@ -443,10 +450,10 @@ _BUILTINS = {
     # the image lives over the table without G's variables; scripts keep
     # every value over the session table
     "gysin": (("tower", "class"), lambda G, p: G.gysin(p).convert(G.table)),
-    "nf": (("tower", "class"), lambda G, p: G.normal_form(p)),
+    "nf": (("reducer", "class"), lambda G, p: G.normal_form(p)),
     "rel": (("tower", "int"), _relation),
     "ideal": (("class", "class*"), lambda *gens: GradedIdeal(list(gens))),
-    "member": (("class", "ideal"), lambda p, I: I.member(p)[0]),
+    "member": (("class", "ideal"), _member),
     "contains": (("ideal", "ideal", "int"), lambda I, J, d: I.contains(J, d)[0]),
     "structure": (("ideal", "int"), lambda I, d: I.quotient_structure(d)),
 }

@@ -1,23 +1,25 @@
 """End-to-end verification pipeline for the SO(4) Chow ring computation.
 
 Evaluates the SO(4) script shipped beside this module (`so4.chow`, the same
-file as `examples/so4.chow`) for the geometry, the two degeneracy classes,
-the six pushforwards and the recorded values, in one `dsl.Session` and only
-as far as the name a check reads; checks the classes, the tower relations
-and the lattice facts; and emits a Report of named pass/fail checks.  The
-recorded values are the script's `let NAME_rec` and its final ideal `I`;
-none is written here.  Classes that reach an ideal are converted once to
-the c/f table, the script's table without b1 and b2.
+file as `examples/so4.chow`) in one `dsl.Session`, only as far as a row
+needs, and emits a Report of named pass/fail rows.  The script's 16 checks
+alone decide 15 rows, each naming the checks it reads by their text, as
+`eval` prints them: the class displays, the pushforwards and the tower
+relations mod J = (c1, f1), the relations' membership in the final ideal
+`I` and the ideal identity.  The other 8 rows (the sixth entry's ideal
+consistency, the Gysin oracle, both lattice rows, the presentation, the
+quotient structure, the ruling and the monomial closure) are decided here,
+on the script's values converted once to the c/f table, the script's table
+without b1 and b2.  No recorded value (`let NAME_rec`, `I`) is written here.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
 exceeds the degree bound is skipped; any other runs its check method, which
 returns (expected, computed, ok), and is timed.  A minimum bound is the
 degree of the class its check reads.  The results several checks share (the
-geometry, the six pushforwards, the G3 relations, the final and
-computed-pushforward ideals, the presentation) are built on first use and
-kept on the pipeline, so each cost lands in the `elapsed_ms` of the first
-check that needs it.
+geometry, the six pushforwards, the final ideal, the presentation) are
+built on first use and kept on the pipeline, so each cost lands in the
+`elapsed_ms` of the first check that needs it.
 
 Two of the recorded reference values are not reproduced by the computation
 (the first pushforward and the sixth); the checks are kept honest and simply
@@ -257,6 +259,7 @@ class So4Pipeline:
             self._session = dsl.Session(self.degree_bound)
             self._session.declare(stmts)
             self._lets = (s for s in stmts if isinstance(s, dsl.Let))
+            self._stmts = stmts
             self.G3 = self.script_value("G3")
             self.GG = FiberProduct(self.G3, self.script_value("G2"))
             self.script_value("L")
@@ -277,29 +280,37 @@ class So4Pipeline:
             self._session.execute(next(self._lets))
         return env[name]
 
-    def _recorded(self, name):
-        """The script's recorded value `let NAME_rec`, over the c/f table."""
-        return self.script_value(name + "_rec").convert(self.cf_table)
+    def script_check(self, text):
+        """The transcript event of the script's check `text`, as `eval`
+        prints it, run alone once the `let`s before it are evaluated."""
+        self.build_geometry()
+        (check,) = dsl.parse("check %s;" % text)
+        for i, s in enumerate(self._stmts):
+            if s == check:
+                for t in self._stmts[:i]:
+                    if isinstance(t, dsl.Let):
+                        self.script_value(t.name)
+                return self._session.execute(s)
+        raise PipelineError("the SO(4) script has no check %s" % text)
 
     # -- pushforwards ------------------------------------------------------
-
-    def _mod_J(self, p):
-        return p.substitute({"c1": 0, "f1": 0})
 
     def pushforwards(self):
         """The script's images p0..p5 of [G(2,E)] * b1^i * b2^j, for the
         PUSHFORWARDS rows, over the c/f table.
 
-        The first is returned exactly; the rest are reduced mod J = (c1, f1).
-        Entries whose product degree exceeds the bound are returned as None.
+        The first is returned exactly; the rest are reduced mod the script's
+        J = (c1, f1).  Entries whose product degree exceeds the bound are
+        returned as None.
         """
+        J = self.script_value("J")
         out = []
         for k, (_, i, j) in enumerate(PUSHFORWARDS):
             if G2E_DEGREE + i + 2 * j > self.degree_bound:
                 out.append(None)
                 continue
-            img = self.script_value("p%d" % k).convert(self.cf_table)
-            out.append(img if k == 0 else self._mod_J(img))
+            img = self.script_value("p%d" % k)
+            out.append((J.normal_form(img) if k else img).convert(self.cf_table))
         return out
 
     # -- theorem assembly --------------------------------------------------
@@ -360,43 +371,35 @@ class So4Pipeline:
         return self.pushforwards()
 
     @cached_property
-    def _t_rels(self):
-        """The G3 relations t4, t5, t6 over the c/f table."""
-        self.build_geometry()
-        return [r.convert(self.cf_table) for r in self.G3.new_relations]
-
-    @cached_property
-    def _computed_ideal(self):
-        """The computed pushforwards together with (c1, f1)."""
-        t = self.cf_table
-        gens = [p for p in self._pf if p is not None and not p.is_zero()]
-        return GradedIdeal(gens + [t.var("c1"), t.var("f1")])
-
-    @cached_property
     def _presentation(self):
         return self.assemble_theorem1()
 
     # -- checks: each returns (expected, computed, ok) ---------------------
 
-    def _check_display(self, name):
-        want = self.script_value(name + "_rec")
-        got = self.script_value(name)
-        return str(want), str(got), got == want
+    def _script_row(self, *texts, verdict=None):
+        """A row decided by the script checks with these texts.  A value
+        row (no `verdict`) shows its check's rhs as expected and its lhs as
+        computed; a boolean row shows its `verdict` texts."""
+        events = [self.script_check(t) for t in texts]
+        ok = all(e["ok"] for e in events)
+        if verdict is None:
+            (e,) = events
+            return e["rhs"], e["lhs"], ok
+        expected, passed, failed = verdict
+        return expected, passed if ok else failed, ok
 
-    def _check_pushforward(self, k):
-        want = self._recorded("p%d" % k)
-        got = self._pf[k]
-        return str(want), str(got), got == want
+    def _pushforward_row(self, text):
+        # the six images are built once, in the first row that reads one
+        self._pf
+        return self._script_row(text)
 
     def _check_sixth_consistency(self):
         """The sixth reference entry rewrites the computed value modulo the
         previously listed generators; record that consistency explicitly."""
         t = self.cf_table
-        earlier = GradedIdeal(
-            [t.var("c1"), t.var("f1"), self._recorded("p2"),
-             self._recorded("p3")]
-        )
-        diff = self._pf[5] - self._recorded("p5")
+        rec = {k: self.script_value("p%d_rec" % k).convert(t) for k in (2, 3, 5)}
+        earlier = GradedIdeal([t.var("c1"), t.var("f1"), rec[2], rec[3]])
+        diff = self._pf[5] - rec[5]
         ok, cert = earlier.member(diff)
         ok = ok and earlier.certificate_product(cert) == diff
         return (
@@ -428,32 +431,6 @@ class So4Pipeline:
             if rhs != lhs:
                 return ("agreement", "mismatch at %r" % (roots,), False)
         return ("agreement", "agreement at 10 specializations", True)
-
-    def _check_tower_relation(self, i):
-        want = self._recorded("t%d" % (i + 4))
-        got = self._mod_J(self._t_rels[i])
-        return str(want), str(got), got == want
-
-    def _check_relation_in_final(self, i):
-        final = self.final_ideal
-        rel = self._t_rels[i]
-        ok, cert = final.member(rel)
-        ok = ok and final.certificate_product(cert) == rel
-        return (
-            "member with verifying certificate",
-            "member certificate verified" if ok else "not a member",
-            ok,
-        )
-
-    def _check_ideal_identity(self):
-        """Computed pushforwards + (c1, f1) equal the final ideal."""
-        up_to = min(8, self.degree_bound)
-        ok, witness = self._computed_ideal.equal(self.final_ideal, up_to)
-        return (
-            "equal in all degrees <= %d" % up_to,
-            "equal" if ok else "differ: %s" % (witness,),
-            ok,
-        )
 
     def _check_lemma_reference(self):
         res = lemma4_check(Lemma4Data((13, -2)))
@@ -528,9 +505,11 @@ class So4Pipeline:
         )
 
     def _check_monomial_closure(self, rng):
-        """Pushforwards of unlisted monomials stay inside the ideal."""
-        T = self.GG.table
-        ideal = self._computed_ideal
+        """Pushforwards of unlisted monomials stay inside the ideal of the
+        computed pushforwards and (c1, f1)."""
+        t, T = self.cf_table, self.GG.table
+        gens = [p for p in self._pf if p is not None and not p.is_zero()]
+        ideal = GradedIdeal(gens + [t.var("c1"), t.var("f1")])
         ge = self.script_value("GE")
         max_deg = min(6, self.degree_bound - G2E_DEGREE)
         listed = {(i, j) for _, i, j in PUSHFORWARDS}
@@ -569,16 +548,21 @@ class So4Pipeline:
         """
         pf_bounds = [G2E_DEGREE + i + 2 * j for _, i, j in PUSHFORWARDS]
         all_pf = max(pf_bounds)
+        script = self._script_row
+        # a boolean row's texts: expected, computed on pass, computed on fail
+        member = ("member with verifying certificate",
+                  "member certificate verified", "not a member")
         rows = [
             ("class-Y", "reference: degeneracy class display",
-             GEOMETRY_BOUND, partial(self._check_display, "Y")),
+             GEOMETRY_BOUND, partial(script, "Y == Y_rec")),
             ("class-G2E-factor", "reference: degeneracy class display",
-             GEOMETRY_BOUND, partial(self._check_display, "Z")),
+             GEOMETRY_BOUND, partial(script, "Z == Z_rec")),
         ]
         for k, (label, _, _) in enumerate(PUSHFORWARDS):
             name = "pushforward-G2E" + ("" if k == 0 else ".%s-mod-J" % label)
+            text = "%s == p%d_rec" % ("nf(J, p%d)" % k if k else "p0", k)
             rows.append((name, "reference: pushforward table", pf_bounds[k],
-                         partial(self._check_pushforward, k)))
+                         partial(self._pushforward_row, text)))
         rows += [
             ("pushforward-G2E.b1^2*b2-ideal-consistency",
              "derived: internal consistency", pf_bounds[5],
@@ -586,17 +570,21 @@ class So4Pipeline:
             ("gysin-oracle-agreement", "derived: symmetrization formula",
              G2E_DEGREE, partial(self._check_oracle_agreement, rng)),
         ]
-        for i in range(3):
-            rows.append(("tower-relation-t%d-mod-J" % (i + 4),
-                         "reference: relation table", i + 4,
-                         partial(self._check_tower_relation, i)))
-        for i in range(3):
-            rows.append(("relation-t%d-in-final-ideal" % (i + 4),
-                         "derived: membership with certificate", i + 4,
-                         partial(self._check_relation_in_final, i)))
+        for d in (4, 5, 6):
+            rows.append(("tower-relation-t%d-mod-J" % d,
+                         "reference: relation table", d,
+                         partial(script, "nf(J, rel(G3, %d)) == t%d_rec" % (d, d))))
+        for d in (4, 5, 6):
+            rows.append(("relation-t%d-in-final-ideal" % d,
+                         "derived: membership with certificate", d,
+                         partial(script, "member(rel(G3, %d), I) == 1" % d,
+                                 verdict=member)))
         rows += [
             ("ideal-identity", "derived: two-sided certified containment",
-             all_pf, self._check_ideal_identity),
+             all_pf, partial(script, "contains(P, I, 8) == 1",
+                             "contains(I, P, 8) == 1",
+                             verdict=("equal in all degrees <= 8", "equal",
+                                      "differ"))),
             ("lattice-generation-reference", "reference: divisor lattice data",
              MIN_DEGREE_BOUND, self._check_lemma_reference),
             ("lattice-generation-computed", "derived: computed divisor class",

@@ -343,10 +343,10 @@ def test_cli_verify_and_example(capsys):
         "c2^2 - 2*c2*f2 - 4*c4 + f2^2", "c2*f3 + c3*f2",
     ]
     # the DSL path reproduces the pushforward checks
-    assert texts["member(p2 - p2_rec, J) == 1"]
-    assert texts["member(p3 - p3_rec, J) == 1"]
-    assert texts["member(p4 - p4_rec, J) == 1"]
+    assert texts["nf(J, p2) == p2_rec"]
+    assert texts["nf(J, p3) == p3_rec"]
+    assert texts["nf(J, p4) == p4_rec"]
     assert texts["p0 == p0_rec"]
-    assert texts["member(p5 - p5_rec, J) == 1"]
+    assert texts["nf(J, p5) == p5_rec"]
     assert code == cli.EXIT_OK
     assert data["overall"] == "pass"

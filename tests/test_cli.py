@@ -297,6 +297,10 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
             "line 2, col 1: expected a tower level, found a bundle",
         ),
         (
+            BUNDLE + "let x = nf(S, c1);\n",
+            "line 2, col 1: expected a tower level or an ideal, found a bundle",
+        ),
+        (
             LEVEL + "let x = rel(G, 7);\n",
             "line 3, col 1: no relation of degree 7 on this level",
         ),
@@ -344,7 +348,7 @@ LEVEL = "let S = bundle(c, 4);\nlet G = grass(S, 2, b);\n"
     ],
     ids=[
         "unknown-name", "unknown-function", "arity", "kind-bundle",
-        "kind-ideal", "kind-tower", "rel", "rel-above-bound",
+        "kind-ideal", "kind-tower", "kind-nf", "rel", "rel-above-bound",
         "bundle-above-bound", "kind-int",
         "variadic-arity", "pass-1", "non-decimal-digit", "huge-value",
         "huge-literal", "nested-grass", "nested-bundle", "check-bundle",

@@ -284,6 +284,8 @@ def test_session_ideal_builtins():
         "check member(c3, I) == 0;\n"
         "check contains(I, ideal(c1), 6) == 1;\n"
         "check contains(ideal(c1), I, 6) == 0;\n"
+        "check nf(I, c1 * c3 + c2 ^ 2) == c2 ^ 2;\n"
+        "check nf(I, 3 * c3) == c3;\n"
     )
     assert ok
 
@@ -344,7 +346,7 @@ def test_example_script_verdicts():
     checks = [e for e in events if e["kind"] == "check"]
     assert len(checks) == 16
     failing = [c["text"] for c in checks if not c["ok"]]
-    assert failing == ["p0 == p0_rec", "member(p5 - p5_rec, J) == 1"]
+    assert failing == ["p0 == p0_rec", "nf(J, p5) == p5_rec"]
     values = {e["name"]: e["value"] for e in events if e["kind"] == "let"}
     assert [values["p%d_rec" % k] for k in range(6)] == [
         "13*c1 - 2*f1", "0", "-2*f3", "c3 - f3",

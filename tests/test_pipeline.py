@@ -3,11 +3,12 @@
 import json
 import os
 import time
+from collections import Counter
 
 import jsonschema
 import pytest
 
-from chowcalc import grasstower, so4pipeline
+from chowcalc import cli, dsl, grasstower, so4pipeline
 from chowcalc.so4pipeline import (
     DEFAULT_DEGREE_BOUND,
     Check,
@@ -19,9 +20,13 @@ from chowcalc.so4pipeline import (
     lemma4_check,
     theorem1_structure_oracle,
 )
+from chowcalc.zgraded import GradedIdeal
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "..", "bench", "golden", "verify-b14.json"
+)
+BOUNDS_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "verify-so4-bounds.json"
 )
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 
@@ -156,6 +161,18 @@ def test_bound_14_report_matches_the_golden_copy():
         assert checks == json.load(fh)
 
 
+@pytest.mark.parametrize("bound", range(3, 15))
+def test_report_at_each_bound_matches_the_golden_copy(bound):
+    """Every row's expected and computed text, status and the overall
+    verdict, byte for byte, at each bound from 3 to 14 (seed 0)."""
+    report = So4Pipeline(degree_bound=bound, seed=0).run_all()
+    report = json.loads(report.to_json())
+    for c in report["checks"]:
+        c.pop("elapsed_ms")
+    with open(BOUNDS_GOLDEN) as fh:
+        assert report == json.load(fh)[str(bound)]
+
+
 def test_shared_work_is_timed_in_the_first_check_that_reads_it(monkeypatch):
     original = So4Pipeline.pushforwards
     calls = []
@@ -234,6 +251,80 @@ def test_tampered_reference_flags_exactly_that_check(tmp_path, monkeypatch):
     rep = So4Pipeline(degree_bound=DEFAULT_DEGREE_BOUND, seed=0).run_all()
     failing = {c.name for c in rep.checks if c.status == "fail"}
     assert failing == KNOWN_FAILING | {"tower-relation-t4-mod-J"}
+
+
+def test_each_script_check_is_read_by_exactly_one_row(monkeypatch):
+    original = So4Pipeline.script_check
+    read = []
+
+    def recording(self, text):
+        read.extend(dsl.parse("check %s;" % text))
+        return original(self, text)
+
+    monkeypatch.setattr(So4Pipeline, "script_check", recording)
+    So4Pipeline(degree_bound=14, seed=0).run_all()
+    with open(so4pipeline.SCRIPT) as fh:
+        stmts = dsl.parse(fh.read())
+    checks = [s for s in stmts if isinstance(s, dsl.CheckStmt)]
+    assert len(set(checks)) == 16
+    assert Counter(read) == Counter(checks)
+
+
+def alter_script(tmp_path, monkeypatch, old, new):
+    """Point the pipeline at a copy of the script with `old` made `new`."""
+    with open(so4pipeline.SCRIPT) as fh:
+        text = fh.read()
+    assert old in text
+    altered = tmp_path / "so4.chow"
+    altered.write_text(text.replace(old, new))
+    monkeypatch.setattr(so4pipeline, "SCRIPT", str(altered))
+
+
+def test_a_row_naming_a_missing_check_is_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    """A check whose text changes alone is no longer found by its row."""
+    alter_script(tmp_path, monkeypatch, "check Y == Y_rec;", "check Y_rec == Y;")
+    assert cli.main(["verify-so4", "--degree-bound", "4"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: the SO(4) script has no check Y == Y_rec\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, row",
+    [
+        ("let p2_rec = -2 * f3;", "let p2_rec = 2 * f3;",
+         "pushforward-G2E.b1^2-mod-J"),
+        ("let P = ideal(p0, p1, p2, p3, p4, p5, c1, f1);",
+         "let P = ideal(p0, p1, p2, p4, p5, c1, f1);", "ideal-identity"),
+    ],
+    ids=["p2_rec", "P-without-p3"],
+)
+def test_an_altered_script_line_fails_only_the_row_reading_it(
+    tmp_path, monkeypatch, old, new, row
+):
+    alter_script(tmp_path, monkeypatch, old, new)
+    rep = So4Pipeline(degree_bound=DEFAULT_DEGREE_BOUND, seed=0).run_all()
+    failing = {c.name for c in rep.checks if c.status == "fail"}
+    assert failing == KNOWN_FAILING | {row}
+
+
+def test_member_is_false_unless_its_certificate_multiplies_back(monkeypatch):
+    original = GradedIdeal.certificate_product
+
+    def doubled(self, cert):
+        return 2 * original(self, cert)
+
+    monkeypatch.setattr(GradedIdeal, "certificate_product", doubled)
+    events, ok = dsl.run_script(
+        "let S = bundle(c, 2);\ncheck member(c1 * c2, ideal(c1)) == 0;\n"
+    )
+    assert ok
+    checks = by_name(So4Pipeline(degree_bound=6, seed=0).run_all())
+    for d in (4, 5, 6):
+        c = checks["relation-t%d-in-final-ideal" % d]
+        assert (c.status, c.computed) == ("fail", "not a member")
 
 
 def test_lemma4_check_values():
