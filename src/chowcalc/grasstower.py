@@ -20,9 +20,18 @@ over the session table, and `FiberProduct` puts two levels over one table.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from .chern import Bundle, whitney_split
-from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, VarTable, poly_det
+from .polyring import (
+    DEFAULT_DEGREE_BOUND,
+    ChowError,
+    Poly,
+    PolyError,
+    VarTable,
+    _exponents,
+    poly_det,
+)
 from .zgraded import DegreeLattice, _split, _substitute, hnf_solve, row_hnf
 
 
@@ -481,34 +490,66 @@ def subset_symmetrization(p, sub_names, roots, values):
         sum_I  g(e_1(x_I), ..., e_k(x_I)) / prod_{i in I, j not in I} (x_i - x_j)
 
     `roots` are distinct integers standing in for the Chern roots; `values`
-    gives an integer for every other variable of p, and must assign the
-    elementary symmetric functions of the roots to the Chern variables of E
-    for a comparison against gysin to be meaningful.  Returns an exact
-    Fraction.
-    """
-    from fractions import Fraction
+    gives a number (int or Fraction) for every other variable p uses, and
+    must assign the elementary symmetric functions of the roots to the Chern
+    variables of E for a comparison against gysin to be meaningful.  A value
+    it gives for a sub-bundle variable is not read: each subset's wins.
 
+    One pass over p's terms evaluates every other variable at `values`,
+    leaving g as a coefficient per sub-bundle exponent tuple; each subset
+    then evaluates only g.  The sum is kept as an integer numerator over an
+    integer denominator, the least common multiple of the subsets'
+    denominators so far.  Returns an int when the sum is integral and a
+    Fraction otherwise.
+    """
     roots = list(roots)
-    n = len(roots)
-    k = len(sub_names)
+    n, k = len(roots), len(sub_names)
     if len(set(roots)) != n:
         raise TowerError("oracle roots must be distinct")
-    total = Fraction(0)
+    table = p.table
+    names, index = table.names, table.index
+    slot = {index[nm]: t for t, nm in enumerate(sub_names) if nm in index}
+    g = {}
+    for key, c in p.terms.items():
+        expo = [0] * k
+        for i, e in _exponents(table, key):
+            t = slot.get(i)
+            if t is not None:
+                expo[t] = e
+                continue
+            try:
+                c *= values[names[i]] ** e
+            except KeyError:
+                raise PolyError("no value for variable %r" % names[i]) from None
+        expo = tuple(expo)
+        g[expo] = g.get(expo, 0) + c
+    g = [(expo, c) for expo, c in g.items() if c]
+    num, den = 0, 1
     for I in itertools.combinations(range(n), k):
-        chosen = [roots[i] for i in I]
-        # elementary symmetric functions of the chosen roots
         es = [1] + [0] * k
-        for x in chosen:
+        d = 1
+        for i in I:
+            x = roots[i]
             for t in range(k, 0, -1):
                 es[t] += es[t - 1] * x
-        point = dict(values)
-        for name, val in zip(sub_names, es[1:]):
-            point[name] = val
-        num = p.eval(point)
-        den = 1
-        rest = [j for j in range(n) if j not in I]
-        for i in I:
-            for j in rest:
-                den *= roots[i] - roots[j]
-        total += Fraction(num, den)
-    return total
+            for j in range(n):
+                if j not in I:
+                    d *= x - roots[j]
+        del es[0]
+        val = 0
+        for expo, c in g:
+            for x, e in zip(es, expo):
+                if e:
+                    c *= x ** e
+            val += c
+        if val:
+            # add val / d; den, a least common multiple, stays positive
+            d *= val.denominator
+            common = lcm(den, d)
+            num = num * (common // den) + val.numerator * (common // d)
+            den = common
+    if num % den == 0:
+        return num // den
+    from fractions import Fraction
+
+    return Fraction(num, den)

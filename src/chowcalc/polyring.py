@@ -538,12 +538,18 @@ class Poly:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, values):
-        """Evaluate at numeric values (int or Fraction) for every used variable."""
+        """Evaluate at numeric values (int or Fraction) for every used variable.
+
+        Raises PolyError naming a used variable that `values` lacks.
+        """
         names = self.table.names
         total = 0
         for key, c in self.terms.items():
             for i, e in _exponents(self.table, key):
-                c *= values[names[i]] ** e
+                try:
+                    c *= values[names[i]] ** e
+                except KeyError:
+                    raise PolyError("no value for variable %r" % names[i]) from None
             total += c
         return total
 

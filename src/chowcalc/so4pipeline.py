@@ -342,7 +342,9 @@ class So4Pipeline:
         """The complementary ruling bundle inside wedge^2 of the ambient.
 
         Working modulo the final ideal, c(wedge^2 S)/c(F) must be an honest
-        rank-3 total class with degree-2 part 2c2 - f2.
+        rank-3 total class with degree-2 part 2c2 - f2.  Each congruence holds
+        only by a membership certificate that multiplies back to the
+        difference (`dsl._member`).
         """
         self.build_geometry()
         t = self.cf_table
@@ -354,8 +356,8 @@ class So4Pipeline:
         ftilde = chern.whitney_quotient(E, F, ring=final)
         f2t = ftilde.c(2)
         c2, f2 = t.var("c2"), t.var("f2")
-        ok1, _ = final.member(f2t - (2 * c2 - f2))
-        ok2, _ = final.member((c2 - f2t) + (c2 - f2))
+        ok1 = dsl._member(f2t - (2 * c2 - f2), final)
+        ok2 = dsl._member((c2 - f2t) + (c2 - f2), final)
         return ftilde, ok1, ok2
 
     # -- shared results, built by the first check that reads them ----------
@@ -399,9 +401,7 @@ class So4Pipeline:
         t = self.cf_table
         rec = {k: self.script_value("p%d_rec" % k).convert(t) for k in (2, 3, 5)}
         earlier = GradedIdeal([t.var("c1"), t.var("f1"), rec[2], rec[3]])
-        diff = self._pf[5] - rec[5]
-        ok, cert = earlier.member(diff)
-        ok = ok and earlier.certificate_product(cert) == diff
+        ok = dsl._member(self._pf[5] - rec[5], earlier)
         return (
             "difference lies in the ideal of the earlier entries",
             "member certificate verified" if ok else "not a member",
@@ -506,7 +506,8 @@ class So4Pipeline:
 
     def _check_monomial_closure(self, rng):
         """Pushforwards of unlisted monomials stay inside the ideal of the
-        computed pushforwards and (c1, f1)."""
+        computed pushforwards and (c1, f1), each by a membership certificate
+        that multiplies back to the image."""
         t, T = self.cf_table, self.GG.table
         gens = [p for p in self._pf if p is not None and not p.is_zero()]
         ideal = GradedIdeal(gens + [t.var("c1"), t.var("f1")])
@@ -525,8 +526,7 @@ class So4Pipeline:
             i, j = rng.choice(candidates)
             mono = T.var("b1") ** i * T.var("b2") ** j
             img = self.GG.gysin(1, ge * mono)
-            ok, _ = ideal.member(img)
-            if not ok:
+            if not dsl._member(img, ideal):
                 return (
                     "all images in the pushforward ideal",
                     "b1^%d*b2^%d image escapes" % (i, j),

@@ -1,9 +1,12 @@
 """Unit tests for Grassmannian tower levels and Gysin pushforwards."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowcalc import chern, grasstower, zgraded
 from chowcalc.grasstower import (
@@ -18,7 +21,7 @@ from chowcalc.grasstower import (
     schur_from_chern,
     subset_symmetrization,
 )
-from chowcalc.polyring import Poly, VarTable
+from chowcalc.polyring import Poly, PolyError, VarTable
 from chowcalc.so4pipeline import So4Pipeline
 from chowcalc.zgraded import hnf_solve, row_hnf
 
@@ -339,6 +342,94 @@ def test_oracle_requires_distinct_roots(g24):
     T = g24.table
     with pytest.raises(TowerError):
         subset_symmetrization(T.var("b2") ** 2, ["b1", "b2"], [1, 1, 2, 3], {})
+
+
+def test_oracle_names_a_variable_without_a_value(g24):
+    T = g24.table
+    p = T.var("t") * T.var("b2") ** 2
+    with pytest.raises(PolyError, match="'t'"):
+        subset_symmetrization(p, ["b1", "b2"], [1, 2, 3, 4], {})
+
+
+def reference_symmetrization(p, sub_names, roots, values):
+    """The oracle's sum computed directly: p evaluated afresh at each
+    k-subset of the roots, the terms summed in Fraction."""
+    n, k = len(roots), len(sub_names)
+    total = Fraction(0)
+    for I in itertools.combinations(range(n), k):
+        es = [1] + [0] * k
+        for i in I:
+            for t in range(k, 0, -1):
+                es[t] += es[t - 1] * roots[i]
+        point = dict(values)
+        point.update(zip(sub_names, es[1:]))
+        den = 1
+        for i in I:
+            for j in range(n):
+                if j not in I:
+                    den *= roots[i] - roots[j]
+        total += Fraction(p.eval(point)) / den
+    return total
+
+
+@st.composite
+def oracle_cases(draw, fractional=False, missing=False, shadowed=False):
+    """(p, sub_names, roots, values) for G(k, E), 1 <= k < n <= 5, E with
+    Chern classes e1..en, sub-bundle classes f1..fk and a spectator t.
+
+    `fractional` draws Fraction values for t and the e's; `missing` leaves
+    at least one f out of p's table; `shadowed` gives `values` an entry for
+    every f as well."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    sub_names = ["f%d" % i for i in range(1, k + 1)]
+    kept = range(1, k + 1)
+    if missing:
+        kept = draw(st.lists(st.sampled_from(kept), max_size=k - 1, unique=True))
+    table = VarTable(
+        [("e%d" % i, i) for i in range(1, n + 1)]
+        + [("f%d" % i, i) for i in sorted(kept)]
+        + [("t", 1)],
+        8,
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(0, table.degree_bound))
+        terms[draw(st.sampled_from(table.monomials(d)))] = draw(st.integers(-5, 5))
+    roots = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    values = dict(zip(["e%d" % i for i in range(1, n + 1)], elementary_values(roots)))
+    values["t"] = draw(st.integers(-9, 9))
+    if fractional:
+        for nm in values:
+            values[nm] = Fraction(values[nm], draw(st.integers(1, 6)))
+    if shadowed:
+        values.update((nm, draw(st.integers(-9, 9))) for nm in sub_names)
+    return table.poly(terms), sub_names, roots, values
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"fractional": True}, {"missing": True}, {"shadowed": True}],
+    ids=["int-values", "fraction-values", "sub-names-not-in-table",
+         "sub-names-in-values"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_the_fraction_reference(flags, data):
+    case = data.draw(oracle_cases(**flags))
+    got = subset_symmetrization(*case)
+    want = reference_symmetrization(*case)
+    assert got == want
+    # an int exactly when the sum is integral
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_oracle_returns_a_fraction_when_the_sum_is_not_integral():
+    # the pushforward of t * f1 along P(E) for E of rank 2 is t
+    T = VarTable([("e1", 1), ("e2", 2), ("f1", 1), ("t", 1)], 4)
+    p = T.var("t") * T.var("f1")
+    got = subset_symmetrization(p, ["f1"], [2, 5], {"t": Fraction(1, 2)})
+    assert type(got) is Fraction and got == Fraction(1, 2)
 
 
 def test_fiber_product_gysin_factors():

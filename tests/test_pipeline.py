@@ -321,10 +321,15 @@ def test_member_is_false_unless_its_certificate_multiplies_back(monkeypatch):
         "let S = bundle(c, 2);\ncheck member(c1 * c2, ideal(c1)) == 0;\n"
     )
     assert ok
-    checks = by_name(So4Pipeline(degree_bound=6, seed=0).run_all())
-    for d in (4, 5, 6):
-        c = checks["relation-t%d-in-final-ideal" % d]
-        assert (c.status, c.computed) == ("fail", "not a member")
+    checks = by_name(So4Pipeline(degree_bound=9, seed=0).run_all())
+    for name in ["relation-t%d-in-final-ideal" % d for d in (4, 5, 6)] + [
+        "pushforward-G2E.b1^2*b2-ideal-consistency"
+    ]:
+        assert (checks[name].status, checks[name].computed) == ("fail", "not a member")
+    ruling, closure = checks["ruling-symmetry"], checks["monomial-closure"]
+    assert (ruling.status, ruling.computed) == ("fail", "congruence failed")
+    assert closure.status == "fail"
+    assert closure.computed.endswith(" image escapes")
 
 
 def test_lemma4_check_values():

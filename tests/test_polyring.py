@@ -173,6 +173,14 @@ def test_eval(table):
     assert p.eval({"a": 2, "b": 5, "c": 1}) == 17
 
 
+def test_eval_names_a_variable_without_a_value(table):
+    a, b, c = table.gens()
+    with pytest.raises(PolyError, match="'c'"):
+        (a * b - 3 * c).eval({"a": 2, "b": 5})
+    # an unused variable needs no value
+    assert (a * b).eval({"a": 2, "b": 5}) == 10
+
+
 def test_substitute_matches_eval_random(table):
     rng = random.Random(11)
     for _ in range(25):
