@@ -9,8 +9,8 @@ relations mod J = (c1, f1), the relations' membership in the final ideal
 `I` and the ideal identity.  The other 8 rows (the sixth entry's ideal
 consistency, the Gysin oracle, both lattice rows, the presentation, the
 quotient structure, the ruling and the monomial closure) are decided here,
-on the script's values converted once to the c/f table, the script's table
-without b1 and b2.  No recorded value (`let NAME_rec`, `I`) is written here.
+on the script's own values, over the script's table.  No recorded value
+(`let NAME_rec`, `I`) is written here.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
@@ -247,9 +247,9 @@ class So4Pipeline:
     # -- geometry and the script's classes ---------------------------------
 
     def build_geometry(self):
-        """The script's levels G3 = G(3, wedge^2 S) and G2 = G(2, S), their
-        fiber product GG over the script's table, and the c/f table: the
-        script's `let`s evaluated through L."""
+        """The script's `let`s evaluated through L: its levels
+        G3 = G(3, wedge^2 S) and G2 = G(2, S), and their fiber product GG
+        over the script's table, which only the bench and tests read."""
         if self._session is None:
             try:
                 with open(SCRIPT, encoding="utf-8") as fh:
@@ -263,12 +263,6 @@ class So4Pipeline:
             self.G3 = self.script_value("G3")
             self.GG = FiberProduct(self.G3, self.script_value("G2"))
             self.script_value("L")
-            # plain polynomial ring in c, f for pushforward targets and ideals
-            self.cf_table = VarTable(
-                self.BASE_VARS
-                + [(nm, i) for i, nm in enumerate(self.F_VARS, start=1)],
-                self.degree_bound,
-            )
         return self
 
     def script_value(self, name):
@@ -297,7 +291,7 @@ class So4Pipeline:
 
     def pushforwards(self):
         """The script's images p0..p5 of [G(2,E)] * b1^i * b2^j, for the
-        PUSHFORWARDS rows, over the c/f table.
+        PUSHFORWARDS rows, over the script's table.
 
         The first is returned exactly; the rest are reduced mod the script's
         J = (c1, f1).  Entries whose product degree exceeds the bound are
@@ -310,7 +304,7 @@ class So4Pipeline:
                 out.append(None)
                 continue
             img = self.script_value("p%d" % k)
-            out.append((J.normal_form(img) if k else img).convert(self.cf_table))
+            out.append(J.normal_form(img) if k else img)
         return out
 
     # -- theorem assembly --------------------------------------------------
@@ -327,11 +321,12 @@ class So4Pipeline:
         pres = self.presentation_table()
         x = pres.var("x")
         c2 = pres.var("c2")
+        c3 = self.G3.table.var("c3")
         relations = []
         for g in self.final_ideal.generators:
-            img = g.substitute(
-                {"f1": 0, "f3": pres.var("c3").convert(self.cf_table)}
-            ).substitute({"f2": c2 - x}, table=pres)
+            img = g.substitute({"f1": 0, "f3": c3}).substitute(
+                {"f2": c2 - x}, table=pres
+            )
             if img.is_zero():
                 continue
             if img not in relations:
@@ -346,14 +341,9 @@ class So4Pipeline:
         only by a membership certificate that multiplies back to the
         difference (`dsl._member`).
         """
-        self.build_geometry()
-        t = self.cf_table
         final = self.final_ideal
-        E, F = (
-            chern.Bundle(B.rank, [c.convert(t) for c in B.chern])
-            for B in (self.G3.E, self.G3.taut_sub)
-        )
-        ftilde = chern.whitney_quotient(E, F, ring=final)
+        t = self.G3.table
+        ftilde = chern.whitney_quotient(self.G3.E, self.G3.taut_sub, ring=final)
         f2t = ftilde.c(2)
         c2, f2 = t.var("c2"), t.var("f2")
         ok1 = dsl._member(f2t - (2 * c2 - f2), final)
@@ -364,9 +354,9 @@ class So4Pipeline:
 
     @cached_property
     def final_ideal(self):
-        """The script's final ideal `I` over the c/f table."""
-        gens = self.script_value("I").generators
-        return GradedIdeal([g.convert(self.cf_table) for g in gens])
+        """The script's final ideal `I`, the object its checks query, so
+        its lattices are built once for all of them."""
+        return self.script_value("I")
 
     @cached_property
     def _pf(self):
@@ -398,8 +388,8 @@ class So4Pipeline:
     def _check_sixth_consistency(self):
         """The sixth reference entry rewrites the computed value modulo the
         previously listed generators; record that consistency explicitly."""
-        t = self.cf_table
-        rec = {k: self.script_value("p%d_rec" % k).convert(t) for k in (2, 3, 5)}
+        rec = {k: self.script_value("p%d_rec" % k) for k in (2, 3, 5)}
+        t = self.G3.table
         earlier = GradedIdeal([t.var("c1"), t.var("f1"), rec[2], rec[3]])
         ok = dsl._member(self._pf[5] - rec[5], earlier)
         return (
@@ -448,8 +438,8 @@ class So4Pipeline:
         )
 
     def _check_lemma_computed(self):
-        t = self.cf_table
         div = self._pf[0]
+        t = self.G3.table
         u = div.coeff(t.var("c1").leading()[0])
         v = div.coeff(t.var("f1").leading()[0])
         res = lemma4_check(Lemma4Data((u, v)))
@@ -508,24 +498,25 @@ class So4Pipeline:
         """Pushforwards of unlisted monomials stay inside the ideal of the
         computed pushforwards and (c1, f1), each by a membership certificate
         that multiplies back to the image."""
-        t, T = self.cf_table, self.GG.table
+        G2, t = self.script_value("G2"), self.G3.table
         gens = [p for p in self._pf if p is not None and not p.is_zero()]
         ideal = GradedIdeal(gens + [t.var("c1"), t.var("f1")])
         ge = self.script_value("GE")
         max_deg = min(6, self.degree_bound - G2E_DEGREE)
         listed = {(i, j) for _, i, j in PUSHFORWARDS}
+        # the row's minimum bound is 9, so max_deg >= 4 and (3, 0) is drawn
+        # from; a repeated draw is pushed forward and tested once
         candidates = [
             (i, j)
             for i in range(max_deg + 1)
             for j in range((max_deg - i) // 2 + 1)
             if 0 < i + 2 * j <= max_deg and (i, j) not in listed
         ]
-        if not candidates:
-            return ("nontrivial candidates", "none at this bound", False)
-        for _ in range(10):
-            i, j = rng.choice(candidates)
-            mono = T.var("b1") ** i * T.var("b2") ** j
-            img = self.GG.gysin(1, ge * mono)
+        draws = [rng.choice(candidates) for _ in range(10)]
+        for i, j in dict.fromkeys(draws):
+            mono = t.var("b1") ** i * t.var("b2") ** j
+            # as the script's `gysin`: the image back over the script's table
+            img = G2.gysin(ge * mono).convert(t)
             if not dsl._member(img, ideal):
                 return (
                     "all images in the pushforward ideal",

@@ -13,9 +13,10 @@ table of the remaining variables, and a query is substituted first.  Normal
 forms stay canonical (each monomial with an eliminated variable would be a
 pivot column with pivot 1), quotient groups are unchanged, and membership
 certificates are lifted back to the original generators through divided
-differences.  The transform U is built only where a certificate is read
-off it: `DegreeLattice.solve` and the Gysin solver, which asks for the
-columns of U it reads and no others.
+differences.  `DegreeLattice` builds each echelon basis once, with its
+transform U, so a lattice reduced against first and solved against later
+is not echeloned again.  Only the Gysin solver asks for a subset of U's
+columns, the ones it reads.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
@@ -51,19 +52,18 @@ class GradedError(ChowError):
 
 
 def row_hnf(rows, transform=True):
-    """Row echelon basis of the row lattice, with its transform on request.
+    """Row echelon basis of the row lattice, with its transform.
 
     Returns (H, U, pivots) with H = U * M (U unimodular) in row echelon form
     with positive pivot entries; the entries above the pivots are not
     reduced.  `pivots` is a list of (row_index, col_index) pairs in echelon
     order; the pivot columns and values are those of the Hermite normal
-    form, which no caller needs (see the module docstring).  With
-    `transform` false, U is not built and None is returned in its place.
-    `transform` may also be a collection of row indices of M: then only U's
+    form, which no caller needs (see the module docstring).  `transform`
+    may be a collection of row indices of M instead of True: then only U's
     columns at those indices are built, and every other column of U reads
     0.  The columns of U evolve independently under row operations, so the
     columns built equal those of the full U.  H and the pivots are the same
-    in every case.
+    in either case.
 
     Elimination brings M to echelon form one column at a time, with
     Euclidean steps and positive pivots.  Each step pivots on a row of least
@@ -83,23 +83,16 @@ def row_hnf(rows, transform=True):
     ncols = len(rows[0]) if m else 0
     # {column: entry} for the nonzero entries of each row
     H = [dict(zip(compress(range(ncols), row), filter(None, row))) for row in rows]
-    if transform is True:
-        U = [{i: 1} for i in range(m)]
-    elif transform is False:
-        U = None
-    else:
-        keep = set(transform)
-        U = [{i: 1} if i in keep else {} for i in range(m)]
+    keep = range(m) if transform is True else set(transform)
+    U = [{i: 1} if i in keep else {} for i in range(m)]
 
     def row_op_sub(i, j, q):
         _sub(H[i], H[j], q)
-        if U is not None:
-            _sub(U[i], U[j], q)
+        _sub(U[i], U[j], q)
 
     def row_swap(i, j):
         H[i], H[j] = H[j], H[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     pivots = []
     r = 0
@@ -127,8 +120,7 @@ def row_hnf(rows, transform=True):
         if r < m and col in H[r]:
             if H[r][col] < 0:
                 H[r] = {k: -x for k, x in H[r].items()}
-                if U is not None:
-                    U[r] = {k: -x for k, x in U[r].items()}
+                U[r] = {k: -x for k, x in U[r].items()}
             pivots.append((r, col))
             r += 1
             if r == m:
@@ -174,11 +166,11 @@ def hnf_solve(H, U, pivots, v):
     Back-substitutes v against the echelon rows of H; v is in the lattice
     exactly when nothing is left, and then every quotient was exact.  The
     coefficients are carried over to the rows of M through U; x is unique
-    when the rows of M are independent, else it depends on U.  Where U was
-    built for some columns only, the other coefficients read 0.
+    when the rows of M are independent, else it depends on U.  U is built
+    whole for every echelon basis a `DegreeLattice` makes; where it was
+    built for some columns only, as the Gysin solver's is, the other
+    coefficients read 0.
     """
-    if U is None:
-        raise GradedError("no transform was built for this echelon basis")
     v = list(v)
     used = _back_substitute(H, pivots, v)
     if any(v):
@@ -280,10 +272,10 @@ class DegreeLattice:
 
     Columns are the keys of the degree-d monomials in descending graded-lex
     order; rows are labelled by (generator index, cofactor monomial key).
-    An echelon basis of the rows is computed on first use, with its
-    transform only once `solve` needs one.  Nothing needs the Hermite form:
-    `reduce` returns the same vector against every echelon basis, and
-    `solve` a valid x against any.
+    An echelon basis of the rows is computed once, on first use, always
+    with its transform, so `reduce` and `solve` share it in either order.
+    Nothing needs the Hermite form: `reduce` returns the same vector against
+    every echelon basis, and `solve` a valid x against any.
     """
 
     def __init__(self, table, generators, d):
@@ -305,13 +297,10 @@ class DegreeLattice:
         self.labels = labels
         self._basis = None
 
-    def _echelon(self, transform):
-        """(H, U, pivots), built once; rebuilt once if U is asked for later."""
-        if self._basis is None or (transform and self._basis[1] is None):
-            if self.rows:
-                self._basis = row_hnf(self.rows, transform)
-            else:
-                self._basis = ([], [], [])
+    def _echelon(self):
+        """(H, U, pivots) of the rows, built on first use and kept."""
+        if self._basis is None:
+            self._basis = row_hnf(self.rows) if self.rows else ([], [], [])
         return self._basis
 
     def vector(self, p):
@@ -333,14 +322,14 @@ class DegreeLattice:
         pivot smaller than it, so there is one such vector, the same
         against every echelon basis of L.
         """
-        H, _, pivots = self._echelon(False)
+        H, _, pivots = self._echelon()
         v = list(v)
         _back_substitute(H, pivots, v)
         return v
 
     def solve(self, v):
         """Coefficients over the labelled rows expressing v, or None."""
-        H, U, pivots = self._echelon(True)
+        H, U, pivots = self._echelon()
         return hnf_solve(H, U, pivots, v)
 
 

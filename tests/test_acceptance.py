@@ -73,7 +73,7 @@ def test_exact_class_reproduction(pipeline):
 
 
 def test_six_pushforwards(pipeline):
-    t = pipeline.cf_table
+    t = pipeline.G3.table
     c1, c2, c3, c4 = (t.var("c%d" % i) for i in range(1, 5))
     f1, f2, f3 = (t.var("f%d" % i) for i in range(1, 4))
     x = c2 - f2
@@ -94,7 +94,7 @@ def test_six_pushforwards(pipeline):
 
 
 def test_tower_relations_and_membership(pipeline):
-    t = pipeline.cf_table
+    t = pipeline.G3.table
     c1, c2, c3, c4 = (t.var("c%d" % i) for i in range(1, 5))
     f1, f2, f3 = (t.var("f%d" % i) for i in range(1, 4))
     x = c2 - f2
@@ -117,7 +117,7 @@ def test_tower_relations_and_membership(pipeline):
 
 
 def test_ideal_identity(pipeline):
-    t = pipeline.cf_table
+    t = pipeline.G3.table
     c1, c2, c3, c4 = (t.var("c%d" % i) for i in range(1, 5))
     f1, f2, f3 = (t.var("f%d" % i) for i in range(1, 4))
     x = c2 - f2

@@ -8,7 +8,7 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from chowcalc import cli, dsl, grasstower, so4pipeline
+from chowcalc import cli, dsl, grasstower, so4pipeline, zgraded
 from chowcalc.so4pipeline import (
     DEFAULT_DEGREE_BOUND,
     Check,
@@ -20,7 +20,7 @@ from chowcalc.so4pipeline import (
     lemma4_check,
     theorem1_structure_oracle,
 )
-from chowcalc.zgraded import GradedIdeal
+from chowcalc.zgraded import GradedIdeal, row_hnf
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "..", "bench", "golden", "verify-b14.json"
@@ -161,16 +161,29 @@ def test_bound_14_report_matches_the_golden_copy():
         assert checks == json.load(fh)
 
 
-@pytest.mark.parametrize("bound", range(3, 15))
-def test_report_at_each_bound_matches_the_golden_copy(bound):
+@pytest.mark.parametrize(
+    "bound, seed",
+    [
+        pytest.param(bound, seed, id=str(bound) if seed == 0 else
+                     "%d-seed%d" % (bound, seed))
+        for seed in (0, 5)
+        for bound in range(3, 15)
+    ],
+)
+def test_report_at_each_bound_matches_the_golden_copy(bound, seed):
     """Every row's expected and computed text, status and the overall
-    verdict, byte for byte, at each bound from 3 to 14 (seed 0)."""
-    report = So4Pipeline(degree_bound=bound, seed=0).run_all()
+    verdict, byte for byte, at each bound from 3 to 14.  The golden copy
+    was made with seed 0; no row's text depends on the seed, so only the
+    seed in the config differs at seed 5."""
+    report = So4Pipeline(degree_bound=bound, seed=seed).run_all()
     report = json.loads(report.to_json())
     for c in report["checks"]:
         c.pop("elapsed_ms")
+    assert report["config"].pop("seed") == seed
     with open(BOUNDS_GOLDEN) as fh:
-        assert report == json.load(fh)[str(bound)]
+        golden = json.load(fh)[str(bound)]
+    golden["config"].pop("seed")
+    assert report == golden
 
 
 def test_shared_work_is_timed_in_the_first_check_that_reads_it(monkeypatch):
@@ -205,6 +218,53 @@ def test_g2e_class_is_pushed_forward_once(monkeypatch):
     assert checks["gysin-oracle-agreement"].status == "pass"
     assert checks["lattice-generation-computed"].status == "pass"
     assert sum(p == pipeline.script_value("GE") for p in pushed) == 1
+
+
+def test_no_class_is_pushed_forward_twice(monkeypatch):
+    """Each class a run pushes forward is pushed once: the six images of
+    the script, and in monomial-closure each distinct monomial drawn."""
+    original = grasstower.TowerLevel.gysin
+    pushed = []
+
+    def counting_gysin(self, p):
+        pushed.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(grasstower.TowerLevel, "gysin", counting_gysin)
+    checks = by_name(So4Pipeline(degree_bound=14, seed=0).run_all())
+    assert checks["monomial-closure"].status == "pass"
+    assert len(pushed) > 6
+    for i, p in enumerate(pushed):
+        assert all(p != q for q in pushed[i + 1:])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_no_lattice_is_echeloned_twice(monkeypatch, seed):
+    """Every matrix `row_hnf` brings to echelon form in a run is a new one:
+    each lattice, those of the final ideal that several rows query
+    included, keeps the echelon basis it built first."""
+    inputs = []
+
+    def recording(rows, transform=True):
+        inputs.append(rows)  # kept alive, so no id is reused
+        return row_hnf(rows, transform)
+
+    monkeypatch.setattr(zgraded, "row_hnf", recording)
+    monkeypatch.setattr(grasstower, "row_hnf", recording)
+    pipeline = So4Pipeline(degree_bound=14, seed=seed)
+    pipeline.run_all()
+    ids = [id(rows) for rows in inputs]
+    assert len(ids) > 10 and len(set(ids)) == len(ids)
+
+
+def test_checks_read_the_scripts_own_values():
+    """The final ideal is the script's `I` itself, and the pushforwards
+    live over the script's table."""
+    pipeline = So4Pipeline(degree_bound=14, seed=0)
+    assert pipeline.final_ideal is pipeline.script_value("I")
+    pf = pipeline.pushforwards()
+    assert all(p is not None for p in pf)
+    assert all(p.table is pipeline.G3.table for p in pf)
 
 
 def test_the_example_is_the_packaged_script():

@@ -23,7 +23,7 @@ from chowcalc.zgraded import (
 )
 
 
-def _dense_row_hnf(rows, transform=True, sparsest=True):
+def _dense_row_hnf(rows, sparsest=True):
     """Reference for `row_hnf`: the same operations on dense rows.
 
     `row_hnf` must make the same choices: the same pivot (among the rows at
@@ -37,19 +37,15 @@ def _dense_row_hnf(rows, transform=True, sparsest=True):
     m = len(rows)
     H = [list(r) for r in rows]
     ncols = len(H[0]) if m else 0
-    U = None
-    if transform:
-        U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def row_op_sub(i, j, q, col):
         H[i][col:] = [a - q * b for a, b in zip(H[i][col:], H[j][col:])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def row_swap(i, j):
         H[i], H[j] = H[j], H[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     pivots = []
     r = 0
@@ -74,8 +70,7 @@ def _dense_row_hnf(rows, transform=True, sparsest=True):
         if r < m and H[r][col]:
             if H[r][col] < 0:
                 H[r] = [-x for x in H[r]]
-                if U is not None:
-                    U[r] = [-x for x in U[r]]
+                U[r] = [-x for x in U[r]]
             pivots.append((r, col))
             r += 1
             if r == m:
@@ -93,22 +88,22 @@ def dense(rows, n):
     return [[r.get(j, 0) for j in range(n)] for r in rows]
 
 
-def sparse_reference(rows, transform=True, sparsest=True):
+def sparse_reference(rows, sparsest=True):
     """`_dense_row_hnf` with H and U in the form `row_hnf` returns."""
-    H, U, pivots = _dense_row_hnf(rows, transform, sparsest)
-    return sparse(H), (None if U is None else sparse(U)), pivots
+    H, U, pivots = _dense_row_hnf(rows, sparsest)
+    return sparse(H), sparse(U), pivots
 
 
 def pivot_values(H, pivots):
     return [H[r][c] for r, c in pivots]
 
 
-def assert_matches_the_reference(M, transform):
+def assert_matches_the_reference(M):
     """(H, U, pivots) equal the reference's; the pivots and pivot values
     also equal those of the old first-row rule."""
-    H, U, pivots = row_hnf(M, transform)
-    assert (H, U, pivots) == sparse_reference(M, transform)
-    H_old, _, pivots_old = sparse_reference(M, transform, sparsest=False)
+    H, U, pivots = row_hnf(M)
+    assert (H, U, pivots) == sparse_reference(M)
+    H_old, _, pivots_old = sparse_reference(M, sparsest=False)
     assert pivots == pivots_old
     assert pivot_values(H, pivots) == pivot_values(H_old, pivots_old)
 
@@ -238,6 +233,27 @@ def test_membership_with_certificate(so4_ideal, table):
         assert so4_ideal.certificate_product(cert) == p
 
 
+def test_a_lattice_reduced_then_solved_is_echeloned_once(
+    so4_ideal, table, monkeypatch
+):
+    """A normal form and then a membership test in one degree share one
+    echelon basis: `row_hnf` runs once for the degree-6 lattice."""
+    inputs = []
+
+    def recording(rows, transform=True):
+        inputs.append(rows)
+        return row_hnf(rows, transform)
+
+    monkeypatch.setattr(zgraded, "row_hnf", recording)
+    c2, c3, c4, x = (table.var(n) for n in ("c2", "c3", "c4", "x"))
+    q = 5 * x * c4 + 5 * x * x * c2 + 3 * c3 * c3
+    nf = so4_ideal.normal_form(q)
+    assert nf != q
+    ok, cert = so4_ideal.member(q - nf)
+    assert ok and so4_ideal.certificate_product(cert) == q - nf
+    assert len(inputs) == 1 and inputs[0] is so4_ideal.lattice(6).rows
+
+
 def test_membership_negative(so4_ideal, table):
     ok, cert = so4_ideal.member(table.var("c3"))
     assert not ok and cert is None
@@ -352,15 +368,14 @@ def sparse_matrices(draw, max_rows=12, max_cols=16):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_matrices(), st.booleans())
-def test_row_hnf_matches_the_dense_reference(M, transform):
-    assert_matches_the_reference(M, transform)
+@given(sparse_matrices())
+def test_row_hnf_matches_the_dense_reference(M):
+    assert_matches_the_reference(M)
 
 
 def test_row_hnf_matches_the_dense_reference_on_edge_shapes():
     for M in ([], [[]], [[0]], [[0, 0], [0, 0]], [[-3]], [[0], [-2], [4]]):
-        for transform in (True, False):
-            assert_matches_the_reference(M, transform)
+        assert_matches_the_reference(M)
 
 
 def test_row_hnf_pivots_on_the_sparsest_row_of_least_entry():
@@ -399,11 +414,10 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     monkeypatch.setattr(grasstower, "row_hnf", capture)
     fiber._solver(10)
     g3 = P.G3._fiber.core_ring.lattice(10).rows
-    H, _, pivots = row_hnf(g3, False)
+    H, _, pivots = row_hnf(g3)
     assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
     for rows in (g3, g2s, solver_rows[0]):
-        for transform in (True, False):
-            assert_matches_the_reference(rows, transform)
+        assert_matches_the_reference(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -417,7 +431,7 @@ def test_row_hnf_canonical_under_row_shuffle(M, data):
     v = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
     seen = []
     for rows in (M, shuffled):
-        H, _, pivots = row_hnf(rows, False)
+        H, _, pivots = row_hnf(rows)
         w = list(v)
         zgraded._back_substitute(H, pivots, w)
         for r, c in pivots:
@@ -436,12 +450,6 @@ def test_row_hnf_builds_only_the_transform_columns_asked_for(M, data):
         Hs, Us, pivots_s = row_hnf(M, S)
         assert (Hs, pivots_s) == (H, pivots)
         assert Us == [{j: x for j, x in r.items() if j in S} for r in U]
-
-
-def test_hnf_solve_needs_a_transform():
-    H, U, pivots = row_hnf([[2, 1], [0, 3]], transform=False)
-    with pytest.raises(GradedError, match="no transform was built"):
-        hnf_solve(H, U, pivots, [2, 1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -504,17 +512,6 @@ def test_smith_properties(M):
             assert b % a == 0
         if a == 0:
             assert b == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices)
-def test_row_hnf_transform_is_optional_and_exact(M):
-    H, U, pivots = row_hnf(M)
-    H2, U2, pivots2 = row_hnf(M, transform=False)
-    assert (H2, U2, pivots2) == (H, None, pivots)
-    U = dense(U, len(M))
-    assert mat_mul(U, M) == dense(H, len(M[0]))
-    assert det(U) in (1, -1)
 
 
 CF = VarTable(
