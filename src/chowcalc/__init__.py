@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .polyring import ChowError, Poly, PolyError, VarTable
 from .chern import Bundle, BundleError
 from .zgraded import GradedIdeal, GradedError
-from .grasstower import GradedRing, TowerError, extend, fiber_product, free_ring
+from .grasstower import TowerError
 
 __all__ = [
     "__version__",
@@ -28,11 +28,7 @@ __all__ = [
     "BundleError",
     "GradedIdeal",
     "GradedError",
-    "GradedRing",
     "TowerError",
-    "extend",
-    "fiber_product",
-    "free_ring",
     "Report",
     "So4Pipeline",
     "run",

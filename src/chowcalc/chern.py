@@ -82,26 +82,12 @@ class Bundle:
         return "Bundle(rank=%d, c=%s)" % (self.rank, self.total())
 
 
-def trivial(table, rank):
-    return Bundle(rank, [table.one()])
-
-
 def line(cls1):
     """Line bundle with the given first Chern class (homogeneous, degree 1)."""
     table = cls1.table
     if not cls1.is_zero() and not (cls1.is_homogeneous() and cls1.degree() == 1):
         raise BundleError("a line class must be homogeneous of degree 1")
     return Bundle(1, [table.one(), cls1])
-
-
-def from_total(rank, total):
-    """Bundle with the given truncated total class (graded parts become c_i)."""
-    table = total.table
-    parts = total.graded_parts()
-    chern = [
-        parts.get(d, table.zero()) for d in range(min(rank, table.degree_bound) + 1)
-    ]
-    return Bundle(rank, chern)
 
 
 def dual(E):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import chern
-from .grasstower import GradedRing, TowerLevel
+from .grasstower import TowerLevel
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, PolyError, Record, VarTable
 from .zgraded import GradedIdeal
 
@@ -309,14 +309,6 @@ def parse(text):
         raise ParseError("expression nested too deeply") from None
 
 
-def parse_expr(text):
-    """Parse a single expression (no trailing tokens allowed)."""
-    parser = _Parser(tokenize(text))
-    node = parser.expr()
-    parser.expect("EOF")
-    return node
-
-
 # -- pretty printer ----------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "neg": 2, "^": 3, "atom": 4}
@@ -360,16 +352,6 @@ def _pp(node):
             right = "(%s)" % right
         return "%s %s %s" % (left, node.op, right), lp
     raise DslError("cannot print %r" % (node,))
-
-
-def pretty_script(stmts):
-    out = []
-    for s in stmts:
-        if isinstance(s, Let):
-            out.append("let %s = %s;" % (s.name, pretty(s.expr)))
-        else:
-            out.append("check %s == %s;" % (pretty(s.lhs), pretty(s.rhs)))
-    return "\n".join(out) + ("\n" if out else "")
 
 
 # -- evaluation --------------------------------------------------------------
@@ -566,7 +548,7 @@ class Session:
                 len(names), [self.table.one()] + [self.table.var(n) for n in names]
             )
         E = self._as("bundle", self.eval(bundle))
-        return TowerLevel(GradedRing(self.table), self.table, E, len(names), names)
+        return TowerLevel(self.table, E, len(names), names)
 
     def _as(self, kind, value):
         """`value` as an argument of the given kind, or a DslError."""

@@ -1,10 +1,10 @@
 """Towers of Grassmannian bundles: presented Chow rings and Gysin maps.
 
-A tower level G(k, E) over a base ring introduces fresh Chern variables for
-the tautological sub-bundle; the defining relations are the vanishing of the
-Whitney quotient classes above the quotient rank.  Normal forms are computed
-per degree by integer lattice reduction, Gysin pushforwards by Schur-basis
-coefficient extraction (an exact per-degree linear solve).
+A tower level G(k, E) names Chern variables for the tautological sub-bundle;
+the defining relations are the vanishing of the Whitney quotient classes
+above the quotient rank.  Normal forms are computed per degree by integer
+lattice reduction, Gysin pushforwards by Schur-basis coefficient extraction
+(an exact per-degree linear solve).
 
 The solve first substitutes out every base variable that a relation gives as
 +-v + rho, rho free of v: for G(k, E) with E's Chern classes variables, that
@@ -12,9 +12,10 @@ is E's top k classes, and the ring left is free, with no relation lattice to
 reduce against.  The substitution is a ring isomorphism of the quotient
 rings, so every image is the one solved for without it (see `_Fiber`).
 
-`TowerLevel` is the one level type.  `extend` builds a level over the base
-table plus its sub-bundle variables, the script language builds its levels
-over the session table, and `FiberProduct` puts two levels over one table.
+`TowerLevel` is the one level type, with one constructor: a table that
+already holds the base and sub-bundle variables, a bundle E over that table,
+k and the sub-bundle variable names.  The script language builds its levels
+over the session table, and `FiberProduct` pairs two levels over one table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from math import lcm
 
 from .chern import Bundle, whitney_split
 from .polyring import (
-    DEFAULT_DEGREE_BOUND,
     ChowError,
     Poly,
     PolyError,
@@ -129,19 +129,8 @@ class GradedRing:
             terms.update(lat.poly(lat.reduce(lat.vector(part))).terms)
         return Poly(self.table, terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedRing)
-            and self.table == other.table
-            and self.relations == other.relations
-        )
-
     def __repr__(self):
         return "GradedRing(%r, %d relations)" % (self.table, len(self.relations))
-
-
-def free_ring(variables, degree_bound=DEFAULT_DEGREE_BOUND):
-    return GradedRing(VarTable(variables, degree_bound))
 
 
 # -- the Gysin solver --------------------------------------------------------
@@ -191,7 +180,7 @@ def _unit_term(r, fixed):
 class _Fiber:
     """The data needed to push forward along one Grassmannian factor.
 
-    `subvars` are the Chern variables of the tautological sub-bundle; the
+    `subvars` are the Chern variables of the tautological sub-bundle;
     `relations` are the factor's defining relations.  Variables occurring
     neither in the relations nor among the subvars are spectators: the
     pushforward is linear over them, so classes are split along spectator
@@ -221,7 +210,6 @@ class _Fiber:
         self.subvars = tuple(subvars)
         self.k = k
         self.n = n
-        self.relations = tuple(relations)
         self.relative_dim = k * (n - k)
         core = set(self.subvars)
         for r in relations:
@@ -377,41 +365,43 @@ class _Fiber:
 
 
 class TowerLevel:
-    """One Grassmannian bundle G(k, E) over a base ring.
+    """One Grassmannian bundle G(k, E), built over one table.
 
-    `table` holds the variables of `base.table` and the k sub-bundle Chern
-    variables `subvars`, and may hold more, such as the other level's
-    variables in a fiber product.  The pushforward is linear over every
-    variable outside `subvars` and the level's relations.
+    `table` holds the base variables and the k sub-bundle Chern variables
+    `subvars`, and may hold more, such as the other level's variables in a
+    fiber product.  E lives over `table` and its Chern classes are free of
+    `subvars`.  The pushforward is linear over every variable outside
+    `subvars` and the level's relations.
     """
 
-    def __init__(self, base, table, E, k, subvars):
+    def __init__(self, table, E, k, subvars):
         n = E.rank
         if not (1 <= k < n):
             raise TowerError("need 1 <= k < rank(E)")
         if len(subvars) != k:
             raise TowerError("need exactly %d sub-bundle variable names" % k)
-        self.base = base
+        if E.table != table:
+            raise TowerError("bundle must live over the level's table")
+        clash = E.total().variables() & set(subvars)
+        if clash:
+            raise TowerError(
+                "sub-bundle variables %s in E's Chern classes" % sorted(clash)
+            )
         self.k = k
         self.n = n
         self.subvars = tuple(subvars)
         self.table = table
-        self.E = Bundle(n, [c.convert(table) for c in E.chern])
+        self.E = E
         self.taut_sub = Bundle(k, [table.one()] + [table.var(nm) for nm in subvars])
-        quot_chern, excess = whitney_split(self.E, self.taut_sub)
+        quot_chern, excess = whitney_split(E, self.taut_sub)
         self.new_relations = tuple(p for p in excess if not p.is_zero())
         self.taut_quot = Bundle(n - k, quot_chern)
-        base_rels = tuple(r.convert(table) for r in base.relations)
-        self.ring = GradedRing(table, base_rels + self.new_relations)
+        self.ring = GradedRing(table, self.new_relations)
         self._fiber = _Fiber(table, self.subvars, k, n, self.new_relations)
 
     @property
     def relative_dim(self):
         return self.k * (self.n - self.k)
-
-    @property
-    def relations(self):
-        return self.ring.relations
 
     def schur(self, lam):
         """Schur class of the tautological sub-bundle; lam fits in k x (n-k)."""
@@ -426,58 +416,21 @@ class TowerLevel:
         return self._fiber.gysin(p)
 
 
-def extend(base, E, k, subvar_names):
-    """Build the Grassmannian bundle level G(k, E) over a base ring."""
-    if not isinstance(base, GradedRing):
-        raise TowerError("base must be a GradedRing")
-    if E.table != base.table:
-        raise TowerError("bundle must live over the base table")
-    for nm in subvar_names:
-        if nm in base.table.index:
-            raise TowerError("variable name %r already in use" % nm)
-    table = base.table.extended(
-        [(nm, i) for i, nm in enumerate(subvar_names, start=1)]
-    )
-    return TowerLevel(base, table, E, k, subvar_names)
-
-
 class FiberProduct:
-    """Two tower levels over a common base and over one table.
-
-    Levels over one table with distinct sub-bundle variables, as a script's
-    are, are kept.  Otherwise `levels` rebuilds both over a joined table:
-    the base variables, then the first level's sub-bundle variables, then
-    the second's, renamed with a `_2` suffix where they clash with the
-    first's.  Pushing forward along one level carries the other's along.
-    """
+    """Two tower levels built over one table with distinct sub-bundle
+    variables, as a script's are.  Pushing forward along one level carries
+    the other's variables along."""
 
     def __init__(self, a, b):
-        if a.base != b.base:
-            raise TowerError("fiber product requires the same base ring")
-        taken = set(a.subvars)
-        if a.table == b.table and not taken & set(b.subvars):
-            self.table, self.levels = a.table, (a, b)
-            return
-        b_names = [nm + "_2" if nm in taken else nm for nm in b.subvars]
-        if taken & set(b_names):
-            raise TowerError("could not disambiguate sub-bundle variables")
-        table = a.base.table.extended(
-            [(nm, i) for i, nm in enumerate(a.subvars, start=1)]
-            + [(nm, i) for i, nm in enumerate(b_names, start=1)]
-        )
-        self.table = table
-        self.levels = (
-            TowerLevel(a.base, table, a.E, a.k, a.subvars),
-            TowerLevel(b.base, table, b.E, b.k, b_names),
-        )
+        if a.table != b.table:
+            raise TowerError("fiber product requires levels over one table")
+        if set(a.subvars) & set(b.subvars):
+            raise TowerError("fiber product requires distinct sub-bundle variables")
+        self.table, self.levels = a.table, (a, b)
 
     def gysin(self, factor, p):
         """Pushforward along the projection forgetting the given factor (0/1)."""
         return self.levels[factor].gysin(p)
-
-
-def fiber_product(a, b):
-    return FiberProduct(a, b)
 
 
 def subset_symmetrization(p, sub_names, roots, values):

@@ -238,12 +238,6 @@ class VarTable:
             self._mono_tails[(i, r)] = tails
         return tails
 
-    def extended(self, extra):
-        """A new table with `extra` (name, degree) pairs appended, same bound."""
-        return VarTable(
-            list(zip(self.names, self.degrees)) + list(extra), self.degree_bound
-        )
-
     def rekey(self, target, names):
         """A function taking keys of this table to keys of `target`.
 
@@ -458,10 +452,6 @@ class Poly:
         for k, c in self.terms.items():
             out.setdefault(k >> shift, {})[k] = c
         return {d: Poly(self.table, t) for d, t in sorted(out.items())}
-
-    def truncated(self, d):
-        below = (d + 1) << self.table.shift
-        return Poly(self.table, {k: c for k, c in self.terms.items() if k < below})
 
     # -- substitution ------------------------------------------------------
 

@@ -17,11 +17,7 @@ import pytest
 
 from chowcalc import chern, cli
 from chowcalc.dsl import run_script
-from chowcalc.grasstower import (
-    extend,
-    free_ring,
-    subset_symmetrization,
-)
+from chowcalc.grasstower import TowerLevel, subset_symmetrization
 from chowcalc.polyring import VarTable
 from chowcalc.so4pipeline import (
     REPORT_SCHEMA,
@@ -193,7 +189,7 @@ def test_property_whitney_twist_dual():
                 if rng.random() < 0.5
             }
             total = total + t.poly(coeffs)
-        E = chern.from_total(rank, total)
+        E = bundle_of(rank, total)
         assert chern.dual(chern.dual(E)) == E
         # twisting by zero is the identity; twists compose additively
         a = t.var("a")
@@ -201,9 +197,32 @@ def test_property_whitney_twist_dual():
         twice = chern.tensor_line(chern.tensor_line(E, a), a)
         assert twice == chern.tensor_line(E, 2 * a)
         # Whitney: recover a factor by series division
-        F = chern.from_total(2, t.one() + a)
-        s = chern.from_total(rank + 2, E.total() * F.total())
+        F = bundle_of(2, t.one() + a)
+        s = bundle_of(rank + 2, E.total() * F.total())
         assert chern.whitney_quotient(s, E).total() == F.total()
+
+
+def bundle_of(rank, total):
+    """The bundle of that rank whose c_i are the graded parts of `total`."""
+    parts = total.graded_parts()
+    zero = total.table.zero()
+    return chern.Bundle(rank, [parts.get(d, zero) for d in range(rank + 1)])
+
+
+def g24():
+    """G(2, 4) over a table with one spectator variable t."""
+    T = VarTable([("t", 1), ("b1", 1), ("b2", 2)], 8)
+    return TowerLevel(T, chern.Bundle(4, [T.one()]), 2, ["b1", "b2"])
+
+
+def g2s(degree_bound):
+    """G(2, S) for S of rank 4 with Chern classes c1..c4."""
+    T = VarTable(
+        [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4), ("b1", 1), ("b2", 2)],
+        degree_bound,
+    )
+    S = chern.Bundle(4, [T.one()] + [T.var("c%d" % i) for i in range(1, 5)])
+    return TowerLevel(T, S, 2, ["b1", "b2"])
 
 
 def _random_b_class(rng, T, extra=0):
@@ -225,8 +244,7 @@ def test_property_gysin_oracle_g24():
     # trivial bundle: all roots vanish, so compare in the top fiber degree
     # only, where the symmetrized sum is root-independent
     rng = random.Random(103)
-    ring = free_ring([("t", 1)], degree_bound=8)
-    g = extend(ring, chern.trivial(ring.table, 4), 2, ["b1", "b2"])
+    g = g24()
     T = g.table
     b1, b2 = T.var("b1"), T.var("b2")
     done = 0
@@ -247,12 +265,7 @@ def test_property_gysin_oracle_g24():
 
 def test_property_gysin_oracle_g2s():
     rng = random.Random(107)
-    base = free_ring(
-        [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], degree_bound=8
-    )
-    tb = base.table
-    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
-    g = extend(base, S, 2, ["b1", "b2"])
+    g = g2s(8)
     T = g.table
     done = 0
     while done < 20:
@@ -274,12 +287,7 @@ def test_property_gysin_oracle_g2s():
 
 def test_property_projection_formula():
     rng = random.Random(109)
-    base = free_ring(
-        [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], degree_bound=9
-    )
-    tb = base.table
-    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
-    g = extend(base, S, 2, ["b1", "b2"])
+    g = g2s(9)
     T = g.table
     done = 0
     while done < 20:
@@ -304,8 +312,7 @@ def test_property_projection_formula():
 
 
 def test_property_integrals_and_certificates():
-    ring = free_ring([("t", 1)], degree_bound=8)
-    g = extend(ring, chern.trivial(ring.table, 4), 2, ["b1", "b2"])
+    g = g24()
     T = g.table
     assert g.gysin(T.var("b2") ** 2).constant() == 1
     assert g.gysin(T.var("b1") ** 4).constant() == 2

@@ -17,14 +17,19 @@ from chowcalc.chern import (
     dual,
     exterior_square,
     formal_quotient,
-    from_total,
     line,
     porteous,
     tensor_line,
-    trivial,
     whitney_quotient,
 )
 from chowcalc.polyring import RootSet, VarTable, poly_det, symmetric_reduce
+
+
+def from_total(rank, total):
+    """The bundle of that rank whose c_i are the graded parts of `total`."""
+    parts = total.graded_parts()
+    zero = total.table.zero()
+    return Bundle(rank, [parts.get(d, zero) for d in range(rank + 1)])
 
 
 def random_bundle(rng, table, max_rank=4):
@@ -70,7 +75,7 @@ def test_bundle_validation(table):
 
 
 def test_trivial_and_line(table):
-    assert trivial(table, 5).total() == table.one()
+    assert Bundle(5, [table.one()]).total() == table.one()
     L = line(table.var("a"))
     assert L.rank == 1 and L.c(1) == table.var("a")
     with pytest.raises(BundleError):

@@ -19,12 +19,12 @@ from chowcalc.dsl import (
     Pow,
     Ref,
     parse,
-    parse_expr,
-    pretty_script,
+    pretty,
     run_script,
     tokenize,
 )
-from chowcalc.grasstower import extend, free_ring
+from chowcalc.grasstower import TowerLevel
+from chowcalc.polyring import VarTable
 
 # -- tokenizer ----------------------------------------------------------------
 
@@ -57,6 +57,11 @@ def test_tokenize_rejects_garbage():
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def parse_expr(text):
+    """The expression `text`, parsed as the left side of a check."""
+    return parse("check %s == 0;" % text)[0].lhs
 
 
 def test_parse_precedence():
@@ -168,6 +173,16 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
+def pretty_script(stmts):
+    """The statements printed back, one a line, each side with `pretty`."""
+    return "".join(
+        "let %s = %s;\n" % (s.name, pretty(s.expr))
+        if isinstance(s, Let)
+        else "check %s == %s;\n" % (pretty(s.lhs), pretty(s.rhs))
+        for s in stmts
+    )
+
+
 @pytest.mark.parametrize("src", ROUND_TRIP_CORPUS)
 def test_pretty_round_trip(src):
     stmts = parse(src)
@@ -266,11 +281,11 @@ def test_session_gysin_matches_the_library():
     )
     events, ok = run_script(script)
     shown = {e["name"]: e["value"] for e in events if e["kind"] == "let"}
-    base = free_ring([("c%d" % i, i) for i in range(1, 5)], degree_bound=10)
-    tb = base.table
-    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
-    G = extend(base, S, 2, ["b1", "b2"])
-    T = G.table
+    T = VarTable(
+        [("c%d" % i, i) for i in range(1, 5)] + [("b1", 1), ("b2", 2)], 10
+    )
+    S = chern.Bundle(4, [T.one()] + [T.var("c%d" % i) for i in range(1, 5)])
+    G = TowerLevel(T, S, 2, ["b1", "b2"])
     for n, (i, j, m) in enumerate(classes):
         p = T.var("b1") ** i * T.var("b2") ** j * T.var("c1") ** m
         assert shown["p%d" % n] == str(G.gysin(p))

@@ -12,11 +12,9 @@ from chowcalc import chern, grasstower, zgraded
 from chowcalc.grasstower import (
     FiberProduct,
     TowerError,
+    TowerLevel,
     check_partition,
     conjugate,
-    extend,
-    fiber_product,
-    free_ring,
     partitions_in_box,
     schur_from_chern,
     subset_symmetrization,
@@ -72,15 +70,19 @@ def test_schur_from_chern_basics():
     assert schur_from_chern(B, ()) == t.one()
 
 
+def chern_vars(prefix, k):
+    """(name, degree) pairs prefix1..prefix<k>: Chern variables of rank k."""
+    return [("%s%d" % (prefix, i), i) for i in range(1, k + 1)]
+
+
 # -- G(2, 4): the absolute Grassmannian of lines ------------------------------
 
 
 @pytest.fixture
 def g24():
     # trivial rank-4 bundle over a (near-)point base with one spectator var
-    ring = free_ring([("t", 1)], degree_bound=8)
-    E = chern.trivial(ring.table, 4)
-    return extend(ring, E, 2, ["b1", "b2"])
+    T = VarTable([("t", 1)] + chern_vars("b", 2), 8)
+    return TowerLevel(T, chern.Bundle(4, [T.one()]), 2, ["b1", "b2"])
 
 
 def test_g24_normalization(g24):
@@ -123,20 +125,17 @@ def test_g24_relations(g24):
 # -- relative towers ----------------------------------------------------------
 
 
-def base_and_S():
-    """The free ring on c1..c4 at bound 9 and the rank-4 bundle S over it."""
-    base = free_ring(
-        [("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], degree_bound=9
-    )
-    tb = base.table
-    S = chern.Bundle(4, [tb.one()] + [tb.var("c%d" % i) for i in range(1, 5)])
-    return base, S
+def base_and_S(sub=()):
+    """A table of c1..c4 and the (name, degree) pairs `sub` at bound 9, and
+    the rank-4 bundle S over it with Chern classes c1..c4."""
+    T = VarTable(chern_vars("c", 4) + list(sub), 9)
+    return T, chern.Bundle(4, [T.one()] + T.gens()[:4])
 
 
 @pytest.fixture
 def g2s():
-    base, S = base_and_S()
-    return extend(base, S, 2, ["b1", "b2"])
+    T, S = base_and_S(chern_vars("b", 2))
+    return TowerLevel(T, S, 2, ["b1", "b2"])
 
 
 def test_tower_level_shape(g2s):
@@ -236,14 +235,11 @@ def test_gysin_vs_symmetrization_oracle_g2s(g2s):
                 assert got == Fraction(img.eval(values))
 
 
-def free_bundle(prefix, n, degree_bound):
-    """The free ring on prefix1..prefix<n> and the bundle E with those
-    Chern classes."""
-    names = ["%s%d" % (prefix, i) for i in range(1, n + 1)]
-    base = free_ring([(nm, i) for i, nm in enumerate(names, start=1)], degree_bound)
-    tb = base.table
-    E = chern.Bundle(n, [tb.one()] + [tb.var(nm) for nm in names])
-    return base, E
+def free_bundle(prefix, n, degree_bound, k):
+    """A table of prefix1..prefix<n> and the sub-bundle variables f1..f<k>,
+    and the bundle E over it with Chern classes prefix1..prefix<n>."""
+    T = VarTable(chern_vars(prefix, n) + chern_vars("f", k), degree_bound)
+    return T, chern.Bundle(n, [T.one()] + T.gens()[:n])
 
 
 def random_class(rng, T, d, terms):
@@ -283,8 +279,8 @@ def test_gysin_vs_symmetrization_oracle_free_bundles(n, k):
     """G(k, E) for E with variable Chern classes e1..en: the fiber
     substitutes e_(n-k+1)..e_n out, leaves a core ring with no relations,
     and every image still equals the oracle's."""
-    base, E = free_bundle("e", n, 9)
-    level = extend(base, E, k, ["f%d" % i for i in range(1, k + 1)])
+    T, E = free_bundle("e", n, 9, k)
+    level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
     ring = level._fiber.core_ring
     assert not ring.relations
     assert ring.table.names == tuple(
@@ -304,8 +300,8 @@ def test_gysin_vs_symmetrization_oracle_without_substitution():
     +-v + rho, so the fiber substitutes nothing and solves modulo its
     relation lattice; the images still equal the oracle's, whose roots of
     wedge^2 E are the sums x_i + x_j of two roots of E."""
-    base, E = free_bundle("c", 4, 10)
-    level = extend(base, chern.exterior_square(E), 1, ["f1"])
+    T, E = free_bundle("c", 4, 10, 1)
+    level = TowerLevel(T, chern.exterior_square(E), 1, ["f1"])
     fiber = level._fiber
     assert not fiber._units and fiber.core_ring.table == fiber.core_table
     assert fiber.core_ring.relations
@@ -433,12 +429,11 @@ def test_oracle_returns_a_fraction_when_the_sum_is_not_integral():
 
 
 def test_fiber_product_gysin_factors():
-    base, S = base_and_S()
-    W = chern.exterior_square(S)
-    G3 = extend(base, W, 3, ["f1", "f2", "f3"])
-    G2 = extend(base, S, 2, ["b1", "b2"])
-    GG = fiber_product(G3, G2)
-    T = GG.table
+    T, S = base_and_S(chern_vars("f", 3) + chern_vars("b", 2))
+    G3 = TowerLevel(T, chern.exterior_square(S), 3, ["f1", "f2", "f3"])
+    GG = FiberProduct(G3, TowerLevel(T, S, 2, ["b1", "b2"]))
+    # G(2, S) alone, over a table without the f's
+    G2 = TowerLevel(*base_and_S(chern_vars("b", 2)), 2, ["b1", "b2"])
     b2, f1 = T.var("b2"), T.var("f1")
     # pushing along factor 1 integrates out the b's and keeps the f's
     img = GG.gysin(1, b2 * b2 * f1)
@@ -446,7 +441,7 @@ def test_fiber_product_gysin_factors():
     # pushing a pure base class of low fiber degree gives zero
     assert GG.gysin(1, T.var("c1") ** 4).is_zero()
     # on classes free of the f's, the factor pushes forward as its level does
-    tb = base.table
+    tb, _ = base_and_S()
     for i, j, m in [(0, 2, 0), (4, 0, 0), (2, 1, 1), (3, 1, 1), (0, 3, 1)]:
         p, q = (
             U.var("b1") ** i * U.var("b2") ** j * U.var("c1") ** m
@@ -509,24 +504,6 @@ def test_solver_reads_the_same_top_box_coefficients_as_a_full_solve(
                 assert fiber._solve_core(p) == want, str(p)
 
 
-def test_fiber_product_renames_clashing_sub_bundle_variables():
-    base, S = base_and_S()
-    GG = fiber_product(
-        extend(base, S, 2, ["b1", "b2"]), extend(base, S, 2, ["b1", "b2"])
-    )
-    T = GG.table
-    assert T.names[-4:] == ("b1", "b2", "b1_2", "b2_2")
-    v = T.var
-    cases = [
-        (v("b1_2") ** 4, "2"),
-        (v("b2_2") ** 2 * v("b1"), "b1"),
-        (v("b1_2") ** 2 * v("b2_2") * v("c1") * v("b2"), "c1*b2"),
-    ]
-    for p, image in cases:
-        assert str(GG.gysin(1, p)) == image
-        assert GG.gysin(0, p).is_zero()
-
-
 def test_fiber_product_keeps_levels_that_share_a_table():
     # the SO(4) script's two levels are built over its one table
     P = So4Pipeline(degree_bound=6).build_geometry()
@@ -536,22 +513,30 @@ def test_fiber_product_keeps_levels_that_share_a_table():
 
 
 def test_fiber_product_requires_common_base():
-    b1 = free_ring([("c1", 1)], 6)
-    b2 = free_ring([("d1", 1)], 6)
-    E1 = chern.trivial(b1.table, 3)
-    E2 = chern.trivial(b2.table, 3)
-    t1 = extend(b1, E1, 1, ["u1"])
-    t2 = extend(b2, E2, 1, ["v1"])
-    with pytest.raises(TowerError):
-        fiber_product(t1, t2)
+    # two levels over two tables
+    T1 = VarTable([("c1", 1), ("u1", 1)], 6)
+    T2 = VarTable([("d1", 1), ("v1", 1)], 6)
+    t1 = TowerLevel(T1, chern.Bundle(3, [T1.one()]), 1, ["u1"])
+    t2 = TowerLevel(T2, chern.Bundle(3, [T2.one()]), 1, ["v1"])
+    with pytest.raises(TowerError, match="over one table"):
+        FiberProduct(t1, t2)
+    # two levels over one table that share a sub-bundle variable
+    T, S = base_and_S(chern_vars("b", 2))
+    G2 = TowerLevel(T, S, 2, ["b1", "b2"])
+    for other in (TowerLevel(T, S, 2, ["b1", "b2"]), TowerLevel(T, S, 1, ["b1"])):
+        with pytest.raises(TowerError, match="distinct sub-bundle variables"):
+            FiberProduct(G2, other)
 
 
 def test_tower_validation():
-    base = free_ring([("c1", 1)], 6)
-    E = chern.trivial(base.table, 3)
-    with pytest.raises(TowerError):
-        extend(base, E, 3, ["a1", "a2", "a3"])  # k must be < rank
-    with pytest.raises(TowerError):
-        extend(base, E, 1, ["c1"])  # name clash with the base
-    with pytest.raises(TowerError):
-        extend(base, E, 2, ["a1"])  # wrong number of names
+    T = VarTable([("c1", 1)] + chern_vars("a", 3), 6)
+    E = chern.Bundle(3, [T.one(), T.var("c1")])
+    with pytest.raises(TowerError, match="rank"):
+        TowerLevel(T, E, 3, ["a1", "a2", "a3"])  # k must be < rank
+    with pytest.raises(TowerError, match="'c1'"):
+        TowerLevel(T, E, 1, ["c1"])  # sub-bundle variable in E's Chern classes
+    with pytest.raises(TowerError, match="names"):
+        TowerLevel(T, E, 2, ["a1"])  # wrong number of names
+    other = VarTable([("c1", 1), ("a1", 1)], 6)
+    with pytest.raises(TowerError, match="table"):
+        TowerLevel(T, chern.Bundle(3, [other.one(), other.var("c1")]), 1, ["a1"])

@@ -67,3 +67,15 @@ def test_module_imports_only_the_standard_library(module):
     with open(os.path.join(SRC, module)) as fh:
         outside = absolute_imports(fh.read()) - sys.stdlib_module_names
     assert outside == set()
+
+
+def test_every_exported_name_resolves():
+    # a stale name raises AttributeError; the pipeline's names are loaded
+    # lazily, on first use
+    import chowcalc
+
+    for name in chowcalc.__all__:
+        getattr(chowcalc, name)
+    namespace = {}
+    exec("from chowcalc import *", namespace)
+    assert set(chowcalc.__all__) <= namespace.keys()

@@ -158,7 +158,7 @@ def test_substitute_homogeneity(table):
 
 
 def test_convert_between_tables(table):
-    bigger = table.extended([("d", 3)])
+    bigger = VarTable([("a", 1), ("b", 1), ("c", 2), ("d", 3)], 8)
     a = table.var("a")
     moved = a.convert(bigger)
     assert moved.table == bigger
@@ -198,12 +198,10 @@ def test_series_invert_roundtrip():
     rng = random.Random(7)
     t = VarTable([("u", 1), ("v", 2)], 7)
     for _ in range(15):
-        p = t.one() + random_poly(rng, t).truncated(7) - random_poly(
-            rng, t
-        ).constant()
+        p = t.one() + random_poly(rng, t) - random_poly(rng, t).constant()
         p = p - p.constant() + 1  # force constant term 1
         inv = series_invert(p)
-        assert (p * inv).truncated(7) == t.one()
+        assert p * inv == t.one()
         assert sum(series_parts(p, p, 7), t.zero()) == t.one()
     with pytest.raises(PolyError):
         series_invert(2 * t.one())
@@ -244,7 +242,7 @@ def test_symmetric_reduce_roundtrip():
             term = roots.table.const(rng.randint(-4, 4))
             for _ in range(rng.randint(0, 3)):
                 term = term * es[rng.randint(1, n)]
-            p = p + term.truncated(6)
+            p = p + term
         assert is_symmetric(p, roots)
         reduced = symmetric_reduce(p, roots, target, ["e1", "e2", "e3"])
         # certify by expanding back
