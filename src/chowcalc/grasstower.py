@@ -3,14 +3,25 @@
 A tower level G(k, E) names Chern variables for the tautological sub-bundle;
 the defining relations are the vanishing of the Whitney quotient classes
 above the quotient rank.  Normal forms are computed per degree by integer
-lattice reduction, Gysin pushforwards by Schur-basis coefficient extraction
-(an exact per-degree linear solve).
+lattice reduction.
 
-The solve first substitutes out every base variable that a relation gives as
-+-v + rho, rho free of v: for G(k, E) with E's Chern classes variables, that
-is E's top k classes, and the ring left is free, with no relation lattice to
-reduce against.  The substitution is a ring isomorphism of the quotient
-rings, so every image is the one solved for without it (see `_Fiber`).
+Gysin pushforwards take a closed form wherever the level's relations
+substitute out completely, as they do for every G(k, E) whose E has
+variable Chern classes (G(2, S), and every `grass(bundle(...), k, b)` of a
+script).  With t_1..t_k the sub-bundle's Chern roots, n = rank E and
+h_m(E) = (-1)^m [c(E)^{-1}]_m,
+
+    pi_*(f^alpha) = (1/k!) sum_beta [t^beta](prod_i e_i(t)^alpha_i
+                     * prod_{i != j} (t_i - t_j)) * prod_i h_{beta_i-n+1}(E)
+
+over the beta with every beta_i >= n - 1 (Jozefiak-Lascoux-Pragacz, 1981;
+Darondeau-Pragacz, "Gysin maps, duality and Schubert classes", 2017); the
+sign (-1)^m is the convention of the `subset_symmetrization` oracle, and the
+division by k! is exact.  The levels with relations left, such as
+G(3, wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E, keep Schur-basis
+coefficient extraction: an exact per-degree linear solve, after substituting
+out every base variable that a relation gives as +-v + rho, rho free of v
+(see `_Fiber`).
 
 `TowerLevel` is the one level type, with one constructor: a table that
 already holds the base and sub-bundle variables, a bundle E over that table,
@@ -20,17 +31,22 @@ over the session table, and `FiberProduct` pairs two levels over one table.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from math import lcm
+import operator
+from math import factorial, lcm
 
 from .chern import Bundle, whitney_split
 from .polyring import (
     ChowError,
     Poly,
     PolyError,
+    RootSet,
     VarTable,
     _exponents,
     poly_det,
+    series_parts,
+    sum_of_products,
 )
 from .zgraded import DegreeLattice, _split, _substitute, hnf_solve, row_hnf
 
@@ -133,7 +149,7 @@ class GradedRing:
         return "GradedRing(%r, %d relations)" % (self.table, len(self.relations))
 
 
-# -- the Gysin solver --------------------------------------------------------
+# -- the Gysin pushforward ----------------------------------------------------
 
 
 def _substitute_units(relations, fixed):
@@ -180,71 +196,223 @@ def _unit_term(r, fixed):
 class _Fiber:
     """The data needed to push forward along one Grassmannian factor.
 
-    `subvars` are the Chern variables of the tautological sub-bundle;
-    `relations` are the factor's defining relations.  Variables occurring
-    neither in the relations nor among the subvars are spectators: the
-    pushforward is linear over them, so classes are split along spectator
-    monomials and each piece is solved over the smaller core table.  The
-    solve reads only the coefficients of the top-box Schur class, so each
-    degree's solver builds only the transform columns of the top-box rows.
+    `subvars` are the Chern variables f_1..f_k of the tautological
+    sub-bundle of E, rank E = n; `relations` are the factor's defining
+    relations.  A pushforward takes one of two paths.
 
-    Before any lattice is built, each base variable v that a relation gives
-    as +-v + rho, rho free of v, is substituted out of the other relations
-    (`_substitute_units`).  `core_ring` is the ring of the variables left
-    modulo the relations left, and every core class is mapped into it by
-    phi, which sends each substituted v to its image and keeps the other
-    variables, through one memoised image per core monomial.  phi is an
-    isomorphism of the two quotient rings, so the solve has the same
-    solutions through it and every image is unchanged.  Where E's Chern
-    classes are variables, the relations of G(k, E) are e_j + (terms free
-    of e_j) for j > n - k, all of them go, and `core_ring` is a polynomial
-    ring with no relation lattice; for G(2, S) that removes c3 and c4.  It
+    The closed form is taken on every level whose relations
+    `_substitute_units` removes completely.  With t_1..t_k the Chern roots
+    of the sub-bundle, so that f_i = e_i(t), and
+    h_m(E) = (-1)^m [c(E)^{-1}]_m the complete symmetric functions of E's
+    Chern roots,
+
+        pi_*(f^alpha) = (1/k!) sum_beta [t^beta](prod_i e_i(t)^alpha_i
+                         * prod_{i != j} (t_i - t_j)) * prod_i h_{beta_i-n+1}(E)
+
+    summed over the exponent tuples beta with every beta_i >= n - 1
+    (Jozefiak-Lascoux-Pragacz, 1981; Darondeau-Pragacz, "Gysin maps, duality
+    and Schubert classes", 2017).  It is the sign convention of
+    `subset_symmetrization`: for k = 1 it gives pi_*(f^(n-1+m)) = h_m(E).
+    The division by k! is exact; a remainder raises TowerError.  Each
+    pi_*(f^alpha) is built once, and the pushforward is linear over every
+    variable outside the subvars, so a class is pushed forward as one sum
+    of products over its sub-bundle exponents alpha.  The images are those
+    of the lattice path below: where the relations substitute out, the ring
     is free over the base on the Schur classes (Fulton, "Intersection
-    Theory", ch. 14), so the solver matrix is square and unimodular and the
-    top-box coefficients are unique.  Where no relation gives such a
-    variable, as on G(3, wedge^2 S), phi is the identity.
+    Theory", ch. 14), so the top-box coefficient the lattice path solves for
+    is unique.  Where E's Chern classes are variables, as on G(2, S) and on
+    every `grass(bundle(...), k, b)` of a script, the relations of G(k, E)
+    are e_j + (terms free of e_j) for j > n - k, and all of them go.
+
+    The lattice path is kept for the levels with relations left: G(3,
+    wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E.  Variables
+    occurring neither in the relations nor among the subvars are
+    spectators: classes are split along spectator monomials and each piece
+    is solved over the smaller core table by Schur-basis coefficient
+    extraction, a per-degree linear solve that reads only the coefficients
+    of the top-box Schur class, so each degree's solver builds only the
+    transform columns of the top-box rows.  Before any lattice is built,
+    each base variable v that a relation gives as +-v + rho, rho free of v,
+    is substituted out of the other relations.  `core_ring` is the ring of
+    the variables left modulo the relations left, and every core class is
+    mapped into it by phi, which sends each substituted v to its image and
+    keeps the other variables, through one memoised image per core
+    monomial; phi is an isomorphism of the two quotient rings, so the solve
+    has the same solutions through it.  The lattice path's tables,
+    substitution images, `core_ring` and Schur table are built on its first
+    push (`_lattice_path`).
     """
 
-    def __init__(self, table, subvars, k, n, relations):
+    def __init__(self, table, subvars, E, relations):
         self.table = table
         self.subvars = tuple(subvars)
-        self.k = k
-        self.n = n
+        self.E = E
+        self.k = k = len(self.subvars)
+        self.n = n = E.rank
         self.relative_dim = k * (n - k)
+        self.relations = tuple(relations)
+        self._substitution = _substitute_units(self.relations, self.subvars)
+        self.closed_form = not self._substitution[1]
+        self.target_table = None
+        self.core_ring = None
+        self._solvers = {}
+        # the closed form's state: the sub-bundle's Chern roots t_1..t_k (a
+        # t-polynomial has degree deg(alpha) + k(k - 1)), h_0(E)..h_bound(E)
+        # from the first push on, and memos of pi_*(f^alpha) and of the
+        # t-polynomial per alpha and of each product of h's per sorted
+        # index tuple
+        self._roots = RootSet(k, table.degree_bound + k * (k - 1), "t")
+        self._h = None
+        self._pushed = {}
+        self._t_polys = {}
+        self._h_products = {}
+
+    def _target(self):
+        """The target table (every variable but the subvars), built once."""
+        if self.target_table is None:
+            table = self.table
+            names = [nm for nm in table.names if nm not in self.subvars]
+            self.target_table = VarTable(
+                [(nm, table.degrees[table.index[nm]]) for nm in names],
+                table.degree_bound,
+            )
+            self._to_target = table.rekey(self.target_table, names)
+        return self.target_table
+
+    def gysin(self, p):
+        """Pushforward to the target table (all variables minus the subvars)."""
+        if p.table != self.table:
+            raise TowerError("polynomial over the wrong table")
+        target = self._target()
+        if p.is_zero():
+            return target.zero()
+        if not p.is_homogeneous():
+            raise TowerError("Gysin pushforward requires a homogeneous class")
+        if p.degree() < self.relative_dim:
+            return target.zero()
+        if self.closed_form:
+            return self._gysin_closed(p)
+        return self._gysin_lattice(p)
+
+    # -- the closed form ---------------------------------------------------
+
+    def _gysin_closed(self, p):
+        """Group p's terms by sub-bundle exponents alpha, each group with
+        those fields and their degree cleared, and sum group * pi_*(f^alpha)."""
+        table = self.table
+        mask, shift = table.mask, table.shift
+        fields = [
+            (table.offsets[table.index[v]], table.degrees[table.index[v]])
+            for v in self.subvars
+        ]
+        keep = ~sum(mask << off for off, _ in fields)
+        groups = {}
+        for key, c in p.terms.items():
+            alpha = tuple([key >> off & mask for off, _ in fields])
+            deg = sum([e * w for e, (_, w) in zip(alpha, fields)])
+            groups.setdefault(alpha, {})[(key & keep) - (deg << shift)] = c
+        total = sum_of_products(table, [
+            (1, Poly(table, g), self._pushed_monomial(alpha))
+            for alpha, g in groups.items()
+        ])
+        move = self._to_target
+        return Poly(self.target_table, {move(k): c for k, c in total.terms.items()})
+
+    def _pushed_monomial(self, alpha):
+        """pi_*(f^alpha) over the level's table, free of the subvars."""
+        img = self._pushed.get(alpha)
+        if img is None:
+            low = self.n - 1
+            sums = {}  # sorted h indices -> summed coefficient
+            unpack = self._roots.table.unpack
+            for key, c in self._t_poly(alpha).terms.items():
+                beta = unpack(key)
+                if min(beta) >= low:
+                    ms = tuple(sorted(b - low for b in beta))
+                    sums[ms] = sums.get(ms, 0) + c
+            table = self.table
+            one = table.one()
+            num = sum_of_products(
+                table, [(c, self._h_product(ms), one) for ms, c in sums.items()]
+            )
+            fact = factorial(self.k)
+            terms = {}
+            for key, c in num.terms.items():
+                q, r = divmod(c, fact)
+                if r:
+                    raise TowerError(
+                        "closed-form pushforward: coefficient %d is not "
+                        "divisible by %d!" % (c, self.k)
+                    )
+                terms[key] = q
+            img = self._pushed[alpha] = Poly(table, terms)
+        return img
+
+    def _t_poly(self, alpha):
+        """prod_i e_i(t)^alpha_i * prod_{i != j} (t_i - t_j), over the
+        table of the roots t."""
+        poly = self._t_polys.get(alpha)
+        if poly is None:
+            roots = self._roots
+            i = next((i for i, e in enumerate(alpha) if e), None)
+            if i is None:
+                t = roots.roots()
+                poly = functools.reduce(operator.mul, [
+                    t[a] - t[b] for a, b in itertools.permutations(range(self.k), 2)
+                ], roots.table.one())
+            else:
+                prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                poly = self._t_poly(prev) * roots.elementary(i + 1)
+            self._t_polys[alpha] = poly
+        return poly
+
+    def _h_product(self, ms):
+        """prod h_m(E) over the ascending index tuple ms."""
+        prod = self._h_products.get(ms)
+        if prod is None:
+            if not ms:
+                prod = self.table.one()
+            else:
+                if self._h is None:
+                    table = self.table
+                    q = series_parts(table.one(), self.E.total(), table.degree_bound)
+                    self._h = [-x if m % 2 else x for m, x in enumerate(q)]
+                prod = self._h_product(ms[:-1]) * self._h[ms[-1]]
+            self._h_products[ms] = prod
+        return prod
+
+    # -- the lattice path --------------------------------------------------
+
+    def _lattice_path(self):
+        """Build the lattice path's tables, substitution images, `core_ring`
+        and Schur table, once."""
+        if self.core_ring is not None:
+            return
+        table, k, n = self.table, self.k, self.n
+        target = self._target()
         core = set(self.subvars)
-        for r in relations:
+        for r in self.relations:
             core |= r.variables()
         self.core_names = tuple(nm for nm in table.names if nm in core)
-        self.core_table = VarTable(
+        self.core_table = ct = VarTable(
             [(nm, table.degrees[table.index[nm]]) for nm in self.core_names],
             table.degree_bound,
         )
         self.base_names = tuple(
             nm for nm in self.core_names if nm not in set(self.subvars)
         )
-        self.target_table = VarTable(
-            [
-                (nm, table.degrees[table.index[nm]])
-                for nm in table.names
-                if nm not in set(self.subvars)
-            ],
-            table.degree_bound,
-        )
-        self._to_core = table.rekey(self.core_table, self.core_names)
+        self._to_core = table.rekey(ct, self.core_names)
         self._to_spectator = table.rekey(
-            self.target_table, [nm for nm in table.names if nm not in core]
+            target, [nm for nm in table.names if nm not in core]
         )
-        self._base_to_target = self.core_table.rekey(
-            self.target_table, self.base_names
-        )
-        self.core_relations = tuple(r.convert(self.core_table) for r in relations)
-        ct = self.core_table
-        images, rels = _substitute_units(self.core_relations, self.subvars)
+        self._base_to_target = ct.rekey(target, self.base_names)
+        self.core_relations = tuple(r.convert(ct) for r in self.relations)
+        images, rels = self._substitution
+        images = {ct.index[table.names[i]]: rho for i, rho in images.items()}
         ring_table = VarTable(
             [v for i, v in enumerate(zip(ct.names, ct.degrees)) if i not in images],
             ct.degree_bound,
         )
-        self.core_ring = GradedRing(ring_table, [r.convert(ring_table) for r in rels])
         # (field offset, key, image) of each substituted variable
         self._units = [
             (ct.offsets[i], ct.var_key(ct.names[i]), rho.convert(ring_table))
@@ -258,7 +426,7 @@ class _Fiber:
             k, [ring_table.one()] + [ring_table.var(v) for v in self.subvars]
         )
         self._schur = {lam: schur_from_chern(sub, lam) for lam in self.box}
-        self._solvers = {}
+        self.core_ring = GradedRing(ring_table, [r.convert(ring_table) for r in rels])
 
     def _split_spectators(self, p):
         """Group terms by spectator monomial: pairs of its key over the
@@ -298,6 +466,7 @@ class _Fiber:
     def _solver(self, d):
         """Rows NF(phi(s_mu * m)) for the degree-d Schur-coefficient solve."""
         if d not in self._solvers:
+            self._lattice_path()
             core = self.core_table
             sub_fields = 0
             for v in self.subvars:
@@ -341,16 +510,9 @@ class _Fiber:
                 out_terms[m] = coeff
         return Poly(self.core_table, out_terms)
 
-    def gysin(self, p):
-        """Pushforward to the target table (all variables minus the subvars)."""
-        if p.table != self.table:
-            raise TowerError("polynomial over the wrong table")
-        if p.is_zero():
-            return self.target_table.zero()
-        if not p.is_homogeneous():
-            raise TowerError("Gysin pushforward requires a homogeneous class")
-        if p.degree() < self.relative_dim:
-            return self.target_table.zero()
+    def _gysin_lattice(self, p):
+        """Pushforward by the per-degree Schur-coefficient solve."""
+        self._lattice_path()
         to_target = self._base_to_target
         terms = {}
         for spec, p_core in self._split_spectators(p):
@@ -397,7 +559,7 @@ class TowerLevel:
         self.new_relations = tuple(p for p in excess if not p.is_zero())
         self.taut_quot = Bundle(n - k, quot_chern)
         self.ring = GradedRing(table, self.new_relations)
-        self._fiber = _Fiber(table, self.subvars, k, n, self.new_relations)
+        self._fiber = _Fiber(table, self.subvars, E, self.new_relations)
 
     @property
     def relative_dim(self):

@@ -1,6 +1,7 @@
 """Unit tests for Grassmannian tower levels and Gysin pushforwards."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc import chern, grasstower, zgraded
+from chowcalc import chern, cli, grasstower, zgraded
 from chowcalc.grasstower import (
     FiberProduct,
     TowerError,
@@ -22,6 +23,9 @@ from chowcalc.grasstower import (
 from chowcalc.polyring import Poly, PolyError, VarTable
 from chowcalc.so4pipeline import So4Pipeline
 from chowcalc.zgraded import hnf_solve, row_hnf
+
+
+SO4_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 
 
 def elementary_values(roots):
@@ -272,20 +276,27 @@ def assert_matches_oracle(level, rng, E_names, draw_roots, classes):
             assert got == Fraction(img.eval(values)), str(p)
 
 
+def assert_closed_path(fiber):
+    """The fiber pushed forward by the closed form alone: no solver and no
+    lattice-path state was ever built."""
+    assert fiber.closed_form
+    assert fiber._solvers == {} and fiber.core_ring is None
+
+
 @pytest.mark.parametrize(
     "n, k", [(n, k) for n in range(2, 6) for k in range(1, n)]
 )
-def test_gysin_vs_symmetrization_oracle_free_bundles(n, k):
-    """G(k, E) for E with variable Chern classes e1..en: the fiber
-    substitutes e_(n-k+1)..e_n out, leaves a core ring with no relations,
-    and every image still equals the oracle's."""
+def test_gysin_vs_symmetrization_oracle_free_bundles(n, k, monkeypatch):
+    """G(k, E) for E with variable Chern classes e1..en: the relations
+    substitute e_(n-k+1)..e_n out completely, so the fiber takes the closed
+    form, and every image equals the oracle's."""
     T, E = free_bundle("e", n, 9, k)
     level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
-    ring = level._fiber.core_ring
-    assert not ring.relations
-    assert ring.table.names == tuple(
-        ["e%d" % i for i in range(1, n - k + 1)] + list(level.subvars)
-    )
+
+    def no_solve(fiber, d):
+        raise AssertionError("the lattice path ran at degree %d" % d)
+
+    monkeypatch.setattr(grasstower._Fiber, "_solver", no_solve)
 
     def draw_roots(rng):
         xs = rng.sample(range(-30, 30), n)
@@ -293,18 +304,19 @@ def test_gysin_vs_symmetrization_oracle_free_bundles(n, k):
 
     names = ["e%d" % i for i in range(1, n + 1)]
     assert_matches_oracle(level, random.Random(100 * n + k), names, draw_roots, 12)
+    assert_closed_path(level._fiber)
 
 
 def test_gysin_vs_symmetrization_oracle_without_substitution():
     """On P(wedge^2 E) for E of rank 4 no relation gives a variable as
-    +-v + rho, so the fiber substitutes nothing and solves modulo its
-    relation lattice; the images still equal the oracle's, whose roots of
-    wedge^2 E are the sums x_i + x_j of two roots of E."""
+    +-v + rho, so the fiber keeps the lattice path: it substitutes nothing
+    and solves modulo its relation lattice; the images still equal the
+    oracle's, whose roots of wedge^2 E are the sums x_i + x_j of two roots
+    of E."""
     T, E = free_bundle("c", 4, 10, 1)
     level = TowerLevel(T, chern.exterior_square(E), 1, ["f1"])
     fiber = level._fiber
-    assert not fiber._units and fiber.core_ring.table == fiber.core_table
-    assert fiber.core_ring.relations
+    assert not fiber.closed_form
 
     def draw_roots(rng):
         while True:
@@ -315,6 +327,9 @@ def test_gysin_vs_symmetrization_oracle_without_substitution():
 
     names = ["c1", "c2", "c3", "c4"]
     assert_matches_oracle(level, random.Random(43), names, draw_roots, 20)
+    assert fiber._solvers
+    assert not fiber._units and fiber.core_ring.table == fiber.core_table
+    assert fiber.core_ring.relations
 
 
 def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
@@ -332,6 +347,132 @@ def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
     monkeypatch.setattr(grasstower, "row_hnf", counted)
     lat, labels, _, _, _ = fiber._solver(10)
     assert shapes == [(len(labels), len(labels))] and len(lat.cols) == len(labels)
+
+
+def test_so4_runs_make_no_solver_echelon(monkeypatch, capsys):
+    """verify-so4 and the SO(4) script at bound 14 push forward only along
+    G(2, S), whose relations substitute out: the closed form serves every
+    pushforward, and `grasstower` brings no matrix to echelon form."""
+    pushed, solved = [], []
+    original = grasstower._Fiber.gysin
+
+    def counting_gysin(fiber, p):
+        pushed.append(p)
+        return original(fiber, p)
+
+    monkeypatch.setattr(grasstower._Fiber, "gysin", counting_gysin)
+    monkeypatch.setattr(grasstower, "row_hnf", lambda *args: solved.append(args))
+    for argv in (["verify-so4"], ["eval", SO4_SCRIPT]):
+        cli.main(argv + ["--degree-bound", "14"])
+        assert pushed and not solved, argv
+        pushed.clear()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", ["g2s", "g24"], ids=["closed", "lattice"])
+def test_gysin_rejects_a_class_over_the_wrong_table(request, path):
+    level = request.getfixturevalue(path)
+    assert level._fiber.closed_form == (path == "g2s")
+    other = VarTable([("b1", 1), ("b2", 2)], level.table.degree_bound)
+    with pytest.raises(TowerError, match="^polynomial over the wrong table$"):
+        level.gysin(other.var("b2") ** 2)
+
+
+@pytest.mark.parametrize("path", ["g2s", "g24"], ids=["closed", "lattice"])
+def test_gysin_rejects_an_inhomogeneous_class(request, path):
+    level = request.getfixturevalue(path)
+    assert level._fiber.closed_form == (path == "g2s")
+    b2 = level.table.var("b2")
+    with pytest.raises(
+        TowerError, match="^Gysin pushforward requires a homogeneous class$"
+    ):
+        level.gysin(b2 * b2 + b2)
+
+
+def test_closed_form_raises_on_a_coefficient_not_divisible_by_k_factorial(
+    g2s, monkeypatch
+):
+    """The closed form divides by k! exactly; a sum that 2! does not divide
+    raises instead of being floored."""
+    fiber = g2s._fiber
+    # the t-polynomial t_1^3 t_2^3 alone would give h_0 * h_0 / 2! = 1/2
+    t_poly = fiber._roots.table.poly({(3, 3): 1})
+    monkeypatch.setattr(fiber, "_t_poly", lambda alpha: t_poly)
+    with pytest.raises(TowerError, match=r"coefficient 1 is not divisible by 2!"):
+        g2s.gysin(g2s.table.var("b2") ** 2)
+
+
+def draw_monomial(draw, T, d, fill):
+    """A degree-d monomial of T: exponents drawn in a random variable order,
+    the degree left over given to the degree-1 variable `fill`."""
+    expo = [0] * T.nvars
+    rest = d
+    others = [i for i in range(T.nvars) if T.names[i] != fill]
+    for i in draw(st.permutations(others)):
+        e = draw(st.integers(0, rest // T.degrees[i]))
+        expo[i] = e
+        rest -= e * T.degrees[i]
+    expo[T.index[fill]] = rest
+    return tuple(expo)
+
+
+@st.composite
+def closed_form_levels(draw):
+    """(level, roots, values) for G(k, E), 1 <= k < n <= 6, E with Chern
+    classes e1..en over a table with the spectators s1 and s2, at a bound
+    up to three above k(n-k) and n: distinct integer roots of E and a value
+    for every variable outside the sub-bundle's."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    T = VarTable(
+        chern_vars("e", n) + chern_vars("f", k) + [("s1", 1), ("s2", 2)],
+        max(k * (n - k), n) + draw(st.integers(0, 3)),
+    )
+    E = chern.Bundle(n, [T.one()] + T.gens()[:n])
+    level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
+    roots = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    values = dict(zip(["e%d" % i for i in range(1, n + 1)], elementary_values(roots)))
+    values["s1"], values["s2"] = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+    return level, roots, values
+
+
+def draw_class(draw, T, d):
+    return T.poly({
+        draw_monomial(draw, T, d, "s1"): draw(st.integers(-5, 5))
+        for _ in range(draw(st.integers(1, 4)))
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_the_oracle(data):
+    """Random classes of G(k, E), square and non-square k(n - k) alike,
+    push forward by the closed form to the oracle's value."""
+    level, roots, values = data.draw(closed_form_levels())
+    T = level.table
+    d = data.draw(st.integers(level.relative_dim, T.degree_bound))
+    p = draw_class(data.draw, T, d)
+    img = level.gysin(p)
+    assert_closed_path(level._fiber)
+    assert img.eval(values) == subset_symmetrization(p, level.subvars, roots, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_satisfies_the_projection_formula(data):
+    """pi_*(pi^*a * x) == a * pi_*(x) for a base class a."""
+    level, _, _ = data.draw(closed_form_levels())
+    T = level.table
+    d = data.draw(st.integers(level.relative_dim, T.degree_bound))
+    x = draw_class(data.draw, T, d)
+    base = VarTable(
+        [(nm, w) for nm, w in zip(T.names, T.degrees) if nm not in level.subvars],
+        T.degree_bound,
+    )
+    a = draw_class(data.draw, base, data.draw(st.integers(0, T.degree_bound - d)))
+    lhs = level.gysin(a.convert(T) * x)
+    assert lhs == a.convert(lhs.table) * level.gysin(x)
+    assert_closed_path(level._fiber)
 
 
 def test_oracle_requires_distinct_roots(g24):

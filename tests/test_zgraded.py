@@ -400,9 +400,13 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     pivots 2, 9, 15 and 885 and takes more than one Euclidean round in 10
     columns.  The G(2, S) relation lattice over the c and b variables is
     built from the level's relations: its fiber substitutes c3 and c4 out,
-    so its core ring has none left, and its Schur solver matrix is square."""
+    so its core ring has none left, and its Schur solver matrix is square.
+    Neither level pushes forward in the geometry's build, so each fiber's
+    lattice-path state is built here."""
     P = So4Pipeline(degree_bound=10).build_geometry()
     fiber = P.GG.levels[1]._fiber
+    fiber._lattice_path()
+    P.G3._fiber._lattice_path()
     g2s = DegreeLattice(fiber.core_table, fiber.core_relations, 10).rows
     assert not fiber.core_ring.lattice(10).rows and len(g2s) > 100
     solver_rows = []
