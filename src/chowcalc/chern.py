@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .polyring import ChowError, Poly, VarTable, poly_det, series_parts, sum_of_products
+from .polyring import ChowError, Poly, VarTable, jacobi_trudi, series_parts, sum_of_products
 
 
 class BundleError(ChowError):
@@ -267,9 +267,4 @@ def porteous(E, F, r):
         return table.one()
     # the top-right entry has the highest index, f - r + size - 1
     q = series_parts(F.total(), E.total(), f - r + size - 1)
-
-    def c(k):
-        return q[k] if 0 <= k < len(q) else table.zero()
-
-    rows = [[c(f - r + j - i) for j in range(size)] for i in range(size)]
-    return poly_det(rows)
+    return jacobi_trudi(q, [f - r] * size)

@@ -8,20 +8,20 @@ lattice reduction.
 Gysin pushforwards take a closed form wherever the level's relations
 substitute out completely, as they do for every G(k, E) whose E has
 variable Chern classes (G(2, S), and every `grass(bundle(...), k, b)` of a
-script).  With t_1..t_k the sub-bundle's Chern roots, n = rank E and
-h_m(E) = (-1)^m [c(E)^{-1}]_m,
+script).  With f_i the Chern classes of the rank-k sub-bundle, n = rank E,
+h_m(E) = (-1)^m [c(E)^{-1}]_m and K_lam the coefficient of the Schur
+polynomial s_lam in f_1^alpha_1 ... f_k^alpha_k,
 
-    pi_*(f^alpha) = (1/k!) sum_beta [t^beta](prod_i e_i(t)^alpha_i
-                     * prod_{i != j} (t_i - t_j)) * prod_i h_{beta_i-n+1}(E)
+    pi_*(f^alpha) = sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
 
-over the beta with every beta_i >= n - 1 (Jozefiak-Lascoux-Pragacz, 1981;
-Darondeau-Pragacz, "Gysin maps, duality and Schubert classes", 2017); the
-sign (-1)^m is the convention of the `subset_symmetrization` oracle, and the
-division by k! is exact.  The levels with relations left, such as
-G(3, wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E, keep Schur-basis
-coefficient extraction: an exact per-degree linear solve, after substituting
-out every base variable that a relation gives as +-v + rho, rho free of v
-(see `_Fiber`).
+(Jozefiak-Lascoux-Pragacz, 1981; Macdonald, "Symmetric Functions and Hall
+Polynomials", I.3 and I.5): Pieri's rule gives K, one Jacobi-Trudi
+determinant each lam, and nothing is divided.  The sign (-1)^m is the
+convention of the `subset_symmetrization` oracle.  The levels with relations
+left, such as G(3, wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E,
+keep Schur-basis coefficient extraction: an exact per-degree linear solve,
+after substituting out every base variable that a relation gives as
++-v + rho, rho free of v (see `_Fiber`).
 
 `TowerLevel` is the one level type, with one constructor: a table that
 already holds the base and sub-bundle variables, a bundle E over that table,
@@ -31,20 +31,17 @@ over the session table, and `FiberProduct` pairs two levels over one table.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
-from math import factorial, lcm
+from math import lcm
 
 from .chern import Bundle, whitney_split
 from .polyring import (
     ChowError,
     Poly,
     PolyError,
-    RootSet,
     VarTable,
     _exponents,
-    poly_det,
+    jacobi_trudi,
     series_parts,
     sum_of_products,
 )
@@ -95,17 +92,24 @@ def conjugate(lam):
 def schur_from_chern(bundle, lam):
     """Schur polynomial s_lam of a bundle via the dual Jacobi-Trudi
     determinant in its Chern classes."""
-    table = bundle.table
-    lam = tuple(p for p in lam if p)
-    if not lam:
-        return table.one()
-    mu = conjugate(lam)
-    n = len(mu)
-    rows = [
-        [bundle.c(mu[i] - i + j) if mu[i] - i + j >= 0 else table.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    return poly_det(rows)
+    return jacobi_trudi(bundle.chern, conjugate(lam))
+
+
+def times_elementary(coeffs, i):
+    """{lam: coefficient of s_lam} times e_i, by Pieri's rule (Macdonald,
+    I.5): each lam, a tuple of k parts, gains one box in i distinct rows
+    where that leaves a partition.  No shape grows past k rows, as in k
+    variables, where s_mu vanishes for longer mu."""
+    out = {}
+    for lam, c in coeffs.items():
+        for rows in itertools.combinations(range(len(lam)), i):
+            mu = list(lam)
+            for r in rows:
+                mu[r] += 1
+            if all(a >= b for a, b in zip(mu, mu[1:])):
+                mu = tuple(mu)
+                out[mu] = out.get(mu, 0) + c
+    return out
 
 
 # -- graded rings ------------------------------------------------------------
@@ -206,21 +210,22 @@ class _Fiber:
     h_m(E) = (-1)^m [c(E)^{-1}]_m the complete symmetric functions of E's
     Chern roots,
 
-        pi_*(f^alpha) = (1/k!) sum_beta [t^beta](prod_i e_i(t)^alpha_i
-                         * prod_{i != j} (t_i - t_j)) * prod_i h_{beta_i-n+1}(E)
+        pi_*(f^alpha) = sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
 
-    summed over the exponent tuples beta with every beta_i >= n - 1
-    (Jozefiak-Lascoux-Pragacz, 1981; Darondeau-Pragacz, "Gysin maps, duality
-    and Schubert classes", 2017).  It is the sign convention of
+    where prod_i e_i(t)^alpha_i = sum_lam K_lam s_lam(t) over the lam with
+    at most k rows (Jozefiak-Lascoux-Pragacz, 1981).  Pieri's rule builds
+    K one factor e_i at a time (`times_elementary`; Macdonald, "Symmetric
+    Functions and Hall Polynomials", I.5), and each determinant is one
+    `jacobi_trudi` (I.3).  A lam that does not contain the k x (n-k) box
+    has a zero last row and is skipped.  It is the sign convention of
     `subset_symmetrization`: for k = 1 it gives pi_*(f^(n-1+m)) = h_m(E).
-    The division by k! is exact; a remainder raises TowerError.  Each
-    pi_*(f^alpha) is built once, and the pushforward is linear over every
-    variable outside the subvars, so a class is pushed forward as one sum
-    of products over its sub-bundle exponents alpha.  The images are those
-    of the lattice path below: where the relations substitute out, the ring
-    is free over the base on the Schur classes (Fulton, "Intersection
-    Theory", ch. 14), so the top-box coefficient the lattice path solves for
-    is unique.  Where E's Chern classes are variables, as on G(2, S) and on
+    K per alpha, each determinant per lam and each pi_*(f^alpha) are built
+    once, and the pushforward is linear over every variable outside the
+    subvars, so a class is pushed forward as one sum of products over its
+    sub-bundle exponents alpha.  The images are those of the lattice path
+    below: where the relations substitute out, the ring is free over the
+    base on the Schur classes (Fulton, "Intersection Theory", ch. 14), so
+    the top-box coefficient the lattice path solves for is unique.  Where E's Chern classes are variables, as on G(2, S) and on
     every `grass(bundle(...), k, b)` of a script, the relations of G(k, E)
     are e_j + (terms free of e_j) for j > n - k, and all of them go.
 
@@ -256,16 +261,13 @@ class _Fiber:
         self.target_table = None
         self.core_ring = None
         self._solvers = {}
-        # the closed form's state: the sub-bundle's Chern roots t_1..t_k (a
-        # t-polynomial has degree deg(alpha) + k(k - 1)), h_0(E)..h_bound(E)
-        # from the first push on, and memos of pi_*(f^alpha) and of the
-        # t-polynomial per alpha and of each product of h's per sorted
-        # index tuple
-        self._roots = RootSet(k, table.degree_bound + k * (k - 1), "t")
+        # the closed form's state: h_0(E)..h_bound(E) from the first push
+        # on, and memos of pi_*(f^alpha) and of its Schur expansion K per
+        # alpha and of each determinant per lam
         self._h = None
         self._pushed = {}
-        self._t_polys = {}
-        self._h_products = {}
+        self._expansions = {}
+        self._dets = {}
 
     def _target(self):
         """The target table (every variable but the subvars), built once."""
@@ -322,64 +324,38 @@ class _Fiber:
         """pi_*(f^alpha) over the level's table, free of the subvars."""
         img = self._pushed.get(alpha)
         if img is None:
-            low = self.n - 1
-            sums = {}  # sorted h indices -> summed coefficient
-            unpack = self._roots.table.unpack
-            for key, c in self._t_poly(alpha).terms.items():
-                beta = unpack(key)
-                if min(beta) >= low:
-                    ms = tuple(sorted(b - low for b in beta))
-                    sums[ms] = sums.get(ms, 0) + c
-            table = self.table
-            one = table.one()
-            num = sum_of_products(
-                table, [(c, self._h_product(ms), one) for ms, c in sums.items()]
-            )
-            fact = factorial(self.k)
-            terms = {}
-            for key, c in num.terms.items():
-                q, r = divmod(c, fact)
-                if r:
-                    raise TowerError(
-                        "closed-form pushforward: coefficient %d is not "
-                        "divisible by %d!" % (c, self.k)
-                    )
-                terms[key] = q
-            img = self._pushed[alpha] = Poly(table, terms)
+            table, box = self.table, self.n - self.k
+            expansion = self._schur_expansion(alpha)
+            img = self._pushed[alpha] = sum_of_products(table, [
+                (c, self._det(lam), table.one())
+                for lam, c in expansion.items() if lam[-1] >= box
+            ])
         return img
 
-    def _t_poly(self, alpha):
-        """prod_i e_i(t)^alpha_i * prod_{i != j} (t_i - t_j), over the
-        table of the roots t."""
-        poly = self._t_polys.get(alpha)
-        if poly is None:
-            roots = self._roots
+    def _schur_expansion(self, alpha):
+        """{lam: K_lam} of prod_i e_i^alpha_i in k variables."""
+        coeffs = self._expansions.get(alpha)
+        if coeffs is None:
             i = next((i for i, e in enumerate(alpha) if e), None)
             if i is None:
-                t = roots.roots()
-                poly = functools.reduce(operator.mul, [
-                    t[a] - t[b] for a, b in itertools.permutations(range(self.k), 2)
-                ], roots.table.one())
+                coeffs = {(0,) * self.k: 1}
             else:
                 prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                poly = self._t_poly(prev) * roots.elementary(i + 1)
-            self._t_polys[alpha] = poly
-        return poly
+                coeffs = times_elementary(self._schur_expansion(prev), i + 1)
+            self._expansions[alpha] = coeffs
+        return coeffs
 
-    def _h_product(self, ms):
-        """prod h_m(E) over the ascending index tuple ms."""
-        prod = self._h_products.get(ms)
-        if prod is None:
-            if not ms:
-                prod = self.table.one()
-            else:
-                if self._h is None:
-                    table = self.table
-                    q = series_parts(table.one(), self.E.total(), table.degree_bound)
-                    self._h = [-x if m % 2 else x for m, x in enumerate(q)]
-                prod = self._h_product(ms[:-1]) * self._h[ms[-1]]
-            self._h_products[ms] = prod
-        return prod
+    def _det(self, lam):
+        """det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k} for a lam containing the box."""
+        det = self._dets.get(lam)
+        if det is None:
+            if self._h is None:
+                table = self.table
+                q = series_parts(table.one(), self.E.total(), table.degree_bound)
+                self._h = [-x if m % 2 else x for m, x in enumerate(q)]
+            box = self.n - self.k
+            det = self._dets[lam] = jacobi_trudi(self._h, [p - box for p in lam])
+        return det
 
     # -- the lattice path --------------------------------------------------
 

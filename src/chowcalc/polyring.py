@@ -650,6 +650,24 @@ def poly_det(rows):
     ))
 
 
+def jacobi_trudi(seq, parts):
+    """det(seq[parts_i - i + j])_{i,j < len(parts)}, an index outside `seq`
+    reading 0; 1 for empty parts.  `seq` is a nonempty list of polynomials.
+
+    With seq the complete symmetric functions h_m it is s_parts, and with seq
+    the elementary ones e_m it is s_lam for lam the conjugate of parts
+    (Jacobi-Trudi; Macdonald, "Symmetric Functions and Hall Polynomials",
+    I.3, (3.4) and (3.5))."""
+    table = seq[0].table
+    if not parts:
+        return table.one()
+    zero, size = table.zero(), len(parts)
+    return poly_det([
+        [seq[p - i + j] if 0 <= p - i + j < len(seq) else zero for j in range(size)]
+        for i, p in enumerate(parts)
+    ])
+
+
 # -- symmetric reduction (splitting principle) -------------------------------
 
 

@@ -284,7 +284,7 @@ def assert_closed_path(fiber):
 
 
 @pytest.mark.parametrize(
-    "n, k", [(n, k) for n in range(2, 6) for k in range(1, n)]
+    "n, k", [(n, k) for n in range(2, 7) for k in range(1, n)]
 )
 def test_gysin_vs_symmetrization_oracle_free_bundles(n, k, monkeypatch):
     """G(k, E) for E with variable Chern classes e1..en: the relations
@@ -389,17 +389,27 @@ def test_gysin_rejects_an_inhomogeneous_class(request, path):
         level.gysin(b2 * b2 + b2)
 
 
-def test_closed_form_raises_on_a_coefficient_not_divisible_by_k_factorial(
-    g2s, monkeypatch
-):
-    """The closed form divides by k! exactly; a sum that 2! does not divide
-    raises instead of being floored."""
-    fiber = g2s._fiber
-    # the t-polynomial t_1^3 t_2^3 alone would give h_0 * h_0 / 2! = 1/2
-    t_poly = fiber._roots.table.poly({(3, 3): 1})
-    monkeypatch.setattr(fiber, "_t_poly", lambda alpha: t_poly)
-    with pytest.raises(TowerError, match=r"coefficient 1 is not divisible by 2!"):
-        g2s.gysin(g2s.table.var("b2") ** 2)
+def expand_elementary(alpha):
+    """{lam: K_lam} of prod_i e_i^alpha_i in k = len(alpha) variables, as
+    the fiber of a G(k, E) expands it."""
+    k = len(alpha)
+    T, E = free_bundle("e", k + 1, k + 1, k)
+    level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
+    return level._fiber._schur_expansion(tuple(alpha))
+
+
+def test_pieri_expansion_of_elementary_products():
+    """e_1^4 = s_4 + 3 s_31 + 2 s_22 + 3 s_211 + s_1111; in two variables
+    only the shapes with at most two rows are left; e_i alone is s_(1^i)."""
+    assert expand_elementary((4, 0, 0, 0)) == {
+        (4, 0, 0, 0): 1, (3, 1, 0, 0): 3, (2, 2, 0, 0): 2,
+        (2, 1, 1, 0): 3, (1, 1, 1, 1): 1,
+    }
+    assert expand_elementary((4, 0)) == {(4, 0): 1, (3, 1): 3, (2, 2): 2}
+    for k in range(1, 5):
+        for i in range(1, k + 1):
+            alpha = tuple(int(j == i) for j in range(1, k + 1))
+            assert expand_elementary(alpha) == {(1,) * i + (0,) * (k - i): 1}
 
 
 def draw_monomial(draw, T, d, fill):

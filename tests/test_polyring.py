@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chowcalc import chern
+from chowcalc.grasstower import conjugate, partitions_in_box
 from chowcalc.polyring import (
     NotSymmetricError,
     Poly,
@@ -19,6 +20,7 @@ from chowcalc.polyring import (
     VarTable,
     _fmt_mono,
     is_symmetric,
+    jacobi_trudi,
     poly_det,
     series_invert,
     series_parts,
@@ -227,6 +229,65 @@ def test_poly_det_matches_integer_det():
         assert poly_det(m).constant() == idet(ints)
     with pytest.raises(PolyError):
         poly_det([])
+
+
+def test_jacobi_trudi_of_no_parts_is_one():
+    t = VarTable([("a", 1)], 4)
+    assert jacobi_trudi([t.var("a")], []) == t.one()
+    assert jacobi_trudi([t.var("a")], ()) == t.one()
+
+
+def test_jacobi_trudi_reads_zero_outside_the_sequence():
+    t = VarTable([("a", 1), ("b", 2)], 8)
+    a, b = t.var("a"), t.var("b")
+    seq = [t.one(), a, b]
+    assert jacobi_trudi(seq, [1]) == a
+    assert jacobi_trudi(seq, [3]) == t.zero()  # past the end
+    # [[a, b], [seq[-1], 1]]: index -1 reads 0, not b
+    assert jacobi_trudi(seq, [1, 0]) == a
+    # [[b, seq[3]], [a, b]]: index 3 reads 0
+    assert jacobi_trudi(seq, [2, 2]) == b * b
+    assert jacobi_trudi(seq, [0, 0, 0]) == t.one()
+
+
+def test_jacobi_trudi_of_elementary_classes_is_the_schur_polynomial():
+    """On a split bundle, det(c_{mu_i - i + j}) for mu the conjugate of lam
+    is s_lam of the roots: times a_delta it is the alternant a_{lam+delta}
+    (Macdonald, I.3), and `symmetric_reduce` rewrites it in the e's as the
+    same determinant over an e-table."""
+    n, bound = 3, 9
+    roots = RootSet(n, bound)
+    xs = roots.roots()
+    elementary = [roots.elementary(i) for i in range(n + 1)]
+    target = VarTable([("e%d" % i, i) for i in range(1, n + 1)], bound)
+    e_seq = [target.one()] + target.gens()
+
+    def alternant(expo):
+        """det(x_j^expo_i) by its permutation sum."""
+        total = roots.table.zero()
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(
+                1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j]
+            )
+            term = roots.table.const(-1 if inversions % 2 else 1)
+            for i, j in enumerate(perm):
+                term = term * xs[j] ** expo[i]
+            total = total + term
+        return total
+
+    delta = tuple(range(n - 1, -1, -1))
+    a_delta = alternant(delta)
+    for lam in partitions_in_box(n, 6):
+        if sum(lam) > bound - sum(delta):
+            continue
+        parts = conjugate(lam)
+        s = jacobi_trudi(elementary, parts)
+        lam = lam + (0,) * (n - len(lam))
+        assert s * a_delta == alternant([p + d for p, d in zip(lam, delta)]), lam
+        reduced = symmetric_reduce(s, roots, target, ["e1", "e2", "e3"])
+        assert reduced == jacobi_trudi(e_seq, parts), lam
+    # a shape longer than the rank: c past the rank reads 0
+    assert jacobi_trudi(elementary, conjugate((1,) * (n + 1))) == roots.table.zero()
 
 
 def test_symmetric_reduce_roundtrip():

@@ -17,11 +17,13 @@ import os
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "chowcalc")
 
-# bench/tracing.py wraps each of these by name: the oracle of the wedge^2
-# tests (`symmetric_reduce` and its three helpers; `RootSet`, its fourth, is
-# read by the closed-form Gysin pushforward) and `series_invert`.
+# `symmetric_reduce` and its four helpers, `RootSet` among them, are the
+# splitting-principle oracle of the wedge^2 and Jacobi-Trudi tests; the
+# closed-form Gysin pushforward works in the Schur basis and needs no roots.
+# bench/tracing.py wraps `symmetric_reduce` and `series_invert` by name.
 UNREAD = [
     "NotSymmetricError",
+    "RootSet",
     "_swap_vars",
     "is_symmetric",
     "series_invert",
