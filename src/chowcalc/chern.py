@@ -2,17 +2,19 @@
 
 Bundles are purely formal: a rank plus a truncated total Chern class over a
 shared variable table.  Duals, determinants and line twists are computed by
-closed formulas from the splitting principle; exterior squares by Newton's
-identities, from power sums of the roots to power sums of their pairwise
-sums and back; Whitney quotients by truncated series division; degeneracy
-classes by the Thom-Porteous determinant.
+closed formulas from the splitting principle.  Exterior and symmetric
+squares and tensor products share one kernel: Newton's identities take the
+Chern classes to the power sums of the roots, the binomial theorem gives the
+power sums of the new roots (x_i + x_j, or x_i + y_j), and Newton's
+identities take those back.  Whitney quotients come by truncated series
+division, degeneracy classes by the Thom-Porteous determinant.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .polyring import ChowError, Poly, VarTable, jacobi_trudi, series_parts, sum_of_products
+from .polyring import ChowError, Poly, jacobi_trudi, series_parts, sum_of_products
 
 
 class BundleError(ChowError):
@@ -122,54 +124,6 @@ def tensor_line(E, ell):
     ])
 
 
-# Universal exterior-square classes, cached per (rank, degree) in the
-# elementary symmetric basis, computed by Newton's identities.
-_WEDGE2_CACHE = {}
-
-
-def _wedge2_universal(n, up_to):
-    """(e_table, e_names, [c_1, ..., c_k]) for k = min(C(n, 2), up_to): the
-    Chern classes of the exterior square of a rank-n bundle as polynomials
-    in its Chern classes e_1..e_n (variables of e_table, of degrees 1..n).
-
-    With x_1..x_n the roots, Newton's identities (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.2) give the power sums p_k of the
-    roots from the e_i; the power sums of the pairwise sums x_i + x_j are
-
-        P_k = (sum_m C(k, m) p_m p_(k-m) - 2^k p_k) / 2,   p_0 = n,
-
-    and Newton's identities again give their elementary symmetric functions
-    E_k = c_k from k E_k = sum_(i=1..k) (-1)^(i-1) E_(k-i) P_i.
-    """
-    key = (n, up_to)
-    if key not in _WEDGE2_CACHE:
-        e_names = ["e%d" % i for i in range(1, n + 1)]
-        e_table = VarTable([(nm, i) for i, nm in enumerate(e_names, start=1)], up_to)
-        top = min(comb(n, 2), up_to)
-        e = [e_table.one()] + [e_table.var(nm) for nm in e_names[:top]]
-        # p_k = sum_(i=1..k-1) (-1)^(i-1) e_i p_(k-i) + (-1)^(k-1) k e_k,
-        # where e_i = 0 for i > n
-        p = [e_table.const(n)]
-        for k in range(1, top + 1):
-            p.append(sum_of_products(e_table, [
-                ((-1) ** (i - 1), e[i], p[k - i]) for i in range(1, min(k - 1, n) + 1)
-            ] + ([((-1) ** (k - 1) * k, e[k], e[0])] if k <= n else [])))
-        # the terms m and k - m of P_k's sum are equal, so it halves exactly
-        P = [None]
-        for k in range(1, top + 1):
-            P.append(sum_of_products(e_table, [(n - 2 ** (k - 1), p[k], e[0])] + [
-                (comb(k, m) if 2 * m < k else comb(k, m) // 2, p[m], p[k - m])
-                for m in range(1, k // 2 + 1)
-            ]))
-        E = [e_table.one()]
-        for k in range(1, top + 1):
-            E.append(_divided(sum_of_products(
-                e_table, [((-1) ** (i - 1), E[k - i], P[i]) for i in range(1, k + 1)]
-            ), k))
-        _WEDGE2_CACHE[key] = (e_table, e_names, E[1:])
-    return _WEDGE2_CACHE[key]
-
-
 def _divided(p, d):
     """p / d for an integer d that divides every coefficient of p."""
     terms = {}
@@ -181,21 +135,67 @@ def _divided(p, d):
     return Poly(p.table, terms)
 
 
-def exterior_square(E):
-    """Second exterior power, rank C(n, 2): the universal classes of
-    `_wedge2_universal` evaluated at the Chern classes of E."""
-    n = E.rank
-    if n < 2:
-        raise BundleError("exterior square needs rank >= 2")
+def _power_sums(E, up_to):
+    """The power sums p_0..p_top of E's roots, top = min(up_to, bound): p_0 is
+    the rank and, by Newton's identities (Macdonald, Symmetric Functions, I.2),
+    p_k = sum_(i<k) (-1)^(i-1) c_i p_(k-i) + (-1)^(k-1) k c_k."""
     table = E.table
-    bound = table.degree_bound
-    rank = comb(n, 2)
-    e_table, e_names, reduced = _wedge2_universal(n, min(rank, bound))
-    assignments = {nm: E.c(i) for i, nm in enumerate(e_names, start=1)}
-    chern = [table.one()]
-    for k, rk in enumerate(reduced, start=1):
-        chern.append(rk.substitute(assignments, table=table))
-    return Bundle(rank, chern)
+    p = [table.const(E.rank)]
+    for k in range(1, min(up_to, table.degree_bound) + 1):
+        p.append(sum_of_products(table, [
+            ((-1) ** (i - 1), E.c(i), p[k - i]) for i in range(1, k)
+        ] + [((-1) ** (k - 1) * k, E.c(k), table.one())]))
+    return p
+
+
+def _from_power_sums(table, rank, P):
+    """The bundle of that rank whose roots have power sums P = [P_1, P_2, ...],
+    through c_len(P): k c_k = sum_(i<=k) (-1)^(i-1) c_(k-i) P_i, divided exactly."""
+    c = [table.one()]
+    for k in range(1, len(P) + 1):
+        c.append(_divided(sum_of_products(
+            table, [((-1) ** (i - 1), c[k - i], P[i - 1]) for i in range(1, k + 1)]
+        ), k))
+    return Bundle(rank, c)
+
+
+def _square(E, sign):
+    """wedge^2 E (sign -1) or Sym^2 E (sign +1), of rank n(n + sign) / 2: the
+    roots x_i + x_j, i < j or i <= j, have power sums P_k = (sum_m C(k, m)
+    p_m p_(k-m) + sign 2^k p_k) / 2, and the terms m and k - m of the sum
+    are equal, so it halves exactly."""
+    n, table = E.rank, E.table
+    rank = n * (n + sign) // 2
+    p = _power_sums(E, rank)
+    return _from_power_sums(table, rank, [
+        sum_of_products(table, [(n + sign * 2 ** (k - 1), p[k], table.one())] + [
+            (comb(k, m) if 2 * m < k else comb(k, m) // 2, p[m], p[k - m])
+            for m in range(1, k // 2 + 1)
+        ]) for k in range(1, len(p))
+    ])
+
+
+def exterior_square(E):
+    """Second exterior power, of rank C(n, 2) (0 for a line)."""
+    return _square(E, -1)
+
+
+def sym2(E):
+    """Second symmetric power, of rank C(n + 1, 2)."""
+    return _square(E, 1)
+
+
+def tensor(E, F):
+    """E (x) F, of rank e f: its roots x_i + y_j have power sums
+    P_k = sum_m C(k, m) p_m(E) p_(k-m)(F)."""
+    if E.table != F.table:
+        raise BundleError("bundles over different tables")
+    table, rank = E.table, E.rank * F.rank
+    p, q = _power_sums(E, rank), _power_sums(F, rank)
+    return _from_power_sums(table, rank, [
+        sum_of_products(table, [(comb(k, m), p[m], q[k - m]) for m in range(k + 1)])
+        for k in range(1, len(p))
+    ])
 
 
 def formal_quotient(total, sub):

@@ -3,8 +3,8 @@
 Scripts are sequences of `let NAME = expr;` bindings and
 `check expr == expr;` assertions.  Expressions combine ring arithmetic
 (+, -, *, ^) with builtin constructors for bundles (bundle, line, dual, det,
-wedge2, tensor_line, quotient, porteous, c, sub, quot), towers (grass, schur,
-gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
+wedge2, sym2, tensor, tensor_line, quotient, porteous, c, sub, quot), towers
+(grass, schur, gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
 
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
@@ -422,6 +422,8 @@ _BUILTINS = {
     "dual": (("bundle",), lambda E: chern.dual(E)),
     "det": (("bundle",), lambda E: chern.determinant(E)),
     "wedge2": (("bundle",), lambda E: chern.exterior_square(E)),
+    "sym2": (("bundle",), lambda E: chern.sym2(E)),
+    "tensor": (("bundle", "bundle"), lambda E, F: chern.tensor(E, F)),
     "tensor_line": (("bundle", "class"), lambda E, x: chern.tensor_line(E, x)),
     "quotient": (("bundle", "bundle"), lambda E, F: chern.formal_quotient(E, F)),
     "porteous": (("bundle", "bundle", "int"), lambda E, F, r: chern.porteous(E, F, r)),

@@ -19,6 +19,8 @@ from chowcalc.chern import (
     formal_quotient,
     line,
     porteous,
+    sym2,
+    tensor,
     tensor_line,
     whitney_quotient,
 )
@@ -32,8 +34,8 @@ def from_total(rank, total):
     return Bundle(rank, [parts.get(d, zero) for d in range(rank + 1)])
 
 
-def random_bundle(rng, table, max_rank=4):
-    rank = rng.randint(1, max_rank)
+def random_bundle(rng, table, max_rank=4, min_rank=1):
+    rank = rng.randint(min_rank, max_rank)
     total = table.one()
     for i in range(1, rank + 1):
         if i > table.degree_bound:
@@ -160,6 +162,45 @@ def test_exterior_square_of_split_bundles():
         assert W.total() == expected
 
 
+def test_squares_of_a_line():
+    # wedge^2 of a line is the rank-0 bundle; Sym^2 of line(a) is line(2a)
+    t = VarTable([("a", 1)], degree_bound=4)
+    L = line(t.var("a"))
+    assert exterior_square(L) == Bundle(0, [t.one()])
+    assert sym2(L) == line(2 * t.var("a"))
+    assert exterior_square(Bundle(0, [t.one()])) == Bundle(0, [t.one()])
+
+
+def test_sym2_of_split_bundles():
+    # c(Sym^2 E) = prod_{i<=j} (1 + x_i + x_j) for E the sum of lines x_i
+    for n in range(1, 6):
+        names = ["x%d" % i for i in range(1, n + 1)]
+        t = VarTable([(nm, 1) for nm in names], degree_bound=10)
+        S = sym2(split_bundle(t, names))
+        assert S.rank == n * (n + 1) // 2
+        expected = t.one()
+        for i, j in itertools.combinations_with_replacement(names, 2):
+            expected = expected * (t.one() + t.var(i) + t.var(j))
+        assert S.total() == expected
+
+
+def test_tensor_of_split_bundles():
+    # c(E (x) F) = prod_{i,j} (1 + x_i + y_j) for sums of lines x_i and y_j
+    for e, f in itertools.product(range(1, 4), repeat=2):
+        xs = ["x%d" % i for i in range(1, e + 1)]
+        ys = ["y%d" % j for j in range(1, f + 1)]
+        t = VarTable([(nm, 1) for nm in xs + ys], degree_bound=9)
+        T = tensor(split_bundle(t, xs), split_bundle(t, ys))
+        assert T.rank == e * f
+        expected = t.one()
+        for x, y in itertools.product(xs, ys):
+            expected = expected * (t.one() + t.var(x) + t.var(y))
+        assert T.total() == expected
+    other = VarTable([("x1", 1)], degree_bound=9)
+    with pytest.raises(BundleError, match="different tables"):
+        tensor(split_bundle(t, xs), split_bundle(other, ["x1"]))
+
+
 def wedge2_by_symmetric_reduction(n, up_to):
     """The universal exterior-square classes by expanding e_k of the pairwise
     root sums and rewriting each in e_1..e_n by symmetric reduction."""
@@ -184,14 +225,21 @@ def wedge2_by_symmetric_reduction(n, up_to):
     [(n, b) for n in range(2, 7) for b in range(1, min(comb(n, 2), 10) + 1)],
 )
 def test_wedge2_universal_matches_symmetric_reduction(n, up_to):
-    # ranks above the bound too: rank 5 at bound 3 has e4, e5 of degree > 3
-    e_table, e_names, classes = chern._wedge2_universal(n, up_to)
-    assert e_names == ["e%d" % i for i in range(1, n + 1)]
+    # the universal classes: wedge^2 of the free bundle (1, e1, ..., en),
+    # ranks above the bound too (rank 5 at bound 3 has e4, e5 of degree > 3,
+    # which a bundle must leave 0)
+    e_table = VarTable([("e%d" % i, i) for i in range(1, n + 1)], up_to)
+    W = exterior_square(Bundle(n, [e_table.one()] + [
+        e_table.var("e%d" % i) if i <= up_to else e_table.zero()
+        for i in range(1, n + 1)
+    ]))
     expected = wedge2_by_symmetric_reduction(n, up_to)
-    assert len(classes) == min(comb(n, 2), up_to)
-    for got, want in zip(classes, expected):
-        assert got.table == e_table == want.table
-        assert got.terms == want.terms
+    assert W.rank == comb(n, 2)
+    assert len(expected) == min(comb(n, 2), up_to)
+    for k, want in enumerate(expected, start=1):
+        assert W.c(k).table == e_table == want.table
+        assert W.c(k).terms == want.terms
+    assert all(W.c(k).is_zero() for k in range(len(expected) + 1, W.rank + 1))
 
 
 def test_wedge2_division_is_checked():
@@ -210,6 +258,17 @@ def test_porteous_zero_rank_is_top_chern_of_hom(table):
         got = porteous(E, F, 0)
         hom = tensor_line(F, -a)
         assert got == hom.c(F.rank)
+
+
+def test_porteous_zero_rank_is_top_chern_of_hom_of_two_bundles():
+    # Hom(E, F) = E* (x) F for E and F of any rank, through the power-sum
+    # tensor product rather than the twist formula
+    t = VarTable([("a", 1), ("b", 2), ("c", 3)], degree_bound=9)
+    rng = random.Random(43)
+    for _ in range(10):
+        E = random_bundle(rng, t, max_rank=3, min_rank=2)
+        F = random_bundle(rng, t, max_rank=3, min_rank=2)
+        assert porteous(E, F, 0) == tensor(dual(E), F).c(E.rank * F.rank)
 
 
 def test_porteous_trivial_cases(table):
@@ -304,3 +363,20 @@ def test_porteous_matches_the_full_series(E, F, data):
         else MIXED.one()
     )
     assert porteous(E, F, r) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles)
+def test_tensor_square_splits_into_sym2_and_wedge2(E):
+    # E (x) E = Sym^2 E + wedge^2 E, so c(E (x) E) = c(Sym^2 E) c(wedge^2 E)
+    T = tensor(E, E)
+    assert T.rank == E.rank ** 2
+    assert T.total() == sym2(E).total() * exterior_square(E).total()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundles, st.integers(-3, 3))
+def test_tensor_with_a_line_is_the_twist(E, k):
+    ell = k * MIXED.var("a")
+    assert tensor(E, line(ell)) == tensor_line(E, ell)
+    assert tensor(line(ell), E) == tensor_line(E, ell)

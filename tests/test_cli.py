@@ -17,6 +17,7 @@ from chowcalc.so4pipeline import REPORT_SCHEMA, PipelineError, So4Pipeline
 from chowcalc.zgraded import GradedError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
+BUNDLES = os.path.join(os.path.dirname(__file__), "..", "examples", "bundles.chow")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -169,6 +170,17 @@ def test_eval_json_of_a_wide_table_matches_the_golden_copy(capsys):
     assert code == cli.EXIT_OK
     with open(os.path.join(GOLDEN, "wide-eval-b14.json"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("bound", range(3, 15))
+def test_eval_bundle_example_passes_at_every_bound_that_fits_it(capsys, bound):
+    """examples/bundles.chow checks wedge2, sym2, tensor, porteous and twists
+    against identities known in advance; its rank-3 bundle needs bound 3."""
+    code = run_cli(["eval", BUNDLES, "--degree-bound", str(bound)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out.count("PASS") == 13 and "FAIL" not in out
+    assert out.endswith("overall: pass\n")
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])

@@ -260,6 +260,21 @@ def test_session_bundle_builtins():
     assert ok
 
 
+def test_session_sym2_and_tensor_builtins():
+    events, ok = run_script(
+        "let S = bundle(c, 3);\n"
+        "let L = bundle(l, 1);\n"
+        "check c(sym2(S), 1) == 4 * c1;\n"
+        "check c(tensor(S, dual(S)), 1) == 0;\n"
+        "check tensor(S, L) == tensor_line(S, l1);\n"
+        "check sym2(L) == line(2 * l1);\n"
+        "check c(wedge2(L), 1) == 0;\n"
+    )
+    assert ok, events
+    with pytest.raises(DslError, match="tensor takes 2 argument"):
+        run_script("let S = bundle(c, 3);\nlet T = tensor(S);\n")
+
+
 def test_session_tower_and_gysin():
     events, ok = run_script(
         "let S = bundle(c, 4);\n"
