@@ -6,15 +6,23 @@ Scripts are sequences of `let NAME = expr;` bindings and
 wedge2, sym2, tensor, tensor_line, quotient, porteous, c, sub, quot), towers
 (grass, schur, gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
 
+`tokenize` scans a script with one regular expression into NAMEs (a letter
+or `_`, then letters, digits and `_`), INTs (decimal digits) and operators;
+blanks and `#` comments to the end of the line separate them.  `parse`
+builds plain syntax-tree records, a statement's line among their fields.
+
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
 evaluates every statement over that table.  A declaration is the whole
 right-hand side of a `let`; a `bundle` or `grass` call anywhere else is an
-error.  Names bind once per script.
+error, and so is a rank above the degree bound, which the first pass
+refuses.  Names bind once per script.  A check is named by its printed
+text, `check_text`: the `text` of its transcript event.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 from . import chern
@@ -51,144 +59,100 @@ class Token(Record):
         self.col = col
 
 
-_PUNCT = ("==", "+", "-", "*", "^", "(", ")", ",", ";", "=")
+# A NAME starts with a letter or `_`; `\w` also takes digits such as `²`
+# that are not decimal, so `tokenize` refuses a word that starts with one.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<INT>\d+)|(?P<NAME>\w+)"
+    r"|(?P<op>==|[-+*^(),;=])|(?P<bad>.)"
+)
 
 
 def tokenize(text):
+    """The tokens of `text`, ending with EOF; lines and columns count from 1."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # start: the offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind is None:  # blanks or a comment
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("EOF", "", line, col))
+        col = m.start() - start + 1
+        if kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+            kind = "bad"
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % value[0], line, col)
+        tokens.append(Token(value if kind == "op" else kind, value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - start + 1))
     return tokens
 
 
 # -- syntax tree -------------------------------------------------------------
 
 
-_set = object.__setattr__  # fills in the fields of an immutable node
-
-
-class _Node(Record):
-    """A syntax-tree node: immutable, and hashed by its class and fields."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r of a syntax-tree node" % name)
-
-    def __hash__(self):
-        return hash((self.__class__, self._values()))
-
-
-class Ref(_Node):
+class Ref(Record):
     __slots__ = ("name",)
 
     def __init__(self, name):
-        _set(self, "name", name)
+        self.name = name
 
 
-class IntLit(_Node):
+class IntLit(Record):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        _set(self, "value", value)
+        self.value = value
 
 
-class Neg(_Node):
+class Neg(Record):
     __slots__ = ("operand",)
 
     def __init__(self, operand):
-        _set(self, "operand", operand)
+        self.operand = operand
 
 
-class BinOp(_Node):
+class BinOp(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op, left, right):
-        _set(self, "op", op)  # "+", "-", "*"
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.op = op  # "+", "-", "*"
+        self.left = left
+        self.right = right
 
 
-class Pow(_Node):
+class Pow(Record):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        self.base = base
+        self.exponent = exponent
 
 
-class Call(_Node):
+class Call(Record):
     __slots__ = ("fn", "args")
 
     def __init__(self, fn, args):
-        _set(self, "fn", fn)
-        _set(self, "args", args)
+        self.fn = fn
+        self.args = args
 
 
-class Let(_Node):
+class Let(Record):
     __slots__ = ("name", "expr", "line")
 
-    def __init__(self, name, expr, line=0):
-        _set(self, "name", name)
-        _set(self, "expr", expr)
-        _set(self, "line", line)
-
-    def _values(self):
-        return (self.name, self.expr)  # equality leaves the line out
+    def __init__(self, name, expr, line):
+        self.name = name
+        self.expr = expr
+        self.line = line
 
 
-class CheckStmt(_Node):
+class CheckStmt(Record):
     __slots__ = ("lhs", "rhs", "line")
 
-    def __init__(self, lhs, rhs, line=0):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "line", line)
-
-    def _values(self):
-        return (self.lhs, self.rhs)  # equality leaves the line out
+    def __init__(self, lhs, rhs, line):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.line = line
 
 
 class _Parser:
@@ -205,14 +169,14 @@ class _Parser:
         return tok
 
     def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                "expected %r, found %r" % (kind, tok.value or tok.kind),
-                tok.line,
-                tok.col,
-            )
+        if self.peek().kind != kind:
+            self.fail(repr(kind))
         return self.next()
+
+    def fail(self, expected):
+        tok = self.peek()
+        found = tok.value or tok.kind
+        raise ParseError("expected %s, found %r" % (expected, found), tok.line, tok.col)
 
     def script(self):
         stmts = []
@@ -223,9 +187,7 @@ class _Parser:
     def statement(self):
         tok = self.peek()
         if tok.kind != "NAME" or tok.value not in ("let", "check"):
-            raise ParseError(
-                "expected 'let' or 'check'", tok.line, tok.col
-            )
+            raise ParseError("expected 'let' or 'check'", tok.line, tok.col)
         self.next()
         if tok.value == "let":
             name = self.expect("NAME").value
@@ -287,11 +249,7 @@ class _Parser:
                 self.expect(")")
                 return Call(tok.value, tuple(args))
             return Ref(tok.value)
-        raise ParseError(
-            "expected an expression, found %r" % (tok.value or tok.kind),
-            tok.line,
-            tok.col,
-        )
+        self.fail("an expression")
 
 
 def _int(tok):
@@ -307,6 +265,12 @@ def parse(text):
         return _Parser(tokenize(text)).script()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+
+
+def check_text(stmt):
+    """The `text` of a check's transcript event: its two sides printed by
+    `pretty`.  It names the check, as `eval` prints it."""
+    return "%s == %s" % (pretty(stmt.lhs), pretty(stmt.rhs))
 
 
 # -- pretty printer ----------------------------------------------------------
@@ -326,10 +290,8 @@ def _pp(node):
     if isinstance(node, IntLit):
         return str(node.value), _PREC["atom"]
     if isinstance(node, Call):
-        return (
-            "%s(%s)" % (node.fn, ", ".join(pretty(a) for a in node.args)),
-            _PREC["atom"],
-        )
+        args = ", ".join(pretty(a) for a in node.args)
+        return "%s(%s)" % (node.fn, args), _PREC["atom"]
     if isinstance(node, Neg):
         body, prec = _pp(node.operand)
         if prec < _PREC["neg"]:
@@ -360,11 +322,12 @@ def _pp(node):
 _DECLARING = ("bundle", "grass")
 
 
-def _declaration(node):
+def _declaration(node, bound):
     """(names, bundle expression) of a `bundle` or `grass` call, else None.
 
     `bundle(c, r)` declares c1..cr and has no bundle expression;
-    `grass(E, k, b)` declares b1..bk of the sub-bundle of E.
+    `grass(E, k, b)` declares b1..bk of the sub-bundle of E.  A rank or k
+    above the degree bound is refused before any name is built.
     """
     if not isinstance(node, Call) or node.fn not in _DECLARING:
         return None
@@ -383,6 +346,10 @@ def _declaration(node):
         if not isinstance(args[1], IntLit):
             raise DslError("grass rank must be a literal")
         prefix, rank, bundle = args[2].name, args[1].value, args[0]
+    if rank > bound:
+        raise DslError(
+            "a nonzero c_%d needs a degree bound >= %d" % (bound + 1, bound + 1)
+        )
     return ["%s%d" % (prefix, i) for i in range(1, rank + 1)], bundle
 
 
@@ -477,7 +444,7 @@ class Session:
         degrees = {}
         for s in stmts:
             with _at(s.line):
-                decl = _declaration(s.expr) if isinstance(s, Let) else None
+                decl = isinstance(s, Let) and _declaration(s.expr, self.degree_bound)
                 for degree, name in enumerate(decl[0] if decl else (), start=1):
                     if name in degrees:
                         raise DslError("variable %r declared twice" % name)
@@ -495,7 +462,7 @@ class Session:
         if isinstance(s, Let):
             if s.name in self.env or s.name in self.table.index:
                 raise DslError("name %r bound twice" % s.name)
-            decl = _declaration(s.expr)
+            decl = _declaration(s.expr, self.degree_bound)
             value = self._declare(*decl) if decl else self.eval(s.expr)
             self.env[s.name] = value
             return {"kind": "let", "name": s.name, "value": _show(value)}
@@ -503,7 +470,7 @@ class Session:
         rhs = self.eval(s.rhs)
         return {
             "kind": "check",
-            "text": "%s == %s" % (pretty(s.lhs), pretty(s.rhs)),
+            "text": check_text(s),
             "ok": _loose_eq(lhs, rhs),
             "lhs": _show(lhs),
             "rhs": _show(rhs),

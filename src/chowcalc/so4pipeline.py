@@ -2,15 +2,17 @@
 
 Evaluates the SO(4) script shipped beside this module (`so4.chow`, the same
 file as `examples/so4.chow`) in one `dsl.Session`, only as far as a row
-needs, and emits a Report of named pass/fail rows.  The script's 16 checks
-alone decide 15 rows, each naming the checks it reads by their text, as
-`eval` prints them: the class displays, the pushforwards and the tower
-relations mod J = (c1, f1), the relations' membership in the final ideal
-`I` and the ideal identity.  The other 8 rows (the sixth entry's ideal
-consistency, the Gysin oracle, both lattice rows, the presentation, the
-quotient structure, the ruling and the monomial closure) are decided here,
-on the script's own values, over the script's table.  No recorded value
-(`let NAME_rec`, `I`) is written here.
+needs, and emits a Report of named pass/fail rows.  The script is parsed
+once.  Its 16 checks alone decide 15 rows, each naming the checks it reads
+by their printed text (`dsl.check_text`, the `text` that `eval` prints),
+which is looked up in an index of the script's checks: the class displays,
+the pushforwards and the tower relations mod J = (c1, f1), the relations'
+membership in the final ideal `I` and the ideal identity.  The other 8 rows
+(the sixth entry's ideal consistency, the Gysin oracle, both lattice rows,
+the presentation, the quotient structure, the ruling and the monomial
+closure, which queries the script's `P`) are decided here, on the script's
+own values, over the script's table.  No recorded value (`let NAME_rec`,
+`I`) is written here.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
@@ -259,7 +261,14 @@ class So4Pipeline:
             self._session = dsl.Session(self.degree_bound)
             self._session.declare(stmts)
             self._lets = (s for s in stmts if isinstance(s, dsl.Let))
-            self._stmts = stmts
+            # each check by its text, with the last `let` before it
+            self._checks = {}
+            last = None
+            for s in stmts:
+                if isinstance(s, dsl.Let):
+                    last = s.name
+                else:
+                    self._checks.setdefault(dsl.check_text(s), (last, s))
             self.G3 = self.script_value("G3")
             self.GG = FiberProduct(self.G3, self.script_value("G2"))
             self.script_value("L")
@@ -278,14 +287,12 @@ class So4Pipeline:
         """The transcript event of the script's check `text`, as `eval`
         prints it, run alone once the `let`s before it are evaluated."""
         self.build_geometry()
-        (check,) = dsl.parse("check %s;" % text)
-        for i, s in enumerate(self._stmts):
-            if s == check:
-                for t in self._stmts[:i]:
-                    if isinstance(t, dsl.Let):
-                        self.script_value(t.name)
-                return self._session.execute(s)
-        raise PipelineError("the SO(4) script has no check %s" % text)
+        if text not in self._checks:
+            raise PipelineError("the SO(4) script has no check %s" % text)
+        last, check = self._checks[text]
+        if last is not None:
+            self.script_value(last)
+        return self._session.execute(check)
 
     # -- pushforwards ------------------------------------------------------
 
@@ -495,13 +502,11 @@ class So4Pipeline:
         )
 
     def _check_monomial_closure(self, rng):
-        """Pushforwards of unlisted monomials stay inside the ideal of the
-        computed pushforwards and (c1, f1), each by a membership certificate
-        that multiplies back to the image."""
+        """Pushforwards of unlisted monomials stay inside the script's P,
+        the ideal of the six pushforwards and (c1, f1), each by a membership
+        certificate that multiplies back to the image."""
         G2, t = self.script_value("G2"), self.G3.table
-        gens = [p for p in self._pf if p is not None and not p.is_zero()]
-        ideal = GradedIdeal(gens + [t.var("c1"), t.var("f1")])
-        ge = self.script_value("GE")
+        P, ge = self.script_value("P"), self.script_value("GE")
         max_deg = min(6, self.degree_bound - G2E_DEGREE)
         listed = {(i, j) for _, i, j in PUSHFORWARDS}
         # the row's minimum bound is 9, so max_deg >= 4 and (3, 0) is drawn
@@ -517,7 +522,7 @@ class So4Pipeline:
             mono = t.var("b1") ** i * t.var("b2") ** j
             # as the script's `gysin`: the image back over the script's table
             img = G2.gysin(ge * mono).convert(t)
-            if not dsl._member(img, ideal):
+            if not dsl._member(img, P):
                 return (
                     "all images in the pushforward ideal",
                     "b1^%d*b2^%d image escapes" % (i, j),

@@ -3,6 +3,7 @@
 import os
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -82,8 +83,14 @@ def test_parse_calls():
 
 
 def test_parse_statements():
-    stmts = parse("let a = 1; check a == 1;")
-    assert stmts == [Let("a", IntLit(1)), CheckStmt(Ref("a"), IntLit(1))]
+    stmts = parse("let a = 1; check a == 1;\ncheck a == a;")
+    assert stmts == [
+        Let("a", IntLit(1), 1),
+        CheckStmt(Ref("a"), IntLit(1), 1),
+        CheckStmt(Ref("a"), Ref("a"), 2),
+    ]
+    # a statement's line counts towards its equality
+    assert parse("\nlet a = 1;") != parse("let a = 1;")
 
 
 def test_node_equality_is_by_type_and_fields():
@@ -92,24 +99,21 @@ def test_node_equality_is_by_type_and_fields():
     one = IntLit(1)
     assert BinOp("+", Ref("a"), one) == BinOp(op="+", left=Ref("a"), right=one)
     assert BinOp("+", Ref("a"), IntLit(1)) != BinOp("-", Ref("a"), IntLit(1))
-    # a statement's line is not part of its value
-    assert Let("a", IntLit(1), 3) == Let("a", IntLit(1), 7)
+    # a statement's line is one of its fields
+    assert Let("a", IntLit(1), 3) != Let("a", IntLit(1), 7)
     assert Let("a", IntLit(1), 3) != Let("b", IntLit(1), 3)
-    assert CheckStmt(Ref("a"), IntLit(1), line=2) == CheckStmt(Ref("a"), IntLit(1))
-    assert Let("a", IntLit(1)).line == 0
+    assert CheckStmt(Ref("a"), IntLit(1), line=2) == CheckStmt(Ref("a"), IntLit(1), 2)
 
 
-def test_nodes_are_hashable_and_immutable():
-    nodes = {
-        Neg(Ref("a")), Neg(Ref("a")), Pow(Ref("a"), 2),
-        Let("a", IntLit(1), 3), Let("a", IntLit(1), 7),
-        CheckStmt(Ref("a"), IntLit(1)),
-    }
-    assert len(nodes) == 4
-    assert hash(Call("f", (IntLit(1),))) == hash(Call("f", (IntLit(1),)))
-    with pytest.raises(AttributeError):
-        Ref("a").name = "b"
+def test_nodes_are_plain_records():
     assert repr(Let("a", IntLit(1), 3)) == "Let(name='a', expr=IntLit(value=1), line=3)"
+    assert repr(Neg(Pow(Ref("a"), 2))) == (
+        "Neg(operand=Pow(base=Ref(name='a'), exponent=2))"
+    )
+    # a check is named by its printed text, not by its node
+    (check,) = parse("check  -(a^2)==f(1,b) ;")
+    assert dsl.check_text(check) == "-a^2 == f(1, b)"
+    assert run_script("check 1 == 1;")[0][0]["text"] == "1 == 1"
 
 
 @pytest.mark.parametrize(
@@ -354,6 +358,31 @@ def test_session_wraps_library_errors():
     # not a raw library exception
     with pytest.raises(DslError):
         run_script("let S = bundle(c, 4);", degree_bound=3)
+
+
+@pytest.mark.parametrize(
+    "script, line",
+    [
+        ("let E = bundle(c, 1000000000);\n", 1),
+        ("let S = bundle(c, 4);\nlet G = grass(S, 1000000000, b);\n", 2),
+        # k >= rank(E) as well: refused for the bound, not for the rank
+        ("let S = bundle(c, 4);\nlet G = grass(S, 11, b);\n", 2),
+        # pass 1 refuses it before pass 2 reads the unknown function
+        ("let a = frob(1);\nlet E = bundle(c, 12);\n", 2),
+    ],
+)
+def test_a_declaration_above_the_bound_is_refused_before_its_names(script, line):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DslError) as exc:
+            run_script(script, degree_bound=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        "line %d, col 1: a nonzero c_11 needs a degree bound >= 11" % line
+    )
+    assert peak < 1 << 20  # no name of the declaration was built
 
 
 def test_degree_bound_plumbs_through():
