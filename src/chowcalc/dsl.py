@@ -260,11 +260,17 @@ def _int(tok):
 
 
 def parse(text):
-    """Parse a script into a list of statements."""
+    """Parse a script into a list of statements.
+
+    An expression nested past the interpreter's recursion limit is a
+    ParseError at the token the parser had reached.
+    """
+    parser = _Parser(tokenize(text))
     try:
-        return _Parser(tokenize(text)).script()
+        return parser.script()
     except RecursionError:
-        raise ParseError("expression nested too deeply") from None
+        tok = parser.peek()
+        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
 
 
 def check_text(stmt):

@@ -235,10 +235,9 @@ class _Fiber:
     spectators: classes are split along spectator monomials and each piece
     is solved over the smaller core table by Schur-basis coefficient
     extraction, a per-degree linear solve that reads only the coefficients
-    of the top-box Schur class, so each degree's solver builds only the
-    transform columns of the top-box rows.  Before any lattice is built,
-    each base variable v that a relation gives as +-v + rho, rho free of v,
-    is substituted out of the other relations.  `core_ring` is the ring of
+    of the top-box Schur class.  Before any lattice is built, each base
+    variable v that a relation gives as +-v + rho, rho free of v, is
+    substituted out of the other relations.  `core_ring` is the ring of
     the variables left modulo the relations left, and every core class is
     mapped into it by phi, which sends each substituted v to its image and
     keeps the other variables, through one memoised image per core
@@ -463,8 +462,7 @@ class _Fiber:
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
-                top = [i for i, (lam, _) in enumerate(labels) if lam == self.top]
-                H, U, pivots = row_hnf(rows, top)
+                H, U, pivots = row_hnf(rows)
             else:
                 H, U, pivots = [], [], []
             self._solvers[d] = (lat, labels, H, U, pivots)

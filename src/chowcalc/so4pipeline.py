@@ -42,7 +42,7 @@ from math import gcd
 from . import chern, dsl
 from .grasstower import FiberProduct, subset_symmetrization
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Record, VarTable
-from .zgraded import GradedIdeal, GroupStructure, primitive
+from .zgraded import GradedIdeal, GroupStructure
 
 
 class PipelineError(ChowError):
@@ -165,43 +165,30 @@ class Report(Record):
         return "\n".join(lines)
 
 
-class Lemma4Data(Record):
-    """Data for the degree-one lattice argument.
-
-    divisor: integer coefficients (u, v) of the divisor class u*c1 + v*f1.
-    pullback_c1: multiple of the generator L that c1 restricts to.
-    pullback_N: the restriction of the residual normal class (a multiple of L).
-    """
-
-    __slots__ = ("divisor", "pullback_c1", "pullback_N")
-
-    def __init__(self, divisor, pullback_c1=4, pullback_N=2):
-        self.divisor = divisor
-        self.pullback_c1 = pullback_c1
-        self.pullback_N = pullback_N
-
-
-def lemma4_check(data):
+def lemma4_check(divisor, pullback_c1=4, pullback_N=2):
     """Run the degree-one generation argument on explicit lattice data.
 
-    Checks that the divisor class is primitive, solves for the forced
-    restriction of f1 (u*pullback_c1 + v*t = 0), computes the image subgroup
+    `divisor` holds the integer coefficients (u, v) of the divisor class
+    u*c1 + v*f1; c1 restricts to pullback_c1 times the generator L, and the
+    residual normal class to pullback_N times L.  Checks that the divisor
+    class is primitive, solves for the forced restriction of f1
+    (u*pullback_c1 + v*t = 0), computes the image subgroup
     gcd(pullback_c1, t)*Z, and confirms the normal class generates it.
     Returns a dict of the derived quantities.
     """
-    u, v = data.divisor
-    if not primitive((u, v)):
+    u, v = divisor
+    if gcd(u, v) != 1:
         raise PipelineError("divisor class (%d, %d) is not primitive" % (u, v))
-    if v == 0 or (-u * data.pullback_c1) % v:
+    if v == 0 or (-u * pullback_c1) % v:
         raise PipelineError("no integral solution for the f1 restriction")
-    t = (-u * data.pullback_c1) // v
-    image = gcd(abs(data.pullback_c1), abs(t))
+    t = (-u * pullback_c1) // v
+    image = gcd(pullback_c1, t)
     return {
         "divisor": (u, v),
         "f1_image": t,
         "image_generator": image,
-        "normal_generates": abs(data.pullback_N) == image,
-        "replace_ok": abs(data.pullback_N) == image,
+        "normal_generates": abs(pullback_N) == image,
+        "replace_ok": abs(pullback_N) == image,
     }
 
 
@@ -430,7 +417,7 @@ class So4Pipeline:
         return ("agreement", "agreement at 10 specializations", True)
 
     def _check_lemma_reference(self):
-        res = lemma4_check(Lemma4Data((13, -2)))
+        res = lemma4_check((13, -2))
         ok = (
             res["f1_image"] == 26
             and res["image_generator"] == 2
@@ -449,7 +436,7 @@ class So4Pipeline:
         t = self.G3.table
         u = div.coeff(t.var("c1").leading()[0])
         v = div.coeff(t.var("f1").leading()[0])
-        res = lemma4_check(Lemma4Data((u, v)))
+        res = lemma4_check((u, v))
         ok = res["image_generator"] == 2 and res["normal_generates"]
         return (
             "image 2Z; normal class generates",

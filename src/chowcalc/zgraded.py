@@ -15,8 +15,7 @@ pivot column with pivot 1), quotient groups are unchanged, and membership
 certificates are lifted back to the original generators through divided
 differences.  `DegreeLattice` builds each echelon basis once, with its
 transform U, so a lattice reduced against first and solved against later
-is not echeloned again.  Only the Gysin solver asks for a subset of U's
-columns, the ones it reads.
+is not echeloned again.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
@@ -32,14 +31,15 @@ and through them membership, normal forms and the Gysin solver.  For any
 echelon basis of a lattice the pivot columns and pivot values are the same,
 the representative of a vector with every pivot entry in [0, pivot) is the
 same, and so are membership and, when the rows of M are independent, the
-solution x of x * M = v.  `smith` stays dense: it runs on a few small
-lattices.
+solution x of x * M = v.  `row_hnf` is the module's one integer
+elimination: `smith` reads the invariant factors off alternating echelon
+bases of a matrix and of its transpose.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 from .polyring import ChowError, Poly, Record, VarTable, sum_of_products
 
@@ -51,19 +51,14 @@ class GradedError(ChowError):
 # -- integer matrix reduction -----------------------------------------------
 
 
-def row_hnf(rows, transform=True):
+def row_hnf(rows):
     """Row echelon basis of the row lattice, with its transform.
 
     Returns (H, U, pivots) with H = U * M (U unimodular) in row echelon form
     with positive pivot entries; the entries above the pivots are not
     reduced.  `pivots` is a list of (row_index, col_index) pairs in echelon
     order; the pivot columns and values are those of the Hermite normal
-    form, which no caller needs (see the module docstring).  `transform`
-    may be a collection of row indices of M instead of True: then only U's
-    columns at those indices are built, and every other column of U reads
-    0.  The columns of U evolve independently under row operations, so the
-    columns built equal those of the full U.  H and the pivots are the same
-    in either case.
+    form, which no caller needs (see the module docstring).
 
     Elimination brings M to echelon form one column at a time, with
     Euclidean steps and positive pivots.  Each step pivots on a row of least
@@ -83,8 +78,7 @@ def row_hnf(rows, transform=True):
     ncols = len(rows[0]) if m else 0
     # {column: entry} for the nonzero entries of each row
     H = [dict(zip(compress(range(ncols), row), filter(None, row))) for row in rows]
-    keep = range(m) if transform is True else set(transform)
-    U = [{i: 1} if i in keep else {} for i in range(m)]
+    U = [{i: 1} for i in range(m)]
 
     def row_op_sub(i, j, q):
         _sub(H[i], H[j], q)
@@ -166,10 +160,9 @@ def hnf_solve(H, U, pivots, v):
     Back-substitutes v against the echelon rows of H; v is in the lattice
     exactly when nothing is left, and then every quotient was exact.  The
     coefficients are carried over to the rows of M through U; x is unique
-    when the rows of M are independent, else it depends on U.  U is built
-    whole for every echelon basis a `DegreeLattice` makes; where it was
-    built for some columns only, as the Gysin solver's is, the other
-    coefficients read 0.
+    when the rows of M are independent, else it depends on U.  Each entry
+    x[k] depends only on column k of U, since the columns of U evolve
+    independently under row operations.
     """
     v = list(v)
     used = _back_substitute(H, pivots, v)
@@ -183,85 +176,31 @@ def hnf_solve(H, U, pivots, v):
 
 
 def smith(M):
-    """Smith normal form D of M, with no transforms.
+    """Nonzero invariant factors of M, in divisibility order.
 
-    Diagonal entries are nonnegative and satisfy the divisibility chain.
+    Alternates echelon bases of the rows and of the columns (Kannan and
+    Bachem, "Polynomial algorithms for computing the Smith and Hermite
+    normal forms of an integer matrix", 1979): each pass runs `row_hnf`
+    and transposes the nonzero echelon rows, restricted to the columns
+    they occupy, until every echelon row has one entry.  A leading pivot
+    that divides its row and column is isolated by the next pass and stays
+    so, and one that does not is replaced by a smaller one, so the passes
+    end.  The diagonal left is brought into divisibility order by
+    gcd/lcm steps, (a, b) -> (gcd, lcm), which keep the Smith form.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    D = [list(r) for r in M]
-
-    def row_sub(i, j, q):
-        for k in range(n):
-            D[i][k] -= q * D[j][k]
-
-    def col_sub(i, j, q):
-        for k in range(m):
-            D[k][i] -= q * D[k][j]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-
-    def col_swap(i, j):
-        for k in range(m):
-            D[k][i], D[k][j] = D[k][j], D[k][i]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    rows = M
+    while True:
+        H, _, pivots = row_hnf(rows)
+        echelon = [H[r] for r, _ in pivots]
+        if all(len(h) == 1 for h in echelon):
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            again = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    row_sub(i, t, q)
-                    if D[i][t]:
-                        row_swap(t, i)
-                        again = True
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    col_sub(j, t, q)
-                    if D[t][j]:
-                        col_swap(t, j)
-                        again = True
-            if not again:
-                break
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-        # enforce divisibility: fold offending later entries into this pivot
-        redo = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t]:
-                    row_sub(t, i, -1)
-                    redo = True
-                    break
-            if redo:
-                break
-        if not redo:
-            t += 1
-    return D
-
-
-def primitive(vec):
-    """True iff the gcd of the entries of a nonzero integer vector is 1."""
-    vec = list(vec)
-    if not any(vec):
-        raise GradedError("primitivity is undefined for the zero vector")
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g == 1
+        cols = sorted(set().union(*echelon))
+        rows = [[h.get(c, 0) for h in echelon] for c in cols]
+    diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag
 
 
 # -- per-degree lattices -----------------------------------------------------
@@ -592,10 +531,9 @@ class GradedIdeal:
         ncols = len(lat.cols)
         if not lat.rows:
             return GroupStructure(d, ncols, ())
-        D = smith(lat.rows)
-        diag = [D[i][i] for i in range(min(len(lat.rows), ncols)) if D[i][i]]
-        torsion = tuple(x for x in diag if x > 1)
-        return GroupStructure(d, ncols - len(diag), torsion)
+        factors = smith(lat.rows)
+        torsion = tuple(x for x in factors if x > 1)
+        return GroupStructure(d, ncols - len(factors), torsion)
 
 
 def _accumulate(acc, combo, factor):

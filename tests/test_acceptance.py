@@ -21,12 +21,11 @@ from chowcalc.grasstower import TowerLevel, subset_symmetrization
 from chowcalc.polyring import VarTable
 from chowcalc.so4pipeline import (
     REPORT_SCHEMA,
-    Lemma4Data,
     So4Pipeline,
     lemma4_check,
     theorem1_structure_oracle,
 )
-from chowcalc.zgraded import GradedIdeal, primitive
+from chowcalc.zgraded import GradedIdeal
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 
@@ -132,8 +131,7 @@ def test_ideal_identity(pipeline):
 
 
 def test_lattice_generation(pipeline):
-    assert primitive((13, -2))
-    res = lemma4_check(Lemma4Data((13, -2)))
+    res = lemma4_check((13, -2))
     assert res["f1_image"] == 26
     assert res["image_generator"] == 2
     assert res["normal_generates"]

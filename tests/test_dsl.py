@@ -324,6 +324,16 @@ def test_session_ideal_builtins():
     assert ok
 
 
+def test_session_structure_builtin():
+    # Z[c1, c2]/(2 c1) in degree 2: c2 is free, c1^2 has order 2
+    events, ok = run_script(
+        "let S = bundle(c, 2);\n"
+        "let A = structure(ideal(2 * c1), 2);\n"
+    )
+    assert ok
+    assert events[-1]["name"] == "A" and events[-1]["value"] == "Z + Z/2"
+
+
 def test_session_events_carry_values():
     events, ok = run_script(
         "let S = bundle(c, 2);\ncheck c1 == c2;"

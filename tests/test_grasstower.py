@@ -339,9 +339,9 @@ def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
     fiber = So4Pipeline(degree_bound=10).build_geometry().GG.levels[1]._fiber
     shapes = []
 
-    def counted(rows, transform=True):
+    def counted(rows):
         shapes.append((len(rows), len(rows[0])))
-        return row_hnf(rows, transform)
+        return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", counted)
     monkeypatch.setattr(grasstower, "row_hnf", counted)
@@ -608,9 +608,9 @@ def so4_levels():
 
 
 def _top_box_by_full_transform(fiber, d):
-    """Top-box coefficients of degree-d core classes, solved with every
-    column of the transform built: a map from class to image, or to None
-    where the class is outside the Schur-basis span."""
+    """Top-box coefficients of degree-d core classes, from a fresh echelon
+    basis of the solver's rows: a map from class to image, or to None where
+    the class is outside the Schur-basis span."""
     lat, labels, _, _, _ = fiber._solver(d)
     # the rows and p go through the fiber's substitution, onto the table of
     # its core ring
@@ -639,9 +639,10 @@ def _top_box_by_full_transform(fiber, d):
 def test_solver_reads_the_same_top_box_coefficients_as_a_full_solve(
     so4_levels, name
 ):
-    """The solver builds only the top-box columns of its transform; every
-    degree-9 and degree-10 core monomial gets the same image, or the same
-    TowerError, as from a solve with the whole transform."""
+    """The solver keeps its echelon basis per degree and reads only the
+    top-box coefficients of a solve; every degree-9 and degree-10 core
+    monomial gets the same image, or the same TowerError, as from a solve
+    against a fresh echelon basis of rows rebuilt from the labels."""
     fiber = so4_levels[name]._fiber
     for d in (9, 10):
         full = _top_box_by_full_transform(fiber, d)

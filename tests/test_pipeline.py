@@ -12,7 +12,6 @@ from chowcalc import cli, dsl, grasstower, so4pipeline, zgraded
 from chowcalc.so4pipeline import (
     DEFAULT_DEGREE_BOUND,
     Check,
-    Lemma4Data,
     PipelineError,
     REPORT_SCHEMA,
     Report,
@@ -53,7 +52,6 @@ def test_report_records():
         ("name", "n"), ("paper_ref", "r"), ("expected", "e"), ("computed", "c"),
         ("status", "pass"), ("degree_bound", 3), ("elapsed_ms", 1.5),
     ]
-    assert Lemma4Data((13, -2)) == Lemma4Data(divisor=(13, -2), pullback_c1=4)
 
 
 def test_report_schema(report):
@@ -245,9 +243,9 @@ def test_no_lattice_is_echeloned_twice(monkeypatch, seed):
     included, keeps the echelon basis it built first."""
     inputs = []
 
-    def recording(rows, transform=True):
+    def recording(rows):
         inputs.append(rows)  # kept alive, so no id is reused
-        return row_hnf(rows, transform)
+        return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", recording)
     monkeypatch.setattr(grasstower, "row_hnf", recording)
@@ -409,11 +407,12 @@ def test_member_is_false_unless_its_certificate_multiplies_back(monkeypatch):
 
 
 def test_lemma4_check_values():
-    res = lemma4_check(Lemma4Data((13, -2)))
+    res = lemma4_check((13, -2))
+    assert res == lemma4_check((13, -2), pullback_c1=4, pullback_N=2)
     assert res["f1_image"] == 26
     assert res["image_generator"] == 2
     assert res["normal_generates"]
-    res = lemma4_check(Lemma4Data((3, -2)))
+    res = lemma4_check((3, -2))
     assert res["f1_image"] == 6
     assert res["image_generator"] == 2
     assert res["normal_generates"]
@@ -421,10 +420,12 @@ def test_lemma4_check_values():
 
 def test_lemma4_check_rejects_bad_data():
     with pytest.raises(PipelineError):
-        lemma4_check(Lemma4Data((4, -2)))  # not primitive
+        lemma4_check((4, -2))  # not primitive
     with pytest.raises(PipelineError):
-        lemma4_check(Lemma4Data((1, 3)))  # no integral solution
-    res = lemma4_check(Lemma4Data((13, -2), pullback_N=3))
+        lemma4_check((0, 0))  # not primitive
+    with pytest.raises(PipelineError):
+        lemma4_check((1, 3))  # no integral solution
+    res = lemma4_check((13, -2), pullback_N=3)
     assert not res["normal_generates"]
 
 

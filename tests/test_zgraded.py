@@ -17,7 +17,6 @@ from chowcalc.zgraded import (
     GradedIdeal,
     GroupStructure,
     hnf_solve,
-    primitive,
     row_hnf,
     smith,
 )
@@ -161,18 +160,13 @@ def test_row_hnf_properties():
 
 
 def test_smith_known_invariants():
-    D = smith([[2, 0], [0, 4]])
-    assert [D[0][0], D[1][1]] == [2, 4]
-    D = smith([[2, 1], [0, 2]])
-    assert [D[0][0], D[1][1]] == [1, 4]
-
-
-def test_primitive():
-    assert primitive((13, -2))
-    assert primitive((3, -2))
-    assert not primitive((4, 26))
-    with pytest.raises(GradedError):
-        primitive((0, 0))
+    assert smith([[2, 0], [0, 4]]) == [2, 4]
+    assert smith([[2, 1], [0, 2]]) == [1, 4]
+    # a diagonal out of divisibility order, and one that needs both passes
+    assert smith([[4, 0], [0, 6]]) == [2, 12]
+    assert smith([[2, 3], [0, 0], [0, 5]]) == [1, 10]
+    assert smith([[0, 0], [0, 0]]) == []
+    assert smith([[0, 3]]) == [3]
 
 
 def test_solve_row_combination():
@@ -240,9 +234,9 @@ def test_a_lattice_reduced_then_solved_is_echeloned_once(
     echelon basis: `row_hnf` runs once for the degree-6 lattice."""
     inputs = []
 
-    def recording(rows, transform=True):
+    def recording(rows):
         inputs.append(rows)
-        return row_hnf(rows, transform)
+        return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", recording)
     c2, c3, c4, x = (table.var(n) for n in ("c2", "c3", "c4", "x"))
@@ -290,6 +284,23 @@ def test_quotient_structure_so4(so4_ideal):
             6: "Z^4 + Z/2"}
     for d, s in want.items():
         assert str(so4_ideal.quotient_structure(d)) == s
+
+
+def test_quotient_structure_of_the_o4_presentation():
+    """A*_O(4) = Z[c1..c4]/(2c1, 2c3): in each degree, one Z for each
+    monomial in c2 and c4 and one Z/2 for each monomial with an odd c."""
+    t = VarTable([("c1", 1), ("c2", 2), ("c3", 3), ("c4", 4)], 12)
+    c1, c2, c3, c4 = t.gens()
+    ideal = GradedIdeal([2 * c1, 2 * c3])
+    for d in range(13):
+        monomials = [
+            e
+            for e in itertools.product(range(13), range(7), range(5), range(4))
+            if e[0] + 2 * e[1] + 3 * e[2] + 4 * e[3] == d
+        ]
+        free = sum(1 for e in monomials if not e[0] and not e[2])
+        torsion = (2,) * (len(monomials) - free)
+        assert ideal.quotient_structure(d) == GroupStructure(d, free, torsion)
 
 
 def test_quotient_structure_simple():
@@ -411,9 +422,9 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     assert not fiber.core_ring.lattice(10).rows and len(g2s) > 100
     solver_rows = []
 
-    def capture(rows, transform=True):
+    def capture(rows):
         solver_rows.append(rows)
-        return row_hnf(rows, transform)
+        return row_hnf(rows)
 
     monkeypatch.setattr(grasstower, "row_hnf", capture)
     fiber._solver(10)
@@ -442,18 +453,6 @@ def test_row_hnf_canonical_under_row_shuffle(M, data):
             assert 0 <= w[c] < H[r][c]
         seen.append((pivots, pivot_values(H, pivots), w))
     assert seen[0] == seen[1]
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_matrices(), st.data())
-def test_row_hnf_builds_only_the_transform_columns_asked_for(M, data):
-    m = len(M)
-    H, U, pivots = row_hnf(M)
-    subsets = [set(), data.draw(st.sets(st.integers(0, m - 1)))]
-    for S in subsets:
-        Hs, Us, pivots_s = row_hnf(M, S)
-        assert (Hs, pivots_s) == (H, pivots)
-        assert Us == [{j: x for j, x in r.items() if j in S} for r in U]
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,24 +497,17 @@ def test_hnf_solve_refuses_an_odd_vector_over_an_even_lattice(M, data):
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_smith_properties(M):
-    m, n = len(M), len(M[0])
-    D = smith(M)
-    diag = [D[i][i] for i in range(min(m, n))]
-    if m <= 4 and n <= 4:
-        # D_kk = d_k / d_(k-1), d_k the gcd of the k x k minors of M
-        d = [1] + determinantal_divisors(M)
-        assert diag == [b // a if a else 0 for a, b in zip(d, d[1:])]
-    # off-diagonal zero, nonnegative diagonal, divisibility chain
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert D[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a and b:
-            assert b % a == 0
-        if a == 0:
-            assert b == 0
+    """Positive invariant factors, each dividing the next, the same for M
+    and for its transpose."""
+    factors = smith(M)
+    assert all(a > 0 for a in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+    assert smith([list(col) for col in zip(*M)]) == factors
+    if len(M) <= 4 and len(M[0]) <= 4:
+        # the k-th factor is d_k / d_(k-1), d_k the gcd of the k x k minors
+        d = [1] + [x for x in determinantal_divisors(M) if x]
+        assert factors == [b // a for a, b in zip(d, d[1:])]
 
 
 CF = VarTable(
@@ -595,12 +587,10 @@ def test_quotient_structure_matches_smith_on_the_full_lattice(gens, d):
     ideal = GradedIdeal(gens)
     full = DegreeLattice(CF, ideal.generators, d)
     ncols = len(full.cols)
-    if full.rows:
-        D = smith(full.rows)
-        diag = [D[i][i] for i in range(min(len(full.rows), ncols)) if D[i][i]]
-    else:
-        diag = []
-    want = GroupStructure(d, ncols - len(diag), tuple(x for x in diag if x > 1))
+    factors = smith(full.rows)
+    want = GroupStructure(
+        d, ncols - len(factors), tuple(x for x in factors if x > 1)
+    )
     assert ideal.quotient_structure(d) == want
 
 
