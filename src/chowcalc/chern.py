@@ -10,8 +10,6 @@ identities take those back.  Whitney quotients come by truncated series
 division, degeneracy classes by the Thom-Porteous determinant.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from .polyring import ChowError, Poly, jacobi_trudi, series_parts, sum_of_products

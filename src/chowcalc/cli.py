@@ -1,7 +1,5 @@
 """Command-line front end: the verify-so4 report and the script evaluator."""
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

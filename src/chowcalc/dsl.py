@@ -6,10 +6,13 @@ Scripts are sequences of `let NAME = expr;` bindings and
 wedge2, sym2, tensor, tensor_line, quotient, porteous, c, sub, quot), towers
 (grass, schur, gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
 
-`tokenize` scans a script with one regular expression into NAMEs (a letter
-or `_`, then letters, digits and `_`), INTs (decimal digits) and operators;
-blanks and `#` comments to the end of the line separate them.  `parse`
-builds plain syntax-tree records, a statement's line among their fields.
+`tokenize` scans a script line by line: it splits the text at `\n` only,
+cuts each line at `#`, takes the line's NAMEs (a letter or `_`, then
+letters, digits and `_`), INTs (decimal digits) and operators with one
+regular expression, and finds each one's column from the end of the one
+before; blanks separate them.  It returns (kind, value, line, col) tuples,
+which `parse` reads by index into plain syntax-tree records, a statement's
+line among their fields.  `Session.eval` dispatches on the node's type.
 
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
@@ -20,10 +23,7 @@ refuses.  Names bind once per script.  A check is named by its printed
 text, `check_text`: the `text` of its transcript event.
 """
 
-from __future__ import annotations
-
 import re
-from contextlib import contextmanager
 
 from . import chern
 from .grasstower import TowerLevel
@@ -48,43 +48,36 @@ class ParseError(DslError):
 
 # -- tokens ------------------------------------------------------------------
 
-
-class Token(Record):
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # NAME, INT, punctuation/operator literal
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-# A NAME starts with a letter or `_`; `\w` also takes digits such as `²`
-# that are not decimal, so `tokenize` refuses a word that starts with one.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<INT>\d+)|(?P<NAME>\w+)"
-    r"|(?P<op>==|[-+*^(),;=])|(?P<bad>.)"
-)
+# One line's tokens: an INT, a word, `==` or any other character but a blank.
+# A word is a NAME when it starts with a letter or `_`; `\w` also takes
+# digits such as `²` that are not decimal, and `tokenize` refuses a word
+# that starts with one, as it refuses any other character not an operator.
+_WORDS = re.compile(r"\d+|\w+|==|[^ \t\r]").findall
+_OPERATORS = frozenset(("==", "-", "+", "*", "^", "(", ")", ",", ";", "="))
 
 
 def tokenize(text):
-    """The tokens of `text`, ending with EOF; lines and columns count from 1."""
+    """The (kind, value, line, col) tuples of `text`'s tokens, ending with
+    EOF; lines and columns count from 1.  The kind is NAME, INT or the
+    operator itself."""
     tokens = []
-    line, start = 1, 0  # start: the offset of the line's first character
-    for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind is None:  # blanks or a comment
-            continue
-        if kind == "newline":
-            line, start = line + 1, m.end()
-            continue
-        col = m.start() - start + 1
-        if kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
-            kind = "bad"
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % value[0], line, col)
-        tokens.append(Token(value if kind == "op" else kind, value, line, col))
-    tokens.append(Token("EOF", "", line, len(text) - start + 1))
+    append = tokens.append
+    for number, line in enumerate(text.split("\n"), 1):
+        body = line.partition("#")[0]
+        end = 0
+        for value in _WORDS(body):
+            col = body.find(value, end)
+            end = col + len(value)
+            if value in _OPERATORS:
+                kind = value
+            elif value[0].isdecimal():
+                kind = "INT"
+            elif value[0].isalpha() or value[0] == "_":
+                kind = "NAME"
+            else:
+                raise ParseError("unexpected character %r" % value[0], number, col + 1)
+            append((kind, value, number, col + 1))
+    append(("EOF", "", number, len(line) + 1))
     return tokens
 
 
@@ -156,107 +149,110 @@ class CheckStmt(Record):
 
 
 class _Parser:
+    """Recursive descent over the token tuples of `tokenize`; `pos` is the
+    index of the next token."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind):
-        if self.peek().kind != kind:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             self.fail(repr(kind))
-        return self.next()
+        self.pos += 1
+        return tok[1]
 
     def fail(self, expected):
-        tok = self.peek()
-        found = tok.value or tok.kind
-        raise ParseError("expected %s, found %r" % (expected, found), tok.line, tok.col)
+        kind, value, line, col = self.tokens[self.pos]
+        raise ParseError("expected %s, found %r" % (expected, value or kind), line, col)
 
     def script(self):
+        tokens = self.tokens
         stmts = []
-        while self.peek().kind != "EOF":
+        while tokens[self.pos][0] != "EOF":
             stmts.append(self.statement())
         return stmts
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.value not in ("let", "check"):
-            raise ParseError("expected 'let' or 'check'", tok.line, tok.col)
-        self.next()
-        if tok.value == "let":
-            name = self.expect("NAME").value
+        kind, value, line, col = self.tokens[self.pos]
+        if kind != "NAME" or value not in ("let", "check"):
+            raise ParseError("expected 'let' or 'check'", line, col)
+        self.pos += 1
+        if value == "let":
+            name = self.expect("NAME")
             self.expect("=")
             expr = self.expr()
             self.expect(";")
-            return Let(name, expr, tok.line)
+            return Let(name, expr, line)
         lhs = self.expr()
         self.expect("==")
         rhs = self.expr()
         self.expect(";")
-        return CheckStmt(lhs, rhs, tok.line)
+        return CheckStmt(lhs, rhs, line)
 
     def expr(self):
-        if self.peek().kind == "-":
-            self.next()
+        tokens = self.tokens
+        if tokens[self.pos][0] == "-":
+            self.pos += 1
             node = Neg(self.term())
         else:
             node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        op = tokens[self.pos][0]
+        while op == "+" or op == "-":
+            self.pos += 1
             node = BinOp(op, node, self.term())
+            op = tokens[self.pos][0]
         return node
 
     def term(self):
+        tokens = self.tokens
         node = self.factor()
-        while self.peek().kind == "*":
-            self.next()
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
             node = BinOp("*", node, self.factor())
         return node
 
     def factor(self):
         node = self.atom()
-        if self.peek().kind == "^":
-            self.next()
-            node = Pow(node, _int(self.expect("INT")))
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            node = Pow(node, self.integer())
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return IntLit(_int(tok))
-        if tok.kind == "(":
-            self.next()
+        kind, value, _, _ = self.tokens[self.pos]
+        if kind == "INT":
+            return IntLit(self.integer())
+        if kind == "(":
+            self.pos += 1
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "NAME":
-            self.next()
-            if self.peek().kind == "(":
-                self.next()
-                args = []
-                if self.peek().kind != ")":
+        if kind == "NAME":
+            self.pos += 1
+            tokens = self.tokens
+            if tokens[self.pos][0] != "(":
+                return Ref(value)
+            self.pos += 1
+            args = []
+            if tokens[self.pos][0] != ")":
+                args.append(self.expr())
+                while tokens[self.pos][0] == ",":
+                    self.pos += 1
                     args.append(self.expr())
-                    while self.peek().kind == ",":
-                        self.next()
-                        args.append(self.expr())
-                self.expect(")")
-                return Call(tok.value, tuple(args))
-            return Ref(tok.value)
+            self.expect(")")
+            return Call(value, tuple(args))
         self.fail("an expression")
 
-
-def _int(tok):
-    try:
-        return int(tok.value)
-    except ValueError:  # past the interpreter's int/str digit limit
-        raise ParseError("integer literal too long", tok.line, tok.col) from None
+    def integer(self):
+        """The value of the INT token that must come next."""
+        _, _, line, col = self.tokens[self.pos]
+        value = self.expect("INT")
+        try:
+            return int(value)
+        except ValueError:  # past the interpreter's int/str digit limit
+            raise ParseError("integer literal too long", line, col) from None
 
 
 def parse(text):
@@ -269,8 +265,8 @@ def parse(text):
     try:
         return parser.script()
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
+        _, _, line, col = parser.tokens[parser.pos]
+        raise ParseError("expression nested too deeply", line, col) from None
 
 
 def check_text(stmt):
@@ -449,20 +445,29 @@ class Session:
         """Pass 1: build the table from the script's declarations."""
         degrees = {}
         for s in stmts:
-            with _at(s.line):
-                decl = isinstance(s, Let) and _declaration(s.expr, self.degree_bound)
+            if not isinstance(s, Let):
+                continue
+            try:
+                decl = _declaration(s.expr, self.degree_bound)
                 for degree, name in enumerate(decl[0] if decl else (), start=1):
                     if name in degrees:
                         raise DslError("variable %r declared twice" % name)
                     degrees[name] = degree
-        with _at(None):
+            except DslError as exc:
+                raise DslError(str(exc), s.line, 1) from exc
+        try:
             self.table = VarTable(list(degrees.items()), self.degree_bound)
+        except PolyError as exc:
+            raise DslError(str(exc)) from exc
 
     def execute(self, s):
         """Pass 2, one statement: evaluate it over the table; returns its
-        transcript event."""
-        with _at(s.line):
+        transcript event.  Every error is raised as a DslError that names
+        the statement's line."""
+        try:
             return self._statement(s)
+        except (ChowError, RecursionError) as exc:
+            raise DslError(str(exc), s.line, 1) from exc
 
     def _statement(self, s):
         if isinstance(s, Let):
@@ -483,27 +488,8 @@ class Session:
         }
 
     def eval(self, node):
-        if isinstance(node, IntLit):
-            return self.table.const(node.value)
-        if isinstance(node, Ref):
-            if node.name in self.table.index:
-                return self.table.var(node.name)
-            if node.name in self.env:
-                return self.env[node.name]
-            raise DslError("unknown name %r" % node.name)
-        if isinstance(node, Neg):
-            return -self._as("class", self.eval(node.operand))
-        if isinstance(node, BinOp):
-            left = self._as("class", self.eval(node.left))
-            right = self._as("class", self.eval(node.right))
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
-        if isinstance(node, Pow):
-            return self._as("class", self.eval(node.base)) ** node.exponent
-        if isinstance(node, Call):
+        t = type(node)
+        if t is Call:
             if node.fn in _DECLARING:
                 raise DslError(
                     "%s declares variables, so it must be the whole"
@@ -514,6 +500,26 @@ class Session:
             kinds = _arg_kinds(node.fn, len(node.args))
             args = [self._as(k, self.eval(a)) for k, a in zip(kinds, node.args)]
             return _BUILTINS[node.fn][1](*args)
+        if t is Ref:
+            if node.name in self.table.index:
+                return self.table.var(node.name)
+            if node.name in self.env:
+                return self.env[node.name]
+            raise DslError("unknown name %r" % node.name)
+        if t is BinOp:
+            left = self._as("class", self.eval(node.left))
+            right = self._as("class", self.eval(node.right))
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            return left * right
+        if t is IntLit:
+            return self.table.const(node.value)
+        if t is Pow:
+            return self._as("class", self.eval(node.base)) ** node.exponent
+        if t is Neg:
+            return -self._as("class", self.eval(node.operand))
         raise DslError("cannot evaluate %r" % (node,))
 
     def _declare(self, names, bundle):
@@ -530,21 +536,12 @@ class Session:
         if kind == "class" and isinstance(value, int):
             return self.table.const(value)
         if kind == "class" and isinstance(value, Poly):
-            return value.convert(self.table)
+            return value if value.table is self.table else value.convert(self.table)
         if kind == "int" and isinstance(value, Poly) and value.degree() <= 0:
             return value.constant()
         if isinstance(value, _KINDS[kind][0]):
             return value
         raise DslError("expected %s, found %s" % (_KINDS[kind][1], _kind(value)))
-
-
-@contextmanager
-def _at(line):
-    """Raise every error inside as one DslError that names `line`."""
-    try:
-        yield
-    except (ChowError, RecursionError) as exc:
-        raise DslError(str(exc), line, 1) from exc
 
 
 def _kind(value):

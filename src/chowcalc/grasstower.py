@@ -29,8 +29,6 @@ k and the sub-bundle variable names.  The script language builds its levels
 over the session table, and `FiberProduct` pairs two levels over one table.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import lcm
 

@@ -32,8 +32,6 @@ ever multiplied.  That sum, like every sum of products here and in the layers
 above, is built in one dict by :func:`sum_of_products`.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator
@@ -509,7 +507,7 @@ class Poly:
         Exponents are moved by variable name; terms above the target's
         degree bound are dropped, as a truncating product would drop them.
         """
-        if table == self.table:
+        if table is self.table or table == self.table:
             return self
         for name in self.variables():
             if name not in table.index:
@@ -549,10 +547,13 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
+        texts = self.table._mono_text
         try:
             for i, key in enumerate(sorted(self.terms, reverse=True)):
                 c = self.terms[key]
-                mono = _fmt_mono(self.table, key)
+                mono = texts.get(key)
+                if mono is None:
+                    mono = _fmt_mono(self.table, key)
                 mag = abs(c)
                 if mono:
                     body = mono if mag == 1 else "%d*%s" % (mag, mono)

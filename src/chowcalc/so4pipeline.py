@@ -30,8 +30,6 @@ the generated ideal (so the final presentation is unaffected) and that the
 pushforward normalization agrees with the classical symmetrization formula.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import random

@@ -36,8 +36,6 @@ elimination: `smith` reads the invariant factors off alternating echelon
 bases of a matrix and of its transpose.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 from math import gcd, lcm
 

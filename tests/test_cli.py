@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -373,16 +374,19 @@ def test_eval_error_names_its_line(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
-    "expr",
-    ["(" * 3000 + "1" + ")" * 3000, " + ".join(["1"] * 5000)],
+    "expr, message",
+    [
+        ("(" * 3000 + "1" + ")" * 3000, "expression nested too deeply"),
+        (" + ".join(["1"] * 5000), "maximum recursion depth exceeded"),
+    ],
     ids=["parentheses", "sum"],
 )
-def test_eval_deep_nesting_is_usage_error(tmp_path, capsys, expr):
+def test_eval_deep_nesting_is_usage_error(tmp_path, capsys, expr, message):
     # one error line with a position; the column of a parse that runs out
     # of stack depends on the interpreter's recursion limit
     code, err = eval_error(tmp_path, capsys, "let x = %s;\n" % expr)
     assert code == cli.EXIT_USAGE
-    assert err.startswith("error: line 1, col ") and err.count("\n") == 1
+    assert re.fullmatch(r"error: line 1, col \d+: %s[^\n]*\n" % message, err)
 
 
 @pytest.mark.parametrize(

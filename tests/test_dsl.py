@@ -3,6 +3,7 @@
 import os
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -31,30 +32,44 @@ from chowcalc.polyring import VarTable
 
 
 def test_tokenize_positions():
-    toks = tokenize("let x = 1;\ncheck x == 1;")
-    assert [t.kind for t in toks[:5]] == ["NAME", "NAME", "=", "INT", ";"]
-    assert toks[0].line == 1 and toks[0].col == 1
-    check_tok = [t for t in toks if t.value == "check"][0]
-    assert check_tok.line == 2 and check_tok.col == 1
+    assert tokenize("let x = 1;\ncheck x == 1;") == [
+        ("NAME", "let", 1, 1),
+        ("NAME", "x", 1, 5),
+        ("=", "=", 1, 7),
+        ("INT", "1", 1, 9),
+        (";", ";", 1, 10),
+        ("NAME", "check", 2, 1),
+        ("NAME", "x", 2, 7),
+        ("==", "==", 2, 9),
+        ("INT", "1", 2, 12),
+        (";", ";", 2, 13),
+        ("EOF", "", 2, 14),
+    ]
 
 
 def test_tokenize_comments_and_eof():
-    toks = tokenize("# a comment\n42 # trailing\n")
-    assert [t.kind for t in toks] == ["INT", "EOF"]
+    assert tokenize("# a comment\n42 # trailing\n") == [
+        ("INT", "42", 2, 1),
+        ("EOF", "", 3, 1),
+    ]
 
 
 def test_a_comment_advances_the_column():
     # EOF right after a trailing comment sits one past the comment's end
-    toks = tokenize("let a = 1 # no semicolon")
-    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("EOF", 1, 25)
-    toks = tokenize("x # c\ny")
-    assert (toks[1].value, toks[1].line, toks[1].col) == ("y", 2, 1)
+    assert tokenize("let a = 1 # no semicolon")[-1] == ("EOF", "", 1, 25)
+    assert tokenize("x # c\ny") == [
+        ("NAME", "x", 1, 1),
+        ("NAME", "y", 2, 1),
+        ("EOF", "", 2, 2),
+    ]
 
 
 def test_tokenize_rejects_garbage():
     with pytest.raises(ParseError) as exc:
         tokenize("let x = $;")
-    assert "line 1" in str(exc.value)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        "line 1, col 9: unexpected character '$'", 1, 9
+    )
 
 
 # -- parser -------------------------------------------------------------------
@@ -116,25 +131,53 @@ def test_nodes_are_plain_records():
     assert run_script("check 1 == 1;")[0][0]["text"] == "1 == 1"
 
 
+PARSE_ERRORS = [
+    ("let = 1;", 1, 5, "expected 'NAME', found '='"),
+    ("let a 1;", 1, 7, "expected '=', found '1'"),
+    ("check a = a;", 1, 9, "expected '==', found '='"),
+    ("let a = ;", 1, 9, "expected an expression, found ';'"),
+    ("frob a;", 1, 1, "expected 'let' or 'check'"),
+    ("let a = 1;\nlet b = ^;", 2, 9, "expected an expression, found '^'"),
+    ("let a = (1;", 1, 11, "expected ')', found ';'"),
+    ("let a = x^y;", 1, 11, "expected 'INT', found 'y'"),
+    ("let a = 1 # no semicolon", 1, 25, "expected ';', found 'EOF'"),
+]
+
+
+# each case is named by its input and position
 @pytest.mark.parametrize(
-    "bad,line,col",
-    [
-        ("let = 1;", 1, 5),
-        ("let a 1;", 1, 7),
-        ("check a = a;", 1, 9),
-        ("let a = ;", 1, 9),
-        ("frob a;", 1, 1),
-        ("let a = 1;\nlet b = ^;", 2, 9),
-        ("let a = (1;", 1, 11),
-        ("let a = x^y;", 1, 11),
-        ("let a = 1 # no semicolon", 1, 25),
-    ],
+    "bad,line,col,message",
+    PARSE_ERRORS,
+    ids=["%s-%d-%d" % case[:3] for case in PARSE_ERRORS],
 )
-def test_parse_errors_report_positions(bad, line, col):
+def test_parse_errors_report_positions(bad, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse(bad)
     assert exc.value.line == line
     assert exc.value.col == col
+    assert str(exc.value) == "line %d, col %d: %s" % (line, col, message)
+
+
+def test_parse_reports_deep_nesting_at_the_token_reached():
+    # the parser gives up at the `(` it had reached when the stack ran out,
+    # so a higher recursion limit reaches a later one
+    n = 5000
+    text = "let x = %s1%s;" % ("(" * n, ")" * n)
+    cols = []
+    limit = sys.getrecursionlimit()
+    try:
+        for extra in (-200, 0):
+            sys.setrecursionlimit(limit + extra)
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            cols.append(exc.value.col)
+            assert exc.value.line == 1
+            assert str(exc.value) == (
+                "line 1, col %d: expression nested too deeply" % exc.value.col
+            )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 9 <= cols[0] < cols[1] < 9 + n
 
 
 # -- round trips --------------------------------------------------------------

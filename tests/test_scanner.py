@@ -1,8 +1,9 @@
 """Differential test of the script scanner against a character-loop reference.
 
-`reference_tokenize` is the scanner `dsl.tokenize` replaced: it walks the
-text one character per loop turn.  Both must give the same tokens (kind,
-value, line, column), the same EOF position, and the same errors.
+`reference_tokenize` walks the text one character per loop turn, where
+`dsl.tokenize` scans it line by line.  Both must give the same
+(kind, value, line, column) tuples, the same EOF position, and the same
+errors.
 """
 
 import glob
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc.dsl import ParseError, Token, tokenize
+from chowcalc.dsl import ParseError, tokenize
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -45,7 +46,7 @@ def reference_tokenize(text):
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
+            tokens.append(("NAME", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -53,19 +54,19 @@ def reference_tokenize(text):
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
+            tokens.append(("INT", text[i:j], line, col))
             col += j - i
             i = j
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
+                tokens.append((p, p, line, col))
                 i += len(p)
                 col += len(p)
                 break
         else:
             raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
@@ -82,9 +83,10 @@ def assert_same_scan(text):
 
 
 # characters whose class differs between str methods and `re`: a letter, a
-# decimal that is not ASCII, digits and numerals that are not decimal, and
-# blanks that are not separators
-SPECIAL = "\t\r\n#$é²½Ⅷ٣ß\x0b"
+# decimal that is not ASCII, digits and numerals that are not decimal,
+# blanks that are not separators, and line breaks of `splitlines` that do
+# not end a script line
+SPECIAL = "\t\r\n#$é²½Ⅷ٣ß\x0b\x0c\x85\u2028"
 
 
 @settings(max_examples=500, deadline=None)
@@ -96,7 +98,13 @@ def test_scanner_matches_the_reference_on_random_text(text):
 @pytest.mark.parametrize(
     "text",
     ["", "²", "a²", "_½", "٣é", "1Ⅷ", "x\x0by",
-     "a==b", "===", "#é\nß", "let a = 1 # no semicolon", "\r\n\t\n"],
+     "a==b", "===", "#é\nß", "let a = 1 # no semicolon", "\r\n\t\n",
+     # line-wise scanning: CRLF line ends, a number run into a name, a
+     # comment right after a token or in column 1, trailing blank lines, a
+     # last line without a line end, and characters that `splitlines` takes
+     # for line breaks but the script language refuses
+     "let a = 1;\r\ncheck a == 1;\r\n", "12ab", "x#c", "#c\nx", "x\n\n\n",
+     "x\ny", "x\x0cy", "x\x85y", "x\u2028y", "a\n\x0c"],
 )
 def test_scanner_matches_the_reference_on_edge_cases(text):
     assert_same_scan(text)
