@@ -13,6 +13,8 @@ regular expression, and finds each one's column from the end of the one
 before; blanks separate them.  It returns (kind, value, line, col) tuples,
 which `parse` reads by index into plain syntax-tree records, a statement's
 line among their fields.  `Session.eval` dispatches on the node's type.
+Evaluation and printing walk a chain of binary operators by a list, not by
+recursion, so a flat sum of any length evaluates.
 
 Evaluation is two-pass: a first pass collects the `bundle` and `grass`
 declarations to assemble the session's variable table, a second pass
@@ -275,6 +277,18 @@ def check_text(stmt):
     return "%s == %s" % (pretty(stmt.lhs), pretty(stmt.rhs))
 
 
+def _chain(node):
+    """The leftmost operand of the BinOp `node` and the BinOps on its left
+    spine, innermost first.  `a - b + c` parses as ((a - b) + c), so a chain
+    of n operators is n deep; printing and evaluation walk it by this list,
+    not by recursion, so its length costs no stack."""
+    spine = []
+    while isinstance(node, BinOp):
+        spine.append(node)
+        node = node.left
+    return node, reversed(spine)
+
+
 # -- pretty printer ----------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "neg": 2, "^": 3, "atom": 4}
@@ -305,16 +319,25 @@ def _pp(node):
             body = "(%s)" % body
         return "%s^%d" % (body, node.exponent), _PREC["^"]
     if isinstance(node, BinOp):
-        lp = _PREC[node.op]
-        left, lprec = _pp(node.left)
-        right, rprec = _pp(node.right)
-        if lprec < lp:
-            left = "(%s)" % left
-        # the grammar is left-associative and a bare '-' cannot start a
-        # right operand, so equal precedence on the right needs parens too
-        if rprec <= lp:
-            right = "(%s)" % right
-        return "%s %s %s" % (left, node.op, right), lp
+        # A parenthesis added around the text so far always opens at its
+        # start, so the openings are counted and prepended once.
+        first, chain = _chain(node)
+        left, prec = _pp(first)
+        parts = [left]
+        opened = 0
+        for node in chain:
+            lp = _PREC[node.op]
+            if prec < lp:
+                opened += 1
+                parts.append(")")
+            right, rprec = _pp(node.right)
+            # the grammar is left-associative and a bare '-' cannot start a
+            # right operand, so equal precedence on the right needs parens too
+            if rprec <= lp:
+                right = "(%s)" % right
+            parts.append(" %s %s" % (node.op, right))
+            prec = lp
+        return "(" * opened + "".join(parts), prec
     raise DslError("cannot print %r" % (node,))
 
 
@@ -507,13 +530,17 @@ class Session:
                 return self.env[node.name]
             raise DslError("unknown name %r" % node.name)
         if t is BinOp:
-            left = self._as("class", self.eval(node.left))
-            right = self._as("class", self.eval(node.right))
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
+            first, chain = _chain(node)
+            value = self._as("class", self.eval(first))
+            for node in chain:
+                right = self._as("class", self.eval(node.right))
+                if node.op == "+":
+                    value = value + right
+                elif node.op == "-":
+                    value = value - right
+                else:
+                    value = value * right
+            return value
         if t is IntLit:
             return self.table.const(node.value)
         if t is Pow:

@@ -19,6 +19,7 @@ from chowcalc.zgraded import GradedError
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 BUNDLES = os.path.join(os.path.dirname(__file__), "..", "examples", "bundles.chow")
+O3 = os.path.join(os.path.dirname(__file__), "..", "examples", "o3.chow")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -182,6 +183,41 @@ def test_eval_bundle_example_passes_at_every_bound_that_fits_it(capsys, bound):
     assert code == cli.EXIT_OK
     assert out.count("PASS") == 13 and "FAIL" not in out
     assert out.endswith("overall: pass\n")
+
+
+@pytest.mark.parametrize("bound", [12, 13, 14])
+def test_eval_o3_example_passes_from_its_stated_bound(capsys, bound):
+    """examples/o3.chow finds (2c1, 2c3) as the image of the degenerate
+    quadratic forms on C^3; its header states the session bound 12."""
+    code = run_cli(["eval", O3, "--degree-bound", str(bound)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out.count("PASS") == 2 and "FAIL" not in out
+    assert out.endswith("overall: pass\n")
+
+
+def test_eval_o3_example_refuses_a_larger_ideal(tmp_path, capsys):
+    # with 2c2 added, (2c1, 2c2, 2c3) still holds every generator of the
+    # image, but the image no longer holds the ideal
+    with open(O3, encoding="utf-8") as fh:
+        text = fh.read()
+    ideal = "let I = ideal(2 * c1, 2 * c3);"
+    assert text.count(ideal) == 1
+    script = tmp_path / "o3-control.chow"
+    script.write_text(
+        text.replace(ideal, "let I = ideal(2 * c1, 2 * c2, 2 * c3);"),
+        encoding="utf-8",
+    )
+    code = run_cli(["eval", str(script), "--degree-bound", "12"])
+    verdicts = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("PASS", "FAIL"))
+    ]
+    assert code == cli.EXIT_CHECK_FAILED
+    assert verdicts == [
+        "FAIL  check contains(P, I, 10) == 1   [false vs 1]",
+        "PASS  check contains(I, P, 10) == 1",
+    ]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -377,9 +413,8 @@ def test_eval_error_names_its_line(tmp_path, capsys, text, message):
     "expr, message",
     [
         ("(" * 3000 + "1" + ")" * 3000, "expression nested too deeply"),
-        (" + ".join(["1"] * 5000), "maximum recursion depth exceeded"),
     ],
-    ids=["parentheses", "sum"],
+    ids=["parentheses"],
 )
 def test_eval_deep_nesting_is_usage_error(tmp_path, capsys, expr, message):
     # one error line with a position; the column of a parse that runs out
@@ -387,6 +422,25 @@ def test_eval_deep_nesting_is_usage_error(tmp_path, capsys, expr, message):
     code, err = eval_error(tmp_path, capsys, "let x = %s;\n" % expr)
     assert code == cli.EXIT_USAGE
     assert re.fullmatch(r"error: line 1, col \d+: %s[^\n]*\n" % message, err)
+
+
+@pytest.mark.parametrize("n", [1200, 100000])
+def test_eval_long_flat_sum_evaluates(tmp_path, capsys, n):
+    # a chain of n operators costs no stack to evaluate or to print
+    ones = " + ".join(["1"] * n)
+    c1s = " - ".join(["c1"] * n)
+    script = tmp_path / "sum.chow"
+    script.write_text(
+        "let S = bundle(c, 1);\nlet x = %s;\ncheck %s == %d * c1;\n"
+        % (ones, c1s, 2 - n),
+        encoding="utf-8",
+    )
+    code = run_cli(["eval", str(script)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1:] == [
+        "x = %d" % n, "PASS  check %s == %d * c1" % (c1s, 2 - n), "overall: pass",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -423,6 +477,55 @@ def test_importing_the_cli_leaves_the_dsl_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+LAZY_NAMESPACE = """
+import importlib, json, sys
+before = set(sys.modules)
+import chowcalc
+after_package = set(sys.modules) - before
+import chowcalc.cli
+after_cli = set(sys.modules) - before
+homes = {}
+for name in set(chowcalc.__all__) - {"__version__"}:
+    value = getattr(chowcalc, name)
+    module = importlib.import_module("chowcalc." + chowcalc._HOMES[name])
+    homes[name] = value is getattr(module, name) and value.__module__ == module.__name__
+try:
+    chowcalc.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+from chowcalc import polyring
+print(json.dumps({
+    "package": sorted(m for m in after_package if m.startswith("chowcalc.")),
+    "cli": sorted(m for m in after_cli if m.startswith("chowcalc.")),
+    "exported": sorted(set(chowcalc.__all__) - {"__version__"}),
+    "table": sorted(chowcalc._HOMES),
+    "homes": homes,
+    "unknown": unknown,
+    "submodule": polyring.__name__,
+}))
+"""
+
+
+def test_import_loads_no_layer_and_each_name_its_home_on_first_use():
+    # `import chowcalc` loads no submodule, the CLI only its own and
+    # polyring; each exported name is the object its home module defines,
+    # loaded on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMESPACE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout)
+    assert got["package"] == []
+    assert got["cli"] == ["chowcalc.cli", "chowcalc.polyring"]
+    assert got["table"] == got["exported"]
+    assert got["homes"] == dict.fromkeys(got["exported"], True)
+    assert got["unknown"] == "module 'chowcalc' has no attribute 'no_such_name'"
+    assert got["submodule"] == "chowcalc.polyring"
 
 
 COLD_START = """

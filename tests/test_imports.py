@@ -70,8 +70,8 @@ def test_module_imports_only_the_standard_library(module):
 
 
 def test_every_exported_name_resolves():
-    # a stale name raises AttributeError; the pipeline's names are loaded
-    # lazily, on first use
+    # a stale name raises AttributeError; every name but __version__ is
+    # loaded lazily, on first use
     import chowcalc
 
     for name in chowcalc.__all__:
