@@ -2,8 +2,9 @@
 
 A tower level G(k, E) names Chern variables for the tautological sub-bundle;
 the defining relations are the vanishing of the Whitney quotient classes
-above the quotient rank.  Normal forms are computed per degree by integer
-lattice reduction.
+above the quotient rank.  Normal forms are computed per degree by the
+`GradedIdeal` of the relations, whose lattices live over the variables the
+relations use.
 
 Gysin pushforwards take a closed form wherever the level's relations
 substitute out completely, as they do for every G(k, E) whose E has
@@ -12,16 +13,20 @@ script).  With f_i the Chern classes of the rank-k sub-bundle, n = rank E,
 h_m(E) = (-1)^m [c(E)^{-1}]_m and K_lam the coefficient of the Schur
 polynomial s_lam in f_1^alpha_1 ... f_k^alpha_k,
 
-    pi_*(f^alpha) = sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
+    pi_*(f^alpha) = (-1)^(k(n-k))
+                    sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
 
 (Jozefiak-Lascoux-Pragacz, 1981; Macdonald, "Symmetric Functions and Hall
 Polynomials", I.3 and I.5): Pieri's rule gives K, one Jacobi-Trudi
-determinant each lam, and nothing is divided.  The sign (-1)^m is the
-convention of the `subset_symmetrization` oracle.  The levels with relations
-left, such as G(3, wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E,
-keep Schur-basis coefficient extraction: an exact per-degree linear solve,
-after substituting out every base variable that a relation gives as
-+-v + rho, rho free of v (see `_Fiber`).
+determinant each lam, and nothing is divided.  The sign is that of the
+point class of a fibre, s_box(S*) = (-1)^(k(n-k)) s_box(S) for the k x
+(n-k) box, so that the tautological line of P(V), rank V = 2, has degree
+-1 on each fibre; the `subset_symmetrization` oracle divides by the
+equivariant Euler class of the tangent space, which carries the same sign.
+The levels with relations left, such as G(3, wedge^2 S), P(wedge^2 E) and
+G(k, E) for a trivial E, keep Schur-basis coefficient extraction: an exact
+per-degree linear solve, after substituting out every base variable that a
+relation gives as +-v + rho, rho free of v (see `_Fiber`).
 
 `TowerLevel` is the one level type, with one constructor: a table that
 already holds the base and sub-bundle variables, a bundle E over that table,
@@ -43,7 +48,15 @@ from .polyring import (
     series_parts,
     sum_of_products,
 )
-from .zgraded import DegreeLattice, _split, _substitute, hnf_solve, row_hnf
+from .zgraded import (
+    DegreeLattice,
+    GradedIdeal,
+    SpectatorSplit,
+    _split,
+    _substitute,
+    hnf_solve,
+    row_hnf,
+)
 
 
 class TowerError(ChowError):
@@ -114,7 +127,8 @@ def times_elementary(coeffs, i):
 
 
 class GradedRing:
-    """A polynomial ring with homogeneous relations, reduced per degree."""
+    """A polynomial ring with homogeneous relations, reduced per degree:
+    the lattice path's `core_ring` (see `_Fiber`)."""
 
     def __init__(self, table, relations=()):
         self.table = table
@@ -136,7 +150,9 @@ class GradedRing:
         return self._lattices[d]
 
     def normal_form(self, p):
-        """Canonical representative modulo the relation ideal, per degree."""
+        """Canonical representative modulo the relation ideal, per degree.
+        The library reduces through `GradedIdeal`; bench/tracing.py wraps
+        this method by name."""
         if p.table != self.table:
             raise TowerError("polynomial over the wrong table")
         if p.is_zero() or not self.relations:
@@ -208,41 +224,46 @@ class _Fiber:
     h_m(E) = (-1)^m [c(E)^{-1}]_m the complete symmetric functions of E's
     Chern roots,
 
-        pi_*(f^alpha) = sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
+        pi_*(f^alpha) = (-1)^(k(n-k))
+                        sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
 
     where prod_i e_i(t)^alpha_i = sum_lam K_lam s_lam(t) over the lam with
     at most k rows (Jozefiak-Lascoux-Pragacz, 1981).  Pieri's rule builds
     K one factor e_i at a time (`times_elementary`; Macdonald, "Symmetric
     Functions and Hall Polynomials", I.5), and each determinant is one
     `jacobi_trudi` (I.3).  A lam that does not contain the k x (n-k) box
-    has a zero last row and is skipped.  It is the sign convention of
-    `subset_symmetrization`: for k = 1 it gives pi_*(f^(n-1+m)) = h_m(E).
-    K per alpha, each determinant per lam and each pi_*(f^alpha) are built
-    once, and the pushforward is linear over every variable outside the
-    subvars, so a class is pushed forward as one sum of products over its
-    sub-bundle exponents alpha.  The images are those of the lattice path
-    below: where the relations substitute out, the ring is free over the
-    base on the Schur classes (Fulton, "Intersection Theory", ch. 14), so
-    the top-box coefficient the lattice path solves for is unique.  Where E's Chern classes are variables, as on G(2, S) and on
-    every `grass(bundle(...), k, b)` of a script, the relations of G(k, E)
-    are e_j + (terms free of e_j) for j > n - k, and all of them go.
+    has a zero last row and is skipped.  For k = 1 it gives
+    pi_*(f^(n-1+m)) = (-1)^(n-1) h_m(E), Fulton's pi_*(c1(O(1))^(n-1+m)) =
+    s_m(E) for c1(O(1)) = -f ("Intersection Theory", 3.1), and the sign
+    agrees with `subset_symmetrization`.  K per alpha, each determinant
+    per lam and each pi_*(f^alpha) are built once, and the pushforward is
+    linear over every variable outside the subvars, so a class is pushed
+    forward as one sum of products over its sub-bundle exponents alpha.
+    The images are those of the lattice path below: where the relations
+    substitute out, the ring is free over the base on the Schur classes
+    (Fulton, "Intersection Theory", ch. 14), so the top-box coefficient the
+    lattice path solves for is unique.  Where E's Chern classes are
+    variables, as on G(2, S) and on every `grass(bundle(...), k, b)` of a
+    script, the relations of G(k, E) are e_j + (terms free of e_j) for
+    j > n - k, and all of them go.
 
     The lattice path is kept for the levels with relations left: G(3,
     wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E.  Variables
     occurring neither in the relations nor among the subvars are
-    spectators: classes are split along spectator monomials and each piece
+    spectators: classes are split along spectator monomials by
+    `zgraded.SpectatorSplit`, the split `GradedIdeal` uses, and each piece
     is solved over the smaller core table by Schur-basis coefficient
     extraction, a per-degree linear solve that reads only the coefficients
-    of the top-box Schur class.  Before any lattice is built, each base
-    variable v that a relation gives as +-v + rho, rho free of v, is
-    substituted out of the other relations.  `core_ring` is the ring of
-    the variables left modulo the relations left, and every core class is
-    mapped into it by phi, which sends each substituted v to its image and
-    keeps the other variables, through one memoised image per core
-    monomial; phi is an isomorphism of the two quotient rings, so the solve
-    has the same solutions through it.  The lattice path's tables,
-    substitution images, `core_ring` and Schur table are built on its first
-    push (`_lattice_path`).
+    of the top-box Schur class, signed as the closed form is.  Before any
+    lattice is built, each base variable v that a relation gives as
+    +-v + rho, rho free of v, is substituted out of the other relations.
+    `core_ring` is the ring of the variables left modulo the relations
+    left, and every core class is mapped into it by phi, which sends each
+    substituted v to its image and keeps the other variables, through one
+    memoised image per core monomial; phi is an isomorphism of the two
+    quotient rings, so the solve has the same solutions through it.  The
+    lattice path's tables, substitution images, `core_ring` and Schur
+    table are built on its first push (`_lattice_path`).
     """
 
     def __init__(self, table, subvars, E, relations):
@@ -310,15 +331,14 @@ class _Fiber:
             alpha = tuple([key >> off & mask for off, _ in fields])
             deg = sum([e * w for e, (_, w) in zip(alpha, fields)])
             groups.setdefault(alpha, {})[(key & keep) - (deg << shift)] = c
-        total = sum_of_products(table, [
+        return self._signed_to_target(sum_of_products(table, [
             (1, Poly(table, g), self._pushed_monomial(alpha))
             for alpha, g in groups.items()
-        ])
-        move = self._to_target
-        return Poly(self.target_table, {move(k): c for k, c in total.terms.items()})
+        ]))
 
     def _pushed_monomial(self, alpha):
-        """pi_*(f^alpha) over the level's table, free of the subvars."""
+        """pi_*(f^alpha) over the level's table, free of the subvars, but
+        for the sign (-1)^(k(n-k)) that `_signed_to_target` puts on."""
         img = self._pushed.get(alpha)
         if img is None:
             table, box = self.table, self.n - self.k
@@ -362,23 +382,11 @@ class _Fiber:
         if self.core_ring is not None:
             return
         table, k, n = self.table, self.k, self.n
-        target = self._target()
         core = set(self.subvars)
         for r in self.relations:
             core |= r.variables()
-        self.core_names = tuple(nm for nm in table.names if nm in core)
-        self.core_table = ct = VarTable(
-            [(nm, table.degrees[table.index[nm]]) for nm in self.core_names],
-            table.degree_bound,
-        )
-        self.base_names = tuple(
-            nm for nm in self.core_names if nm not in set(self.subvars)
-        )
-        self._to_core = table.rekey(ct, self.core_names)
-        self._to_spectator = table.rekey(
-            target, [nm for nm in table.names if nm not in core]
-        )
-        self._base_to_target = ct.rekey(target, self.base_names)
+        self._split = SpectatorSplit(table, core)
+        self.core_table = ct = self._split.core
         self.core_relations = tuple(r.convert(ct) for r in self.relations)
         images, rels = self._substitution
         images = {ct.index[table.names[i]]: rho for i, rho in images.items()}
@@ -400,15 +408,6 @@ class _Fiber:
         )
         self._schur = {lam: schur_from_chern(sub, lam) for lam in self.box}
         self.core_ring = GradedRing(ring_table, [r.convert(ring_table) for r in rels])
-
-    def _split_spectators(self, p):
-        """Group terms by spectator monomial: pairs of its key over the
-        target table and the polynomial over the core table it multiplies."""
-        to_core, to_spectator = self._to_core, self._to_spectator
-        groups = {}
-        for k, c in p.terms.items():
-            groups.setdefault(to_spectator(k), {})[to_core(k)] = c
-        return [(spec, Poly(self.core_table, t)) for spec, t in groups.items()]
 
     def _image(self, key):
         """phi of the core monomial with this key, over the ring table:
@@ -483,15 +482,21 @@ class _Fiber:
         return Poly(self.core_table, out_terms)
 
     def _gysin_lattice(self, p):
-        """Pushforward by the per-degree Schur-coefficient solve."""
+        """Pushforward by the per-degree Schur-coefficient solve, one piece
+        of p's spectator split at a time."""
         self._lattice_path()
-        to_target = self._base_to_target
-        terms = {}
-        for spec, p_core in self._split_spectators(p):
-            # spectator monomial times the base-variable result: the two
-            # touch disjoint fields, so every product key is a distinct sum
-            for k, c in self._solve_core(p_core).terms.items():
-                terms[spec + to_target(k)] = c
+        split = self._split
+        return self._signed_to_target(split.join(
+            (m, self._solve_core(q)) for m, q in split.split(p)
+        ))
+
+    def _signed_to_target(self, p):
+        """(-1)^(k(n-k)) * p over the target table, for a p free of the
+        subvars: the sign of the fibre's point class, s_box(S*) =
+        (-1)^(k(n-k)) * s_box(S), which both paths leave out."""
+        move = self._to_target
+        sign = -1 if self.relative_dim % 2 else 1
+        terms = {move(k): sign * c for k, c in p.terms.items()}
         return Poly(self.target_table, terms)
 
 
@@ -530,7 +535,7 @@ class TowerLevel:
         quot_chern, excess = whitney_split(E, self.taut_sub)
         self.new_relations = tuple(p for p in excess if not p.is_zero())
         self.taut_quot = Bundle(n - k, quot_chern)
-        self.ring = GradedRing(table, self.new_relations)
+        self._ideal = None  # of new_relations, built by the first normal form
         self._fiber = _Fiber(table, self.subvars, E, self.new_relations)
 
     @property
@@ -543,7 +548,18 @@ class TowerLevel:
         return schur_from_chern(self.taut_sub, lam)
 
     def normal_form(self, p):
-        return self.ring.normal_form(p)
+        """Canonical representative modulo the level's relations, one
+        graded part at a time; a level without relations builds nothing."""
+        if p.table != self.table:
+            raise TowerError("polynomial over the wrong table")
+        if p.is_zero() or not self.new_relations:
+            return p
+        if self._ideal is None:
+            self._ideal = GradedIdeal(self.new_relations)
+        terms = {}  # one homogeneous part per degree: no two share a key
+        for part in p.graded_parts().values():
+            terms.update(self._ideal.normal_form(part).terms)
+        return Poly(self.table, terms)
 
     def gysin(self, p):
         """Pushforward to the table without `subvars`; degree drops by k(n-k)."""
@@ -574,7 +590,10 @@ def subset_symmetrization(p, sub_names, roots, values):
     pushforward of g(b_1..b_k) is the classical sum over k-element subsets I
     of the roots of E:
 
-        sum_I  g(e_1(x_I), ..., e_k(x_I)) / prod_{i in I, j not in I} (x_i - x_j)
+        sum_I  g(e_1(x_I), ..., e_k(x_I)) / prod_{i in I, j not in I} (x_j - x_i)
+
+    whose denominator is the equivariant Euler class of the tangent space
+    Hom(S, Q) at the fixed point of the subset I (Atiyah-Bott).
 
     `roots` are distinct integers standing in for the Chern roots; `values`
     gives a number (int or Fraction) for every other variable p uses, and
@@ -621,7 +640,7 @@ def subset_symmetrization(p, sub_names, roots, values):
                 es[t] += es[t - 1] * x
             for j in range(n):
                 if j not in I:
-                    d *= x - roots[j]
+                    d *= roots[j] - x
         del es[0]
         val = 0
         for expo, c in g:

@@ -8,14 +8,23 @@ exact and certifiable.
 
 Before any lattice is built, a `GradedIdeal` uses each generator whose
 leading term is +-v for a single variable v to substitute v out of the other
-generators, until no such generator is left; its lattices live over the
-table of the remaining variables, and a query is substituted first.  Normal
-forms stay canonical (each monomial with an eliminated variable would be a
-pivot column with pivot 1), quotient groups are unchanged, and membership
-certificates are lifted back to the original generators through divided
-differences.  `DegreeLattice` builds each echelon basis once, with its
-transform U, so a lattice reduced against first and solved against later
-is not echeloned again.
+generators, until no such generator is left, and a query is substituted
+first.  Its lattices then live over the table of the variables that the
+remaining generators use, its core; every other variable is a spectator.
+Z[core, spectators] is the direct sum of the Z[core] * m over the monomials
+m in the spectators, and the ideal is the direct sum of the I' * m, I' the
+ideal of the remaining generators in Z[core].  So `SpectatorSplit` writes a
+query as p = sum_m m * p_m, and each p_m is answered in its own degree over
+the core: p is a member exactly when every p_m is (certificates lift by
+m), the normal form is sum_m m * nf(p_m), and the degree-d quotient is the
+direct sum of the core quotients in degrees d - deg m.  Normal forms stay
+canonical (each monomial with an eliminated variable would be a pivot
+column with pivot 1, and multiplying by m keeps the graded-lex order of a
+block's columns), and membership certificates are lifted back to the
+original generators through divided differences.  `DegreeLattice` builds
+each echelon basis once, with its transform U, so a lattice reduced
+against first and solved against later is not echeloned again, and its
+invariant factors are read off the same basis.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
@@ -183,21 +192,34 @@ def smith(M):
     they occupy, until every echelon row has one entry.  A leading pivot
     that divides its row and column is isolated by the next pass and stays
     so, and one that does not is replaced by a smaller one, so the passes
-    end.  The diagonal left is brought into divisibility order by
-    gcd/lcm steps, (a, b) -> (gcd, lcm), which keep the Smith form.
+    end.  The diagonal left is put into divisibility order.
     """
     rows = M
     while True:
         H, _, pivots = row_hnf(rows)
         echelon = [H[r] for r, _ in pivots]
         if all(len(h) == 1 for h in echelon):
-            break
-        cols = sorted(set().union(*echelon))
-        rows = [[h.get(c, 0) for h in echelon] for c in cols]
-    diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+            diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
+            return _divisibility_order(diag)
+        rows = _transpose(echelon)
+
+
+def _transpose(rows):
+    """The dense transpose of {column: entry} rows, restricted to the
+    columns they occupy."""
+    cols = sorted(set().union(*rows))
+    return [[h.get(c, 0) for h in rows] for c in cols]
+
+
+def _divisibility_order(diag):
+    """The Smith form of a diagonal matrix: its entries sorted when each
+    divides the next, else brought there by gcd/lcm steps,
+    (a, b) -> (gcd, lcm), which keep the Smith form."""
+    diag = sorted(diag)
+    if any(b % a for a, b in zip(diag, diag[1:])):
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 
@@ -269,6 +291,17 @@ class DegreeLattice:
         H, U, pivots = self._echelon()
         return hnf_solve(H, U, pivots, v)
 
+    def invariant_factors(self):
+        """`smith` of the rows, from the echelon basis they already have:
+        its pivots when each echelon row has one entry, else `smith` of
+        the transposed echelon rows, which have the same Smith form."""
+        H, _, pivots = self._echelon()
+        echelon = [H[r] for r, _ in pivots]
+        if all(len(h) == 1 for h in echelon):
+            diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
+            return _divisibility_order(diag)
+        return smith(_transpose(echelon))
+
 
 def _unit_variable(g):
     """(variable index, sign) when g's leading term is +-v for one variable v.
@@ -318,6 +351,54 @@ def _divided_difference(parts, v, rho):
     return sum_of_products(rho.table, products)
 
 
+class SpectatorSplit:
+    """Classes over `table` as sums of spectator monomials times core classes.
+
+    The core is the variables `core_names`, in table order, and every other
+    variable of `table` is a spectator.  `split` writes p = sum_m m * p_m
+    over the monomials m in the spectators, and `join` multiplies such
+    pieces back.  A spectator monomial is held as its key over `table`, and
+    p_m lives over `core`, the table of the core variables; so a product
+    m * q is the key sum, the two touching disjoint fields.
+    """
+
+    def __init__(self, table, core_names):
+        core = set(core_names)
+        names = [nm for nm in table.names if nm in core]
+        self.table = table
+        self.core = VarTable(
+            [(nm, table.degrees[table.index[nm]]) for nm in names],
+            table.degree_bound,
+        )
+        self._to_core = table.rekey(self.core, names)
+        self._from_core = self.core.rekey(table, names)
+        # the spectator fields and the degree field of a key
+        self._keep = ~sum(
+            table.mask << table.offsets[table.index[nm]] for nm in names
+        )
+
+    def split(self, p):
+        """The pieces (key of m, p_m) of p, one per spectator monomial m."""
+        to_core, keep = self._to_core, self._keep
+        shift, core_shift = self.table.shift, self.core.shift
+        groups = {}
+        for k, c in p.terms.items():
+            ck = to_core(k)
+            m = (k & keep) - (ck >> core_shift << shift)
+            groups.setdefault(m, {})[ck] = c
+        return [(m, Poly(self.core, t)) for m, t in groups.items()]
+
+    def join(self, pieces):
+        """sum m * q over `table` for pieces (key of m, q over `core`) with
+        distinct spectator monomials m."""
+        from_core = self._from_core
+        terms = {}
+        for m, q in pieces:
+            for k, c in q.terms.items():
+                terms[m + from_core(k)] = c
+        return Poly(self.table, terms)
+
+
 class GroupStructure(Record):
     """Quotient group in one degree: free rank plus torsion invariants."""
 
@@ -341,9 +422,11 @@ class GradedIdeal:
     """Homogeneous ideal given by generators, queried per degree over Z.
 
     Generators whose leading term is +-v for a single variable v are used up
-    front to substitute v out of the other generators, repeatedly; the
-    per-degree lattices are built from what remains, over the table of the
-    variables that remain, and every query is substituted the same way first.
+    front to substitute v out of the other generators, repeatedly, and every
+    query is substituted the same way first.  The per-degree lattices are
+    built from the generators that remain, over the variables they use; a
+    query is split along the monomials in the other variables, and each
+    piece is answered in its own degree (see the module docstring).
     """
 
     def __init__(self, generators):
@@ -368,7 +451,8 @@ class GradedIdeal:
         where s * (v - rho) is the eliminating generator after the earlier
         steps, and the combination expresses it in the original generators as
         {generator index: cofactor}.  The remaining generators keep such a
-        combination too, so certificates can be lifted back.
+        combination too, so certificates can be lifted back.  The variables
+        they use are the core of the spectator split.
         """
         table = self.table
         gens = list(self.generators)
@@ -398,20 +482,21 @@ class GradedIdeal:
                 _accumulate(combos[k], combos[j], -sign * delta)
                 if gens[k].is_zero():
                     live.remove(k)
-        gone = {table.names[i] for i, _, _, _ in steps}
         self._steps = tuple(steps)
-        if gone:
-            self._reduced = VarTable(
-                [v for v in zip(table.names, table.degrees) if v[0] not in gone],
-                table.degree_bound,
-            )
-        else:
-            self._reduced = table
-        self._reduced_gens = tuple(gens[k].convert(self._reduced) for k in live)
-        self._reduced_combos = tuple(combos[k] for k in live)
+        core = set().union(*(gens[k].variables() for k in live))
+        self._split = SpectatorSplit(table, core)
+        gone = core | {table.names[i] for i, _, _, _ in steps}
+        # the spectators a substituted query can hold
+        self._spectators = VarTable(
+            [v for v in zip(table.names, table.degrees) if v[0] not in gone],
+            table.degree_bound,
+        )
+        core_table = self._split.core
+        self._core_gens = tuple(gens[k].convert(core_table) for k in live)
+        self._core_combos = tuple(combos[k] for k in live)
 
     def _substituted(self, p, cofactors=None):
-        """p with the eliminated variables substituted out, reduced table.
+        """p with the eliminated variables substituted out.
 
         With `cofactors` (generator index -> Poly) given, adds to it the
         multiples of the generators whose sum is p minus the result.
@@ -427,42 +512,49 @@ class GradedIdeal:
                 delta = _divided_difference(parts, v, rho)
                 _accumulate(cofactors, combo, sign * delta)
             p = _substitute(parts, rho)
-        return p.convert(self._reduced)
+        return p
 
     def lattice(self, d):
+        """The degree-d lattice over the core variables."""
         if d not in self._lattices:
             self._lattices[d] = DegreeLattice(
-                self._reduced, self._reduced_gens, d
+                self._split.core, self._core_gens, d
             )
         return self._lattices[d]
+
+    def _check_degree(self, d):
+        if d > self.table.degree_bound:
+            raise GradedError("degree %d above the bound" % d)
 
     def member(self, p):
         """Membership with certificate.
 
         Returns (True, certificate) or (False, None); the certificate is a
         list of (generator index, cofactor Poly) with
-        sum(cofactor * generator) == p exactly.
+        sum(cofactor * generator) == p exactly.  p is a member exactly when
+        each piece p_m of its spectator split is, and m times a certificate
+        of p_m is one of m * p_m.
         """
         if p.is_zero():
             return True, []
         if not p.is_homogeneous():
             raise GradedError("membership requires a homogeneous polynomial")
-        d = p.degree()
-        if d > self.table.degree_bound:
-            raise GradedError("degree %d above the bound" % d)
+        self._check_degree(p.degree())
         cof = {}
-        q = self._substituted(p, cof)
-        lat = self.lattice(d)
-        x = lat.solve(lat.vector(q))
-        if x is None:
-            return False, None
-        reduced = {}
-        for coeff, (j, mono) in zip(x, lat.labels):
-            if coeff:
-                reduced.setdefault(j, {})[mono] = coeff
-        for j, terms in reduced.items():
-            a = Poly(self._reduced, terms).convert(self.table)
-            _accumulate(cof, self._reduced_combos[j], a)
+        pieces = {}  # generator index -> [(m, its cofactor in p_m)]
+        for m, q in self._split.split(self._substituted(p, cof)):
+            lat = self.lattice(q.degree())
+            x = lat.solve(lat.vector(q))
+            if x is None:
+                return False, None
+            terms = {}
+            for coeff, (j, mono) in zip(x, lat.labels):
+                if coeff:
+                    terms.setdefault(j, {})[mono] = coeff
+            for j, t in terms.items():
+                pieces.setdefault(j, []).append((m, Poly(self._split.core, t)))
+        for j, js in pieces.items():
+            _accumulate(cof, self._core_combos[j], self._split.join(js))
         cert = sorted((gi, c) for gi, c in cof.items() if not c.is_zero())
         return True, cert
 
@@ -472,25 +564,32 @@ class GradedIdeal:
         )
 
     def normal_form(self, p):
-        """Canonical representative of a homogeneous p modulo the ideal.
+        """Canonical representative of a homogeneous p modulo the ideal:
+        sum_m m * nf(p_m) over its spectator split.
 
         Every monomial with an eliminated variable is a pivot column with
-        pivot 1 in the full-table lattice, so its canonical representative
-        is free of them and equals the one over the reduced table.
+        pivot 1 in the full-table lattice, and the blocks m * L' of the
+        full-table lattice occupy disjoint columns in their own graded-lex
+        order, so this is the full-table lattice's representative.
         """
         if p.is_zero():
             return p
         if not p.is_homogeneous():
             raise GradedError("normal form requires a homogeneous polynomial")
-        lat = self.lattice(p.degree())
-        q = self._substituted(p)
-        return lat.poly(lat.reduce(lat.vector(q))).convert(self.table)
+        pieces = []
+        for m, q in self._split.split(self._substituted(p)):
+            lat = self.lattice(q.degree())
+            pieces.append((m, lat.poly(lat.reduce(lat.vector(q)))))
+        return self._split.join(pieces)
 
     def contains(self, other, up_to):
         """Generator-wise containment of `other` in self through degree up_to.
 
         Returns (ok, witness) where witness is the first failing generator.
+        Raises GradedError when up_to is above the degree bound, since the
+        generators of a degree above the bound were never computed.
         """
+        self._check_degree(up_to)
         for g in other.generators:
             if g.degree() > up_to:
                 continue
@@ -520,18 +619,23 @@ class GradedIdeal:
     def quotient_structure(self, d):
         """Free rank and torsion of the degree-d quotient module.
 
-        The eliminated monomials are killed by unit pivots, so the quotient
-        over the reduced table is the same group.
+        The eliminated monomials are killed by unit pivots, and the quotient
+        is the direct sum over the spectator monomials m of the core
+        quotients in degree d - deg m: free ranks add, and the torsion of
+        all blocks is put back into divisibility order.
         """
-        if d > self.table.degree_bound:
-            raise GradedError("degree %d above the bound" % d)
-        lat = self.lattice(d)
-        ncols = len(lat.cols)
-        if not lat.rows:
-            return GroupStructure(d, ncols, ())
-        factors = smith(lat.rows)
-        torsion = tuple(x for x in factors if x > 1)
-        return GroupStructure(d, ncols - len(factors), torsion)
+        self._check_degree(d)
+        free = 0
+        torsion = []
+        for e in range(d + 1):
+            count = len(self._spectators.monomial_keys(e))
+            if not count:
+                continue
+            lat = self.lattice(d - e)
+            factors = lat.invariant_factors()
+            free += count * (len(lat.cols) - len(factors))
+            torsion += [x for x in factors if x > 1] * count
+        return GroupStructure(d, free, tuple(_divisibility_order(torsion)))
 
 
 def _accumulate(acc, combo, factor):

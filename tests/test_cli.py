@@ -20,6 +20,8 @@ from chowcalc.zgraded import GradedError
 EXAMPLE = os.path.join(os.path.dirname(__file__), "..", "examples", "so4.chow")
 BUNDLES = os.path.join(os.path.dirname(__file__), "..", "examples", "bundles.chow")
 O3 = os.path.join(os.path.dirname(__file__), "..", "examples", "o3.chow")
+O4 = os.path.join(os.path.dirname(__file__), "..", "examples", "o4.chow")
+O5 = os.path.join(os.path.dirname(__file__), "..", "examples", "o5.chow")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -217,6 +219,69 @@ def test_eval_o3_example_refuses_a_larger_ideal(tmp_path, capsys):
     assert verdicts == [
         "FAIL  check contains(P, I, 10) == 1   [false vs 1]",
         "PASS  check contains(I, P, 10) == 1",
+    ]
+
+
+def test_eval_o3_example_below_its_check_degree_is_an_error(capsys):
+    """At bound 5 the pushforwards of P lost their terms above 5, so
+    `contains(P, I, 10)` is refused instead of read off truncated classes."""
+    with open(O3, encoding="utf-8") as fh:
+        line = 1 + fh.read().splitlines().index("check contains(P, I, 10) == 1;")
+    code = run_cli(["eval", O3, "--degree-bound", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.err == (
+        "error: line %d, col 1: degree 10 above the bound\n" % line
+    )
+
+
+# (script, the degree D its checks read, its odd classes, its stated bound)
+OK_SCRIPTS = {
+    "o4": (O4, 12, "2 * c1, 2 * c3", 16),
+    "o5": (O5, 10, "2 * c1, 2 * c3, 2 * c5", 16),
+}
+
+
+@pytest.mark.parametrize("stated", [0, 2], ids=["stated", "stated+2"])
+@pytest.mark.parametrize("name", sorted(OK_SCRIPTS))
+def test_eval_ok_example_passes_from_its_stated_bound(capsys, name, stated):
+    """examples/o4.chow and o5.chow find (2c_odd) as the image of the
+    degenerate quadratic forms on C^4 and C^5; each header states the
+    session bound, D + floor(k^2/4) = 16."""
+    path, d, odd, bound = OK_SCRIPTS[name]
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "The session bound is D + floor(k^2/4) = %d + " % d in text
+    assert "= %d, for k = %s" % (bound, name[1]) in text
+    code = run_cli(["eval", path, "--degree-bound", str(bound + stated)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out.count("PASS") == 2 and "FAIL" not in out
+    assert out.endswith("overall: pass\n")
+
+
+@pytest.mark.parametrize("name", sorted(OK_SCRIPTS))
+def test_eval_ok_example_refuses_a_larger_ideal(tmp_path, capsys, name):
+    # with 2c2 added, the larger ideal still holds every generator of the
+    # image, but the image no longer holds the ideal
+    path, d, odd, bound = OK_SCRIPTS[name]
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    ideal = "let I = ideal(%s);" % odd
+    assert text.count(ideal) == 1
+    script = tmp_path / ("%s-control.chow" % name)
+    script.write_text(
+        text.replace(ideal, "let I = ideal(2 * c2, %s);" % odd), encoding="utf-8"
+    )
+    code = run_cli(["eval", str(script), "--degree-bound", str(bound)])
+    verdicts = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("PASS", "FAIL"))
+    ]
+    assert code == cli.EXIT_CHECK_FAILED
+    assert verdicts == [
+        "FAIL  check contains(P, I, %d) == 1   [false vs 1]" % d,
+        "PASS  check contains(I, P, %d) == 1" % d,
     ]
 
 

@@ -100,6 +100,37 @@ def test_g24_normalization(g24):
     assert g24.gysin(b1 ** 3).is_zero()  # degree below the fiber dimension
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["trivial-E", "free-E"])
+@pytest.mark.parametrize(
+    "n, k, monomial, want",
+    [
+        (2, 1, {1: 1}, -1),  # P(V): O(-1) has degree -1 on each fibre P^1
+        (4, 3, {1: 3}, -1),  # G(3, 4) = P^3*: c1(S)^3 = -c1(Q)^3
+        (4, 3, {3: 1}, -1),  # G(3, 4): c3(S) = (-1)^3 times the point class
+        (4, 2, {1: 4}, 2),  # G(2, 4): the degree of the Grassmannian
+    ],
+    ids=["P1-f1", "G34-k1^3", "G34-k3", "G24-b1^4"],
+)
+def test_gysin_degrees_carry_the_sign_of_the_fibre(n, k, monomial, want, closed):
+    """Known degrees of top classes of the sub-bundle S: pi_* of the point
+    class s_box(S*) is 1, so s_box(S) pushes forward to (-1)^(k(n-k)).  A
+    trivial E leaves the level's relations in place (the lattice path); an
+    E with variable Chern classes substitutes them out (the closed form)."""
+    if closed:
+        T, E = free_bundle("e", n, k * (n - k) + 2, k)
+    else:
+        T = VarTable(chern_vars("f", k), k * (n - k) + 2)
+        E = chern.Bundle(n, [T.one()])
+    level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
+    assert level._fiber.closed_form == closed
+    p = T.one()
+    for i, e in monomial.items():
+        p = p * T.var("f%d" % i) ** e
+    img = level.gysin(p)
+    assert img.is_homogeneous() and img.degree() == 0
+    assert img.constant() == want
+
+
 def test_g24_duality_pairing(g24):
     # Schur classes pair to 1 against their complement in the 2x2 box
     T = g24.table
@@ -510,11 +541,12 @@ def reference_symmetrization(p, sub_names, roots, values):
                 es[t] += es[t - 1] * roots[i]
         point = dict(values)
         point.update(zip(sub_names, es[1:]))
+        # the equivariant Euler class of Hom(S, Q) at the fixed point I
         den = 1
         for i in I:
             for j in range(n):
                 if j not in I:
-                    den *= roots[i] - roots[j]
+                    den *= roots[j] - roots[i]
         total += Fraction(p.eval(point)) / den
     return total
 
@@ -572,11 +604,11 @@ def test_oracle_matches_the_fraction_reference(flags, data):
 
 
 def test_oracle_returns_a_fraction_when_the_sum_is_not_integral():
-    # the pushforward of t * f1 along P(E) for E of rank 2 is t
+    # the pushforward of t * f1 along P(E) for E of rank 2 is -t
     T = VarTable([("e1", 1), ("e2", 2), ("f1", 1), ("t", 1)], 4)
     p = T.var("t") * T.var("f1")
     got = subset_symmetrization(p, ["f1"], [2, 5], {"t": Fraction(1, 2)})
-    assert type(got) is Fraction and got == Fraction(1, 2)
+    assert type(got) is Fraction and got == Fraction(-1, 2)
 
 
 def test_fiber_product_gysin_factors():

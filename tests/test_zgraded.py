@@ -230,8 +230,10 @@ def test_membership_with_certificate(so4_ideal, table):
 def test_a_lattice_reduced_then_solved_is_echeloned_once(
     so4_ideal, table, monkeypatch
 ):
-    """A normal form and then a membership test in one degree share one
-    echelon basis: `row_hnf` runs once for the degree-6 lattice."""
+    """A normal form and then a membership test share each echelon basis.
+    c2 is a spectator of (c1, 2c3, x*c3, x^2 - 4c4): the degree-6 class
+    splits into a degree-6 piece and c2 times a degree-4 piece, and
+    `row_hnf` runs once for each of the two lattices over c3, c4 and x."""
     inputs = []
 
     def recording(rows):
@@ -245,7 +247,10 @@ def test_a_lattice_reduced_then_solved_is_echeloned_once(
     assert nf != q
     ok, cert = so4_ideal.member(q - nf)
     assert ok and so4_ideal.certificate_product(cert) == q - nf
-    assert len(inputs) == 1 and inputs[0] is so4_ideal.lattice(6).rows
+    assert so4_ideal.lattice(6).table.names == ("c3", "c4", "x")
+    assert sorted(map(id, inputs)) == sorted(
+        id(so4_ideal.lattice(d).rows) for d in (4, 6)
+    )
 
 
 def test_membership_negative(so4_ideal, table):
@@ -325,6 +330,22 @@ def test_contains_and_equal(table):
     assert ok
     ok, why = big.equal(small, 6)
     assert not ok
+
+
+def test_contains_above_the_bound_is_an_error(table):
+    """A containment through a degree above the bound would read generators
+    truncated there, so it is refused, as quotient_structure refuses such a
+    degree."""
+    c1, c2 = table.var("c1"), table.var("c2")
+    big = GradedIdeal([c1, c2])
+    assert big.contains(GradedIdeal([2 * c2]), 8) == (True, None)
+    for call in (
+        lambda: big.contains(GradedIdeal([2 * c2]), 9),
+        lambda: big.equal(GradedIdeal([c2, c1]), 9),
+        lambda: big.quotient_structure(9),
+    ):
+        with pytest.raises(GradedError, match="degree 9 above the bound"):
+            call()
 
 
 def test_equal_by_two_sided_containment(table):
@@ -594,13 +615,90 @@ def test_quotient_structure_matches_smith_on_the_full_lattice(gens, d):
     assert ideal.quotient_structure(d) == want
 
 
+# c1..c3 and f1..f3 of the pool above, with spectators s1 and s2 between
+# them in the variable order, so a spectator monomial interleaves with the
+# core monomials in graded-lex order
+SP = VarTable(
+    [("c1", 1), ("s1", 1), ("c2", 2), ("c3", 3), ("s2", 2), ("f1", 1),
+     ("f2", 2), ("f3", 3)],
+    degree_bound=6,
+)
+
+
+def _sp_pool():
+    c1, s1, c2, c3, s2, f1, f2, f3 = SP.gens()
+    return [
+        c1,
+        2 * c3,
+        c3 - f3 + c1 * c2,
+        3 * c1 - 2 * f1,
+        (c2 - f2) * c3,
+        f2 - c1 * f1,
+        2 * c2 * f1 + 4 * f3,
+        c2 * c2 - 3 * f2 * f2,
+    ]
+
+
+SP_POOL = _sp_pool()
+spectator_ideals = st.lists(
+    st.integers(0, len(SP_POOL) - 1), min_size=1, max_size=4, unique=True
+).map(lambda idx: [SP_POOL[i] for i in idx])
+
+
+@st.composite
+def sp_homogeneous(draw, d):
+    picks = draw(st.lists(st.sampled_from(SP.monomials(d)), min_size=1, max_size=6))
+    return SP.poly({m: draw(st.integers(-5, 5)) for m in picks})
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectator_ideals, st.data())
+def test_spectator_split_agrees_with_the_full_table_lattice(gens, data):
+    """member, normal_form and quotient_structure of an ideal whose
+    generators leave variables out agree with one lattice over every
+    variable of the table, and no lattice the ideal builds has a variable
+    that no generator uses."""
+    ideal = GradedIdeal(gens)
+    d = data.draw(st.integers(0, SP.degree_bound))
+    full = DegreeLattice(SP, ideal.generators, d)
+    p = data.draw(sp_homogeneous(d))
+    nf = ideal.normal_form(p)
+    assert nf == full.poly(full.reduce(full.vector(p)))
+    ok, cert = ideal.member(p)
+    assert ok == nf.is_zero()
+    # p - nf is a member, with a certificate that multiplies back
+    ok, cert = ideal.member(p - nf)
+    assert ok and ideal.certificate_product(cert) == p - nf
+    factors = smith(full.rows)
+    assert ideal.quotient_structure(d) == GroupStructure(
+        d, len(full.cols) - len(factors), tuple(x for x in factors if x > 1)
+    )
+    used = set().union(*(g.variables() for g in gens))
+    assert ideal._lattices
+    for lat in ideal._lattices.values():
+        assert set(lat.table.names) <= used
+
+
 def test_unit_linear_generators_are_eliminated():
+    """Each lattice lives over the variables that the generators left after
+    unit-linear elimination use; the others are spectators."""
     c1, c2, c3, c4, f1, f2, f3 = CF.gens()
     x = c2 - f2
     final = GradedIdeal([c1, f1, 2 * c3, c3 - f3, x * x - 4 * c4, x * c3])
     assert final.lattice(4).table.names == ("c2", "c4", "f2", "f3")
+    # c1, then c3 (once c1 is gone) are substituted out: no generator is
+    # left, every lattice is over no variable and a query is its own
+    # normal form once substituted
     chained = GradedIdeal([c1, c3 - f3 + c1 * c2])
-    assert chained.lattice(3).table.names == ("c2", "c4", "f1", "f2", "f3")
+    assert chained.lattice(3).table.names == ()
+    assert chained.lattice(3).rows == []
     assert chained.normal_form(c3 + c1 * f2) == f3
     ok, cert = chained.member(c3 - f3)
     assert ok and chained.certificate_product(cert) == c3 - f3
+    # (c1, 2c3): c3 alone is a lattice variable, c2, c4 and the f's split off
+    odd = GradedIdeal([c1, 2 * c3])
+    assert odd.lattice(6).table.names == ("c3",)
+    assert [len(r) for r in odd.lattice(6).rows] == [1]
+    assert odd.normal_form(
+        3 * c3 * c3 + 3 * c3 * f2 * f1 + c1 * c3 * f2
+    ) == c3 * c3 + c3 * f2 * f1
