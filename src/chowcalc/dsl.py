@@ -423,9 +423,7 @@ _BUILTINS = {
     "sub": (("tower",), lambda G: G.taut_sub),
     "quot": (("tower",), lambda G: G.taut_quot),
     "schur": (("tower", "int*"), lambda G, *lam: G.schur(list(lam))),
-    # the image lives over the table without G's variables; scripts keep
-    # every value over the session table
-    "gysin": (("tower", "class"), lambda G, p: G.gysin(p).convert(G.table)),
+    "gysin": (("tower", "class"), lambda G, p: G.gysin(p)),
     "nf": (("reducer", "class"), lambda G, p: G.normal_form(p)),
     "rel": (("tower", "int"), _relation),
     "ideal": (("class", "class*"), lambda *gens: GradedIdeal(list(gens))),
@@ -562,8 +560,6 @@ class Session:
         """`value` as an argument of the given kind, or a DslError."""
         if kind == "class" and isinstance(value, int):
             return self.table.const(value)
-        if kind == "class" and isinstance(value, Poly):
-            return value if value.table is self.table else value.convert(self.table)
         if kind == "int" and isinstance(value, Poly) and value.degree() <= 0:
             return value.constant()
         if isinstance(value, _KINDS[kind][0]):
@@ -606,13 +602,6 @@ def _loose_eq(a, b):
             return None
 
         return as_bool(a) == as_bool(b)
-    if isinstance(a, Poly) and isinstance(b, Poly):
-        if a.table != b.table:
-            try:
-                b = b.convert(a.table)
-            except PolyError:
-                return False
-        return a == b
     return a == b
 
 

@@ -32,6 +32,8 @@ relation gives as +-v + rho, rho free of v (see `_Fiber`).
 already holds the base and sub-bundle variables, a bundle E over that table,
 k and the sub-bundle variable names.  The script language builds its levels
 over the session table, and `FiberProduct` pairs two levels over one table.
+A pushforward's image is a class over the level's own table, free of the
+sub-bundle variables, so it can be pushed along another level of that table.
 """
 
 import itertools
@@ -216,7 +218,8 @@ class _Fiber:
 
     `subvars` are the Chern variables f_1..f_k of the tautological
     sub-bundle of E, rank E = n; `relations` are the factor's defining
-    relations.  A pushforward takes one of two paths.
+    relations.  A pushforward's image is a class over `table`, free of the
+    subvars.  It takes one of two paths.
 
     The closed form is taken on every level whose relations
     `_substitute_units` removes completely.  With t_1..t_k the Chern roots
@@ -276,7 +279,6 @@ class _Fiber:
         self.relations = tuple(relations)
         self._substitution = _substitute_units(self.relations, self.subvars)
         self.closed_form = not self._substitution[1]
-        self.target_table = None
         self.core_ring = None
         self._solvers = {}
         # the closed form's state: h_0(E)..h_bound(E) from the first push
@@ -287,29 +289,16 @@ class _Fiber:
         self._expansions = {}
         self._dets = {}
 
-    def _target(self):
-        """The target table (every variable but the subvars), built once."""
-        if self.target_table is None:
-            table = self.table
-            names = [nm for nm in table.names if nm not in self.subvars]
-            self.target_table = VarTable(
-                [(nm, table.degrees[table.index[nm]]) for nm in names],
-                table.degree_bound,
-            )
-            self._to_target = table.rekey(self.target_table, names)
-        return self.target_table
-
     def gysin(self, p):
-        """Pushforward to the target table (all variables minus the subvars)."""
+        """Pushforward: a class over the level's table, free of the subvars."""
         if p.table != self.table:
             raise TowerError("polynomial over the wrong table")
-        target = self._target()
         if p.is_zero():
-            return target.zero()
+            return p
         if not p.is_homogeneous():
             raise TowerError("Gysin pushforward requires a homogeneous class")
         if p.degree() < self.relative_dim:
-            return target.zero()
+            return self.table.zero()
         if self.closed_form:
             return self._gysin_closed(p)
         return self._gysin_lattice(p)
@@ -331,14 +320,14 @@ class _Fiber:
             alpha = tuple([key >> off & mask for off, _ in fields])
             deg = sum([e * w for e, (_, w) in zip(alpha, fields)])
             groups.setdefault(alpha, {})[(key & keep) - (deg << shift)] = c
-        return self._signed_to_target(sum_of_products(table, [
+        return self._signed(sum_of_products(table, [
             (1, Poly(table, g), self._pushed_monomial(alpha))
             for alpha, g in groups.items()
         ]))
 
     def _pushed_monomial(self, alpha):
         """pi_*(f^alpha) over the level's table, free of the subvars, but
-        for the sign (-1)^(k(n-k)) that `_signed_to_target` puts on."""
+        for the sign (-1)^(k(n-k)) that `_signed` puts on."""
         img = self._pushed.get(alpha)
         if img is None:
             table, box = self.table, self.n - self.k
@@ -486,18 +475,14 @@ class _Fiber:
         of p's spectator split at a time."""
         self._lattice_path()
         split = self._split
-        return self._signed_to_target(split.join(
+        return self._signed(split.join(
             (m, self._solve_core(q)) for m, q in split.split(p)
         ))
 
-    def _signed_to_target(self, p):
-        """(-1)^(k(n-k)) * p over the target table, for a p free of the
-        subvars: the sign of the fibre's point class, s_box(S*) =
-        (-1)^(k(n-k)) * s_box(S), which both paths leave out."""
-        move = self._to_target
-        sign = -1 if self.relative_dim % 2 else 1
-        terms = {move(k): sign * c for k, c in p.terms.items()}
-        return Poly(self.target_table, terms)
+    def _signed(self, p):
+        """(-1)^(k(n-k)) * p: the sign of the fibre's point class, s_box(S*)
+        = (-1)^(k(n-k)) * s_box(S), which both paths leave out."""
+        return -p if self.relative_dim % 2 else p
 
 
 # -- tower levels ------------------------------------------------------------
@@ -562,7 +547,8 @@ class TowerLevel:
         return Poly(self.table, terms)
 
     def gysin(self, p):
-        """Pushforward to the table without `subvars`; degree drops by k(n-k)."""
+        """Pushforward to the base: a class over the level's table, free of
+        `subvars`; degree drops by k(n-k)."""
         return self._fiber.gysin(p)
 
 

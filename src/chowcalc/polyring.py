@@ -719,10 +719,10 @@ def is_symmetric(p, rootset):
     return True
 
 
-def symmetric_reduce(p, rootset, target_table, target_names):
+def symmetric_reduce(p, rootset, target, target_names):
     """Rewrite a symmetric polynomial in the roots in the elementary basis.
 
-    `target_names` are the images of e_1..e_n inside `target_table` (they must
+    `target_names` are the images of e_1..e_n inside `target` (they must
     have degrees 1..n there).  Classical leading-term subtraction; exact and
     self-certifying by re-expansion.
     """
@@ -732,7 +732,7 @@ def symmetric_reduce(p, rootset, target_table, target_names):
     if len(target_names) != n:
         raise PolyError("need exactly %d target variables" % n)
     for i, nm in enumerate(target_names, start=1):
-        if target_table.degrees[target_table.index[nm]] != i:
+        if target.degrees[target.index[nm]] != i:
             raise PolyError("target variable %r must have degree %d" % (nm, i))
     if not is_symmetric(p, rootset):
         raise NotSymmetricError("polynomial is not symmetric in the roots")
@@ -751,7 +751,7 @@ def symmetric_reduce(p, rootset, target_table, target_names):
         return expand_cache[key]
 
     work = p
-    result = target_table.zero()
+    result = target.zero()
     while not work.is_zero():
         expo, c = work.leading()
         if any(expo[i] < expo[i + 1] for i in range(n - 1)):
@@ -759,9 +759,9 @@ def symmetric_reduce(p, rootset, target_table, target_names):
         # lambda_i = a_i - a_{i+1} gives the e-monomial with this leading term
         kvec = [expo[i] - (expo[i + 1] if i + 1 < n else 0) for i in range(n)]
         work = work - c * expand_e_mono(kvec)
-        mono = target_table.one()
+        mono = target.one()
         for i, k in enumerate(kvec):
             if k:
-                mono = mono * target_table.var(target_names[i]) ** k
+                mono = mono * target.var(target_names[i]) ** k
         result = result + c * mono
     return result

@@ -505,8 +505,7 @@ class So4Pipeline:
         draws = [rng.choice(candidates) for _ in range(10)]
         for i, j in dict.fromkeys(draws):
             mono = t.var("b1") ** i * t.var("b2") ** j
-            # as the script's `gysin`: the image back over the script's table
-            img = G2.gysin(ge * mono).convert(t)
+            img = G2.gysin(ge * mono)
             if not dsl._member(img, P):
                 return (
                     "all images in the pushforward ideal",

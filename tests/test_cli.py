@@ -22,6 +22,7 @@ BUNDLES = os.path.join(os.path.dirname(__file__), "..", "examples", "bundles.cho
 O3 = os.path.join(os.path.dirname(__file__), "..", "examples", "o3.chow")
 O4 = os.path.join(os.path.dirname(__file__), "..", "examples", "o4.chow")
 O5 = os.path.join(os.path.dirname(__file__), "..", "examples", "o5.chow")
+O6 = os.path.join(os.path.dirname(__file__), "..", "examples", "o6.chow")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -239,15 +240,16 @@ def test_eval_o3_example_below_its_check_degree_is_an_error(capsys):
 OK_SCRIPTS = {
     "o4": (O4, 12, "2 * c1, 2 * c3", 16),
     "o5": (O5, 10, "2 * c1, 2 * c3, 2 * c5", 16),
+    "o6": (O6, 10, "2 * c1, 2 * c3, 2 * c5", 19),
 }
 
 
 @pytest.mark.parametrize("stated", [0, 2], ids=["stated", "stated+2"])
 @pytest.mark.parametrize("name", sorted(OK_SCRIPTS))
 def test_eval_ok_example_passes_from_its_stated_bound(capsys, name, stated):
-    """examples/o4.chow and o5.chow find (2c_odd) as the image of the
-    degenerate quadratic forms on C^4 and C^5; each header states the
-    session bound, D + floor(k^2/4) = 16."""
+    """examples/o4.chow, o5.chow and o6.chow find (2c_odd) as the image of
+    the degenerate quadratic forms on C^4, C^5 and C^6; each header states
+    the session bound, D + floor(k^2/4)."""
     path, d, odd, bound = OK_SCRIPTS[name]
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
