@@ -228,18 +228,15 @@ def whitney_split(total, sub):
     return q[: rank + 1], q[rank + 1 :]
 
 
-def whitney_quotient(total, sub, ring=None):
+def whitney_quotient(total, sub):
     """Solve 0 -> sub -> total -> Q -> 0 for Q by Whitney series division.
 
-    The excess classes of `whitney_split` must vanish -- modulo the
-    relations of `ring` when one is supplied, identically otherwise -- else
-    the data is inconsistent and we raise.
+    The excess classes of `whitney_split` must vanish, else the data is
+    inconsistent and we raise.
     """
     classes, excess = whitney_split(total, sub)
     rank = total.rank - sub.rank
     for d, part in enumerate(excess, start=rank + 1):
-        if ring is not None:
-            part = ring.normal_form(part)
         if not part.is_zero():
             raise InconsistentSequenceError(
                 "quotient class in degree %d does not vanish: %s" % (d, part)

@@ -3,16 +3,16 @@
 Evaluates the SO(4) script shipped beside this module (`so4.chow`, the same
 file as `examples/so4.chow`) in one `dsl.Session`, only as far as a row
 needs, and emits a Report of named pass/fail rows.  The script is parsed
-once.  Its 16 checks alone decide 15 rows, each naming the checks it reads
+once.  Its 19 checks alone decide 17 rows, each naming the checks it reads
 by their printed text (`dsl.check_text`, the `text` that `eval` prints),
 which is looked up in an index of the script's checks: the class displays,
-the pushforwards and the tower relations mod J = (c1, f1), the relations'
-membership in the final ideal `I` and the ideal identity.  The other 8 rows
-(the sixth entry's ideal consistency, the Gysin oracle, both lattice rows,
-the presentation, the quotient structure, the ruling and the monomial
-closure, which queries the script's `P`) are decided here, on the script's
-own values, over the script's table.  No recorded value (`let NAME_rec`,
-`I`) is written here.
+the pushforwards and the tower relations mod J = (c1, f1), the sixth entry's
+ideal consistency, the relations' membership in the final ideal `I`, the
+ideal identity and the complementary ruling.  The other 6 rows (the Gysin
+oracle, both lattice rows, the presentation, the quotient structure and the
+monomial closure, which queries the script's `P`) are decided here, on the
+script's own values, over the script's table.  No recorded value
+(`let NAME_rec`, `I`) is written here.
 
 `So4Pipeline.run_all` walks one check table of rows
 (name, paper_ref, min_bound, fn) in report order.  A row whose minimum bound
@@ -37,7 +37,7 @@ import time
 from functools import cached_property, partial
 from math import gcd
 
-from . import chern, dsl
+from . import dsl
 from .grasstower import FiberProduct, subset_symmetrization
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Record, VarTable
 from .zgraded import GradedIdeal, GroupStructure
@@ -265,7 +265,10 @@ class So4Pipeline:
         self.build_geometry()
         env = self._session.env
         while name not in env:
-            self._session.execute(next(self._lets))
+            stmt = next(self._lets, None)
+            if stmt is None:
+                raise PipelineError("the SO(4) script has no let %s" % name)
+            self._session.execute(stmt)
         return env[name]
 
     def script_check(self, text):
@@ -325,23 +328,6 @@ class So4Pipeline:
                 relations.append(img)
         return relations, GradedIdeal(relations)
 
-    def check_ruling_symmetry(self):
-        """The complementary ruling bundle inside wedge^2 of the ambient.
-
-        Working modulo the final ideal, c(wedge^2 S)/c(F) must be an honest
-        rank-3 total class with degree-2 part 2c2 - f2.  Each congruence holds
-        only by a membership certificate that multiplies back to the
-        difference (`dsl._member`).
-        """
-        final = self.final_ideal
-        t = self.G3.table
-        ftilde = chern.whitney_quotient(self.G3.E, self.G3.taut_sub, ring=final)
-        f2t = ftilde.c(2)
-        c2, f2 = t.var("c2"), t.var("f2")
-        ok1 = dsl._member(f2t - (2 * c2 - f2), final)
-        ok2 = dsl._member((c2 - f2t) + (c2 - f2), final)
-        return ftilde, ok1, ok2
-
     # -- shared results, built by the first check that reads them ----------
 
     @cached_property
@@ -376,19 +362,6 @@ class So4Pipeline:
         # the six images are built once, in the first row that reads one
         self._pf
         return self._script_row(text)
-
-    def _check_sixth_consistency(self):
-        """The sixth reference entry rewrites the computed value modulo the
-        previously listed generators; record that consistency explicitly."""
-        rec = {k: self.script_value("p%d_rec" % k) for k in (2, 3, 5)}
-        t = self.G3.table
-        earlier = GradedIdeal([t.var("c1"), t.var("f1"), rec[2], rec[3]])
-        ok = dsl._member(self._pf[5] - rec[5], earlier)
-        return (
-            "difference lies in the ideal of the earlier entries",
-            "member certificate verified" if ok else "not a member",
-            ok,
-        )
 
     def _check_oracle_agreement(self, rng):
         """Pushforward normalization against the symmetrization formula,
@@ -474,18 +447,6 @@ class So4Pipeline:
             want.append("A^%d=%s" % (d, GroupStructure(d, free, (2,) * torsion)))
         return ("; ".join(want), "; ".join(got), got == want)
 
-    def _check_ruling(self):
-        try:
-            _, ok1, ok2 = self.check_ruling_symmetry()
-        except chern.InconsistentSequenceError as exc:
-            return ("rank-3 complement", "inconsistent: %s" % exc, False)
-        ok = ok1 and ok2
-        return (
-            "f~2 == 2c2 - f2 and c2 - f~2 == -(c2 - f2)",
-            "both congruences hold" if ok else "congruence failed",
-            ok,
-        )
-
     def _check_monomial_closure(self, rng):
         """Pushforwards of unlisted monomials stay inside the script's P,
         the ideal of the six pushforwards and (c1, f1), each by a membership
@@ -546,7 +507,11 @@ class So4Pipeline:
         rows += [
             ("pushforward-G2E.b1^2*b2-ideal-consistency",
              "derived: internal consistency", pf_bounds[5],
-             self._check_sixth_consistency),
+             partial(script, "member(nf(J, p5) - p5_rec, "
+                     "ideal(c1, f1, p2_rec, p3_rec)) == 1",
+                     verdict=("difference lies in the ideal of the earlier "
+                              "entries", "member certificate verified",
+                              "not a member"))),
             ("gysin-oracle-agreement", "derived: symmetrization formula",
              G2E_DEGREE, partial(self._check_oracle_agreement, rng)),
         ]
@@ -574,7 +539,11 @@ class So4Pipeline:
             ("quotient-structure", "derived: monomial enumeration oracle",
              GEOMETRY_BOUND, self._check_quotient_structure),
             ("ruling-symmetry", "reference: complementary ruling",
-             GEOMETRY_BOUND, self._check_ruling),
+             GEOMETRY_BOUND,
+             partial(script, "member(c(Ft, 2) - (2 * c2 - f2), I) == 1",
+                     "member(c2 - c(Ft, 2) + (c2 - f2), I) == 1",
+                     verdict=("f~2 == 2c2 - f2 and c2 - f~2 == -(c2 - f2)",
+                              "both congruences hold", "congruence failed"))),
             ("monomial-closure", "derived: ideal closure property",
              all_pf, partial(self._check_monomial_closure, rng)),
         ]

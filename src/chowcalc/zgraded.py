@@ -194,21 +194,24 @@ def smith(M):
     so, and one that does not is replaced by a smaller one, so the passes
     end.  The diagonal left is put into divisibility order.
     """
-    rows = M
-    while True:
-        H, _, pivots = row_hnf(rows)
-        echelon = [H[r] for r, _ in pivots]
-        if all(len(h) == 1 for h in echelon):
-            diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
-            return _divisibility_order(diag)
-        rows = _transpose(echelon)
+    factors, rows = None, M
+    while factors is None:
+        factors, rows = _smith_pass(row_hnf(rows))
+    return factors
 
 
-def _transpose(rows):
-    """The dense transpose of {column: entry} rows, restricted to the
-    columns they occupy."""
-    cols = sorted(set().union(*rows))
-    return [[h.get(c, 0) for h in rows] for c in cols]
+def _smith_pass(basis):
+    """One pass of `smith` on the echelon basis (H, U, pivots) of its rows:
+    (the invariant factors, None) when every echelon row has one entry,
+    else (None, the dense transpose of the echelon rows, restricted to the
+    columns they occupy) for the next pass."""
+    H, _, pivots = basis
+    echelon = [H[r] for r, _ in pivots]
+    if all(len(h) == 1 for h in echelon):
+        diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
+        return _divisibility_order(diag), None
+    cols = sorted(set().union(*echelon))
+    return None, [[h.get(c, 0) for h in echelon] for c in cols]
 
 
 def _divisibility_order(diag):
@@ -292,15 +295,10 @@ class DegreeLattice:
         return hnf_solve(H, U, pivots, v)
 
     def invariant_factors(self):
-        """`smith` of the rows, from the echelon basis they already have:
-        its pivots when each echelon row has one entry, else `smith` of
-        the transposed echelon rows, which have the same Smith form."""
-        H, _, pivots = self._echelon()
-        echelon = [H[r] for r, _ in pivots]
-        if all(len(h) == 1 for h in echelon):
-            diag = [h[c] for h, (_, c) in zip(echelon, pivots)]
-            return _divisibility_order(diag)
-        return smith(_transpose(echelon))
+        """`smith` of the rows, its first pass run on the echelon basis
+        they already have."""
+        factors, rows = _smith_pass(self._echelon())
+        return factors if rows is None else smith(rows)
 
 
 def _unit_variable(g):

@@ -166,9 +166,17 @@ def test_final_presentation_and_structure(pipeline):
 
 
 def test_ruling_symmetry(pipeline, report):
-    _, ok1, ok2 = pipeline.check_ruling_symmetry()
-    assert ok1 and ok2
+    for text in (
+        "member(c(Ft, 2) - (2 * c2 - f2), I) == 1",
+        "member(c2 - c(Ft, 2) + (c2 - f2), I) == 1",
+    ):
+        assert pipeline.script_check(text)["ok"], text
     assert checks(report)["ruling-symmetry"].status == "pass"
+    # Ft is an honest rank-3 quotient mod I: the classes of
+    # c(wedge^2 S)/c(F) above its rank, G3's relations, lie in I
+    _, excess = chern.whitney_split(pipeline.G3.E, pipeline.G3.taut_sub)
+    final = pipeline.script_value("I")
+    assert all(final.normal_form(p).is_zero() for p in excess)
 
 
 # 8. property suites guarding the machinery

@@ -456,7 +456,7 @@ def test_example_script_verdicts():
     events, ok = run_script(text)
     assert not ok  # two recorded reference values are not reproduced
     checks = [e for e in events if e["kind"] == "check"]
-    assert len(checks) == 16
+    assert len(checks) == 19
     failing = [c["text"] for c in checks if not c["ok"]]
     assert failing == ["p0 == p0_rec", "nf(J, p5) == p5_rec"]
     values = {e["name"]: e["value"] for e in events if e["kind"] == "let"}

@@ -324,7 +324,7 @@ def test_each_script_check_is_read_by_exactly_one_row(monkeypatch):
     with open(so4pipeline.SCRIPT) as fh:
         stmts = dsl.parse(fh.read())
     checks = [dsl.check_text(s) for s in stmts if isinstance(s, dsl.CheckStmt)]
-    assert len(set(checks)) == 16
+    assert len(set(checks)) == 19
     assert Counter(read) == Counter(checks)
 
 
@@ -363,25 +363,44 @@ def test_a_row_naming_a_missing_check_is_usage_error(
     assert captured.out == ""
 
 
+def test_a_row_reading_a_missing_let_is_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    """A value a row reads that the script never binds is a usage error."""
+    alter_script(tmp_path, monkeypatch, "let J = ideal(c1, f1);", "")
+    assert cli.main(["verify-so4", "--degree-bound", "10"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: the SO(4) script has no let J\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
-    "old, new, rows",
+    "old, new, rows, bound",
     [
         ("let p2_rec = -2 * f3;", "let p2_rec = 2 * f3;",
-         {"pushforward-G2E.b1^2-mod-J"}),
+         {"pushforward-G2E.b1^2-mod-J"}, DEFAULT_DEGREE_BOUND),
         # P is read by ideal-identity and by monomial-closure
         ("let P = ideal(p0, p1, p2, p3, p4, p5, c1, f1);",
          "let P = ideal(p0, p1, p2, p4, p5, c1, f1);",
-         {"ideal-identity", "monomial-closure"}),
+         {"ideal-identity", "monomial-closure"}, DEFAULT_DEGREE_BOUND),
+        # the ruling row runs from bound 4, where the known failures skip
+        ("let Ft = quotient(wedge2(S), F);",
+         "let Ft = quotient(wedge2(S), sub(G2));",
+         {"ruling-symmetry"}, 4),
+        ("let Ft = quotient(wedge2(S), F);",
+         "let Ft = quotient(wedge2(S), sub(G2));",
+         {"ruling-symmetry"}, DEFAULT_DEGREE_BOUND),
     ],
-    ids=["p2_rec", "P-without-p3"],
+    ids=["p2_rec", "P-without-p3", "Ft-over-G2-b4", "Ft-over-G2"],
 )
 def test_an_altered_script_line_fails_only_the_row_reading_it(
-    tmp_path, monkeypatch, old, new, rows
+    tmp_path, monkeypatch, old, new, rows, bound
 ):
     alter_script(tmp_path, monkeypatch, old, new)
-    rep = So4Pipeline(degree_bound=DEFAULT_DEGREE_BOUND, seed=0).run_all()
+    rep = So4Pipeline(degree_bound=bound, seed=0).run_all()
     failing = {c.name for c in rep.checks if c.status == "fail"}
-    assert failing == KNOWN_FAILING | rows
+    ran = {c.name for c in rep.checks if c.status != "skipped"}
+    assert failing == (KNOWN_FAILING & ran) | rows
 
 
 def test_member_is_false_unless_its_certificate_multiplies_back(monkeypatch):

@@ -21,13 +21,17 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "chowcalc")
 # splitting-principle oracle of the wedge^2 and Jacobi-Trudi tests; the
 # closed-form Gysin pushforward works in the Schur basis and needs no roots.
 # bench/tracing.py wraps `symmetric_reduce` and `series_invert` by name.
+# `whitney_quotient`, which raises `InconsistentSequenceError`, is the
+# reference of the Whitney-split tests, and bench/tracing.py wraps it by name.
 UNREAD = [
+    "InconsistentSequenceError",
     "NotSymmetricError",
     "RootSet",
     "_swap_vars",
     "is_symmetric",
     "series_invert",
     "symmetric_reduce",
+    "whitney_quotient",
 ]
 
 UNREAD_METHODS = [
