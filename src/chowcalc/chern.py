@@ -35,7 +35,7 @@ class Bundle:
         if not chern:
             raise BundleError("need at least c_0")
         table = chern[0].table
-        bound = table.degree_bound
+        bound, shift = table.degree_bound, table.shift
         if len(chern) < rank + 1:
             chern = chern + [table.zero()] * (rank + 1 - len(chern))
         if len(chern) > rank + 1:
@@ -44,13 +44,13 @@ class Bundle:
             if chern[0] != table.one():
                 raise BundleError("c_0 must be 1")
             for i, ci in enumerate(chern[1:], start=1):
-                if ci.table != table:
+                if ci.table is not table and ci.table != table:
                     raise BundleError("Chern classes over different tables")
-                if i > bound and not ci.is_zero():
+                if i > bound and ci.terms:
                     raise BundleError(
                         "a nonzero c_%d needs a degree bound >= %d" % (i, i)
                     )
-                if not ci.is_zero() and not (ci.is_homogeneous() and ci.degree() == i):
+                if ci.terms and not i == min(ci.terms) >> shift == max(ci.terms) >> shift:
                     raise BundleError("c_%d must be homogeneous of degree %d" % (i, i))
         self.rank = rank
         self.chern = tuple(chern)

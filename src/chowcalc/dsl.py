@@ -30,6 +30,7 @@ import re
 from . import chern
 from .grasstower import TowerLevel
 from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, PolyError, Record, VarTable
+from .polyring import _text
 from .zgraded import GradedIdeal
 
 
@@ -405,8 +406,8 @@ _KINDS = {
     "int": (int, "an integer"),
 }
 
-# builtin -> (argument kinds, function); a last kind ending in "*" takes any
-# number of arguments.  `bundle` and `grass` declare variables and are read
+# builtin -> (argument kinds, function); `_REPEATED` names the kind of any
+# further arguments.  `bundle` and `grass` declare variables and are read
 # by `_declaration` instead.  The functions look library functions up when
 # called, so a wrapper installed on a module attribute sees every call.
 _BUILTINS = {
@@ -422,26 +423,28 @@ _BUILTINS = {
     "c": (("bundle", "int"), lambda E, k: E.c(k)),
     "sub": (("tower",), lambda G: G.taut_sub),
     "quot": (("tower",), lambda G: G.taut_quot),
-    "schur": (("tower", "int*"), lambda G, *lam: G.schur(list(lam))),
+    "schur": (("tower",), lambda G, *lam: G.schur(list(lam))),
     "gysin": (("tower", "class"), lambda G, p: G.gysin(p)),
     "nf": (("reducer", "class"), lambda G, p: G.normal_form(p)),
     "rel": (("tower", "int"), _relation),
-    "ideal": (("class", "class*"), lambda *gens: GradedIdeal(list(gens))),
+    "ideal": (("class",), lambda *gens: GradedIdeal(list(gens))),
     "member": (("class", "ideal"), _member),
     "contains": (("ideal", "ideal", "int"), lambda I, J, d: I.contains(J, d)[0]),
     "structure": (("ideal", "int"), lambda I, d: I.quotient_structure(d)),
 }
+_REPEATED = {"schur": "int", "ideal": "class"}
 
 
 def _arg_kinds(fn, n):
     """The kind of each of the n arguments of builtin `fn`."""
-    kinds = _BUILTINS[fn][0]
-    many = kinds[-1].endswith("*")
-    fixed = kinds[:-1] if many else kinds
-    if n < len(fixed) or (n > len(fixed) and not many):
+    fixed = _BUILTINS[fn][0]
+    if n == len(fixed):
+        return fixed
+    many = _REPEATED.get(fn)
+    if n < len(fixed) or many is None:
         at_least = "at least " if many else ""
         raise DslError("%s takes %s%d argument(s)" % (fn, at_least, len(fixed)))
-    return fixed + (kinds[-1][:-1],) * (n - len(fixed))
+    return fixed + (many,) * (n - len(fixed))
 
 
 class Session:
@@ -485,27 +488,34 @@ class Session:
         """Pass 2, one statement: evaluate it over the table; returns its
         transcript event.  Every error is raised as a DslError that names
         the statement's line."""
-        try:
-            return self._statement(s)
-        except (ChowError, RecursionError) as exc:
-            raise DslError(str(exc), s.line, 1) from exc
+        return _at_line(s, self._event)
 
-    def _statement(self, s):
+    def bind(self, s):
+        """`execute` for a `let`, returning its value unprinted."""
+        return _at_line(s, self._bind)
+
+    def _bind(self, s):
+        if s.name in self.env or s.name in self.table.index:
+            raise DslError("name %r bound twice" % s.name)
+        decl = _declaration(s.expr, self.degree_bound)
+        value = self._declare(*decl) if decl else self.eval(s.expr)
+        self.env[s.name] = value
+        return value
+
+    def _event(self, s):
         if isinstance(s, Let):
-            if s.name in self.env or s.name in self.table.index:
-                raise DslError("name %r bound twice" % s.name)
-            decl = _declaration(s.expr, self.degree_bound)
-            value = self._declare(*decl) if decl else self.eval(s.expr)
-            self.env[s.name] = value
-            return {"kind": "let", "name": s.name, "value": _show(value)}
+            return {"kind": "let", "name": s.name, "value": _show(self._bind(s))}
         lhs = self.eval(s.lhs)
         rhs = self.eval(s.rhs)
+        # equal sides of one type print alike: print them once
+        same = type(lhs) is type(rhs) and lhs == rhs
+        lhs_text = _show(lhs)
         return {
             "kind": "check",
             "text": check_text(s),
-            "ok": _loose_eq(lhs, rhs),
-            "lhs": _show(lhs),
-            "rhs": _show(rhs),
+            "ok": same or _loose_eq(lhs, rhs),
+            "lhs": lhs_text,
+            "rhs": lhs_text if same else _show(rhs),
         }
 
     def eval(self, node):
@@ -558,13 +568,21 @@ class Session:
 
     def _as(self, kind, value):
         """`value` as an argument of the given kind, or a DslError."""
+        if isinstance(value, _KINDS[kind][0]):
+            return value
         if kind == "class" and isinstance(value, int):
             return self.table.const(value)
         if kind == "int" and isinstance(value, Poly) and value.degree() <= 0:
             return value.constant()
-        if isinstance(value, _KINDS[kind][0]):
-            return value
         raise DslError("expected %s, found %s" % (_KINDS[kind][1], _kind(value)))
+
+
+def _at_line(s, work):
+    """work(s), any error raised as a DslError that names s's line."""
+    try:
+        return work(s)
+    except (ChowError, RecursionError) as exc:
+        raise DslError(str(exc), s.line, 1) from exc
 
 
 def _kind(value):
@@ -576,7 +594,9 @@ def _kind(value):
 
 def _show(value):
     if isinstance(value, chern.Bundle):
-        return "bundle(rank %d, c = %s)" % (value.rank, value.total())
+        # c_i has degree i, so c_rank, ..., c_0 descend in key
+        parts = [ci.terms for ci in reversed(value.chern)]
+        return "bundle(rank %d, c = %s)" % (value.rank, _text(value.table, parts))
     if isinstance(value, TowerLevel):
         return "G(%d, rank-%d bundle) with %s" % (
             value.k,

@@ -30,6 +30,12 @@ q_0..q_k of a / b for a series b with constant term 1, by the recurrence
 q_d = a_d - sum_{j>=1} b_j q_{d-j}, so only the degrees a caller reads are
 ever multiplied.  That sum, like every sum of products here and in the layers
 above, is built in one dict by :func:`sum_of_products`.
+
+Printing is :func:`_text`: one pass over term dicts whose key ranges descend
+one after another (a polynomial's terms, or a bundle's classes from the top),
+appending sign, magnitude and monomial to one list.  `_fmt_mono` builds each
+monomial's text once per table from the table's piece table, whose row j holds
+`name` and `name^e` (e up to bound // weight) for key field j from the right.
 """
 
 import functools
@@ -93,7 +99,7 @@ class VarTable:
     __slots__ = (
         "names", "degrees", "degree_bound", "index",
         "bits", "mask", "shift", "offsets", "limit",
-        "_mono_cache", "_mono_tails", "_mono_text",
+        "_mono_cache", "_mono_tails", "_mono_text", "_mono_pieces",
     )
 
     def __init__(self, variables, degree_bound=DEFAULT_DEGREE_BOUND):
@@ -124,6 +130,7 @@ class VarTable:
         self._mono_cache = {}
         self._mono_tails = {}
         self._mono_text = {}
+        self._mono_pieces = None
 
     # Tables compare by content so that rebuilt/lifted tables interoperate.
     def __eq__(self, other):
@@ -302,15 +309,47 @@ def _exponents(table, key):
 
 
 def _fmt_mono(table, key):
-    """The monomial of a key as text, remembered per table."""
-    text = table._mono_text.get(key)
-    if text is None:
-        names = table.names
-        text = table._mono_text[key] = "*".join([
-            names[i] if e == 1 else "%s^%d" % (names[i], e)
-            for i, e in _exponents(table, key)
-        ])
+    """The monomial of a key as text, remembered per table: its nonzero
+    fields, highest first, looked up in the table's piece table."""
+    rows = table._mono_pieces
+    if rows is None:
+        rows = table._mono_pieces = [
+            ["", name] + ["%s^%d" % (name, e) for e in range(2, table.degree_bound // w + 1)]
+            for name, w in zip(reversed(table.names), reversed(table.degrees))
+        ]
+    bits, rest, pieces = table.bits, key & ((1 << table.shift) - 1), []
+    while rest:
+        j = (rest.bit_length() - 1) // bits
+        e = rest >> j * bits
+        rest ^= e << j * bits
+        pieces.append(rows[j][e])
+    text = table._mono_text[key] = "*".join(pieces)
     return text
+
+
+def _text(table, parts):
+    """The text of the sum of the term dicts `parts` over `table`, whose key
+    ranges descend one after another; `0` for the zero sum."""
+    pieces = []
+    append, texts = pieces.append, table._mono_text
+    try:
+        for terms in parts:
+            for key in sorted(terms, reverse=True):
+                c, mono = terms[key], texts.get(key)
+                if mono is None:
+                    mono = _fmt_mono(table, key)
+                append(" - " if c < 0 else " + ")
+                if c < 0:
+                    c = -c
+                if c != 1 or not mono:
+                    append(str(c) + "*" if mono else str(c))
+                append(mono)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise PolyError("coefficient too large to print") from None
+    if not pieces:
+        return "0"
+    pieces[0] = "" if pieces[0] == " + " else "-"
+    return "".join(pieces)
 
 
 class Poly:
@@ -429,7 +468,8 @@ class Poly:
             other = self.table.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        t = other.table
+        return (self.table is t or self.table == t) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.table, frozenset(self.terms.items())))
@@ -544,28 +584,7 @@ class Poly:
     # -- canonical string --------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        texts = self.table._mono_text
-        try:
-            for i, key in enumerate(sorted(self.terms, reverse=True)):
-                c = self.terms[key]
-                mono = texts.get(key)
-                if mono is None:
-                    mono = _fmt_mono(self.table, key)
-                mag = abs(c)
-                if mono:
-                    body = mono if mag == 1 else "%d*%s" % (mag, mono)
-                else:
-                    body = str(mag)
-                if i == 0:
-                    pieces.append(body if c > 0 else "-" + body)
-                else:
-                    pieces.append((" + " if c > 0 else " - ") + body)
-        except ValueError:  # past the interpreter's int/str digit limit
-            raise PolyError("coefficient too large to print") from None
-        return "".join(pieces)
+        return _text(self.table, (self.terms,))
 
     def __repr__(self):
         return "Poly(%s)" % (self,)

@@ -268,7 +268,7 @@ class So4Pipeline:
             stmt = next(self._lets, None)
             if stmt is None:
                 raise PipelineError("the SO(4) script has no let %s" % name)
-            self._session.execute(stmt)
+            self._session.bind(stmt)
         return env[name]
 
     def script_check(self, text):
@@ -318,7 +318,7 @@ class So4Pipeline:
         c2 = pres.var("c2")
         c3 = self.G3.table.var("c3")
         relations = []
-        for g in self.final_ideal.generators:
+        for g in self.script_value("I").generators:
             img = g.substitute({"f1": 0, "f3": c3}).substitute(
                 {"f2": c2 - x}, table=pres
             )
@@ -329,12 +329,6 @@ class So4Pipeline:
         return relations, GradedIdeal(relations)
 
     # -- shared results, built by the first check that reads them ----------
-
-    @cached_property
-    def final_ideal(self):
-        """The script's final ideal `I`, the object its checks query, so
-        its lattices are built once for all of them."""
-        return self.script_value("I")
 
     @cached_property
     def _pf(self):

@@ -76,6 +76,53 @@ def test_bundle_validation(table):
     assert E.c(7).is_zero()  # above the rank
 
 
+def _bundle_error(rank, classes):
+    with pytest.raises(BundleError) as exc:
+        Bundle(rank, classes)
+    return str(exc.value)
+
+
+def test_bundle_validation_messages_and_which_wins():
+    """Each message in full, and which wins when several apply: c_0 is
+    checked first, then each class from c_1 up, for one class its table
+    first, then the bound, then its degree."""
+    t = VarTable([("a", 1), ("b", 2), ("c", 3)], degree_bound=4)
+    other = VarTable([("a", 1), ("b", 2), ("c", 3)], degree_bound=5)
+    one, (a, b, c) = t.one(), t.gens()
+    tables = "Chern classes over different tables"
+    cases = [
+        (-1, [one], "rank must be nonnegative"),
+        (1, [], "need at least c_0"),
+        (0, [one, a], "more Chern classes than the rank allows"),
+        (1, [t.const(2), a], "c_0 must be 1"),
+        (1, [t.zero()], "c_0 must be 1"),
+        (1, [one + a, a], "c_0 must be 1"),
+        (3, [t.const(-1), other.var("a"), a * a, t.var("a") ** 4], "c_0 must be 1"),
+        (1, [one, other.var("a")], tables),
+        (2, [one, a, other.zero()], tables),  # a zero class's table is checked
+        (5, [one, a, b, c, a**4, other.var("a") ** 5], tables),  # before the bound
+        # a nonzero class above the bound has the wrong degree as well
+        (5, [one, 0 * a, 0 * b, 0 * c, 0 * a, a**4], "a nonzero c_5 needs a degree bound >= 5"),
+        (1, [one, b], "c_1 must be homogeneous of degree 1"),
+        (2, [one, a, a], "c_2 must be homogeneous of degree 2"),
+        (2, [one, a, b + a], "c_2 must be homogeneous of degree 2"),
+        (2, [one, b, other.var("b")], "c_1 must be homogeneous of degree 1"),
+        (3, [one, a, a + b, other.var("c")], "c_2 must be homogeneous of degree 2"),
+    ]
+    for rank, classes, message in cases:
+        assert _bundle_error(rank, classes) == message, (rank, classes)
+
+
+def test_bundle_accepts_a_table_equal_by_content():
+    """A class over another table object with the same variables and bound
+    is accepted, and so is a zero class above the bound."""
+    t = VarTable([("a", 1), ("b", 2)], degree_bound=4)
+    twin = VarTable([("a", 1), ("b", 2)], degree_bound=4)
+    E = Bundle(6, [t.one(), twin.var("a"), twin.var("b"), t.zero(), t.zero(), twin.zero()])
+    assert E.c(1).table is twin and E.c(2) == t.var("b")
+    assert Bundle(1, [twin.one(), t.var("a")]).c(1) == twin.var("a")
+
+
 def test_trivial_and_line(table):
     assert Bundle(5, [table.one()]).total() == table.one()
     L = line(table.var("a"))

@@ -1,5 +1,7 @@
 """Tests for the command line interface: subcommands, formats, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -175,6 +177,41 @@ def test_eval_json_of_a_wide_table_matches_the_golden_copy(capsys):
     assert code == cli.EXIT_OK
     with open(os.path.join(GOLDEN, "wide-eval-b14.json"), "rb") as fh:
         assert capsys.readouterr().out.encode() == fh.read()
+
+
+def _bench_inputs():
+    """`bench/inputs.py`, loaded by path: `bench` is no package."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", os.path.join(root, "bench", "inputs.py")
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_eval_json_of_the_chow_script_workload_matches_the_golden_digest(
+    tmp_path, capsys, seed
+):
+    """`eval --format json` of the chow-script bench workload's script at
+    bound 14, byte for byte: the golden file holds the length and SHA-256
+    of that output (some 92 kB a seed), with every let's class printed."""
+    inputs = _bench_inputs()
+    script = tmp_path / "script.chow"
+    script.write_text(inputs.chow_script(seed))
+    code = run_cli([
+        "eval", str(script),
+        "--degree-bound", str(inputs.SCRIPT_DEGREE_BOUND), "--format", "json",
+    ])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out.encode()
+    with open(os.path.join(GOLDEN, "chow-script-eval-b14.json")) as fh:
+        golden = json.load(fh)[str(seed)]
+    assert inputs.SCRIPT_DEGREE_BOUND == 14
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        golden["bytes"], golden["sha256"],
+    )
 
 
 @pytest.mark.parametrize("bound", range(3, 15))

@@ -255,11 +255,16 @@ def test_no_lattice_is_echeloned_twice(monkeypatch, seed):
     assert len(ids) >= 10 and len(set(ids)) == len(ids)
 
 
-def test_checks_read_the_scripts_own_values():
-    """The final ideal is the script's `I` itself, and the pushforwards
-    live over the script's table."""
+def test_checks_read_the_scripts_own_values(monkeypatch):
+    """The presentation is built from the script's `I` itself, and the
+    pushforwards live over the script's table."""
     pipeline = So4Pipeline(degree_bound=14, seed=0)
-    assert pipeline.final_ideal is pipeline.script_value("I")
+    I = pipeline.script_value("I")
+    assert pipeline.script_value("I") is I
+    # a generator struck from that object is struck from the presentation
+    monkeypatch.setattr(I, "generators", I.generators[:-1])
+    relations, _ = pipeline.assemble_theorem1()
+    assert [str(r) for r in relations] == ["c1", "2*c3", "-4*c4 + x^2"]
     pf = pipeline.pushforwards()
     assert all(p is not None for p in pf)
     assert all(p.table is pipeline.G3.table for p in pf)

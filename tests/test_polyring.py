@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowcalc import chern
+from chowcalc import chern, dsl
 from chowcalc.grasstower import conjugate, partitions_in_box
 from chowcalc.polyring import (
     NotSymmetricError,
@@ -649,6 +649,41 @@ def test_fmt_mono_matches_the_field_by_field_reference(nvars, bound):
     for key in keys:
         assert _fmt_mono(table, key) == reference_fmt_mono(table, key)
         assert _fmt_mono(table, key) == reference_fmt_mono(table, key)  # cached
+
+
+@st.composite
+def wide_bundles(draw):
+    """A bundle of rank 0-5 over a drawn table of 30-40 variables of weights
+    1-3, the first of weight 1, with bound 1-17: each class up to the bound
+    is up to four drawn monomials of its degree (a class may be zero)."""
+    weights = [1] + draw(st.lists(st.integers(1, 3), min_size=29, max_size=39))
+    table = VarTable(
+        [("w%d" % i, w) for i, w in enumerate(weights)], draw(st.integers(1, 17))
+    )
+    chern_classes = [table.one()]
+    for d in range(1, min(draw(st.integers(0, 5)), table.degree_bound) + 1):
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            expo, room = [0] * len(weights), d
+            while room:
+                i = draw(st.sampled_from([i for i, w in enumerate(weights) if w <= room]))
+                expo[i] += 1
+                room -= weights[i]
+            terms[table.pack(expo)] = draw(st.integers(-4, 4).filter(bool))
+        chern_classes.append(Poly(table, terms))
+    return chern.Bundle(len(chern_classes) - 1, chern_classes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(bundles(), wide_bundles()), st.data())
+def test_bundle_text_is_the_text_of_its_total_class(bundle, data):
+    """A bundle prints class by class, from c_rank down, as its total Chern
+    class prints: so do its dual and its twist by a drawn line class."""
+    keys = bundle.table.monomial_keys(1)
+    picks = data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
+    ell = Poly(bundle.table, {k: data.draw(st.integers(-3, 3).filter(bool)) for k in picks})
+    for E in (bundle, chern.dual(bundle), chern.tensor_line(bundle, ell)):
+        assert dsl._show(E) == "bundle(rank %d, c = %s)" % (E.rank, reference_str(E.total()))
 
 
 @pytest.mark.parametrize(
