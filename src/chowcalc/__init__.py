@@ -9,12 +9,18 @@ the equivariant Chow ring of SO(4), exposed both as a library
 pipeline evaluates the SO(4) script shipped in the package (`so4.chow`) with
 the script language (`dsl`).
 
-`import chowcalc` loads no layer: each exported name but `__version__`
-loads its home module on first use, so a command or a one-layer import
-compiles only the modules it runs.
+An import loads no layer, and a layer loads when a command runs:
+`import chowcalc` and `import chowcalc.cli` compile no other chowcalc
+module, each exported name but `__version__` loads its home module on first
+use, and the command line loads the layers of the command it runs, so a
+command or a one-layer import compiles only the modules it runs.
 """
 
 __version__ = "0.1.0"
+
+# The truncation degree when none is given: of every table, session and
+# command.
+DEFAULT_DEGREE_BOUND = 10
 
 # exported name -> the module that defines it
 _HOMES = {

@@ -1,12 +1,16 @@
-"""Command-line front end: the verify-so4 report and the script evaluator."""
+"""Command-line front end: the verify-so4 report and the script evaluator.
 
-import argparse
-import json
+An import loads no layer, and a layer loads when a command runs: the module
+level imports only `os`, `sys` and the package, so `import chowcalc.cli`,
+`--version`, `--help` and a usage error load no chowcalc layer, nor
+`argparse` until a parser is built, nor `json` until a transcript is
+written.
+"""
+
 import os
 import sys
 
-from . import __version__
-from .polyring import DEFAULT_DEGREE_BOUND, ChowError
+from . import DEFAULT_DEGREE_BOUND, __version__
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -16,6 +20,8 @@ ENV_DEGREE_BOUND = "CHOW_DEGREE_BOUND"
 
 
 def _default_degree_bound():
+    from .polyring import ChowError
+
     raw = os.environ.get(ENV_DEGREE_BOUND)
     if raw is None:
         return DEFAULT_DEGREE_BOUND
@@ -28,6 +34,8 @@ def _default_degree_bound():
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chowcalc",
         description="Exact intersection-theory calculator for Grassmannian "
@@ -37,35 +45,38 @@ def build_parser():
         "--version", action="version", version="chowcalc %s" % __version__
     )
     sub = parser.add_subparsers(dest="command")
+    # verify-so4 and eval read both options alike (see `main`)
+    bound_help = "truncation degree (default: $%s or %d)" % (
+        ENV_DEGREE_BOUND, DEFAULT_DEGREE_BOUND,
+    )
+    out_help = "write the report here"
 
     verify = sub.add_parser(
         "verify-so4",
         help="run the full verification pipeline and report pass/fail",
     )
     verify.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        help="truncation degree (default: $%s or %d)"
-        % (ENV_DEGREE_BOUND, DEFAULT_DEGREE_BOUND),
+        "--degree-bound", type=int, default=None, help=bound_help
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    verify.add_argument("--out", default=None, help="write the report here")
+    verify.add_argument("--out", default=None, help=out_help)
 
     ev = sub.add_parser("eval", help="evaluate a .chow script")
     ev.add_argument("file")
-    ev.add_argument("--degree-bound", type=int, default=None)
+    ev.add_argument("--degree-bound", type=int, default=None, help=bound_help)
     ev.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    ev.add_argument("--out", default=None)
+    ev.add_argument("--out", default=None, help=out_help)
     return parser
 
 
 def _cannot_write(path, exc):
+    from .polyring import ChowError
+
     return ChowError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
@@ -106,6 +117,28 @@ def _cmd_verify(args):
     return EXIT_OK if report.overall == "pass" else EXIT_CHECK_FAILED
 
 
+def _transcript_json(events, overall):
+    """`json.dumps({"events": events, "overall": overall}, indent=2)`, in
+    the same bytes, for events as `dsl.run_script` returns them: non-empty
+    dicts whose values are strings and bools.
+
+    An `indent` sends `json.dumps` to its pure-Python encoder; this writes
+    the same layout around the C string escaper that `json.dumps` uses.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    rows = []
+    for e in events:
+        fields = [
+            "%s: %s" % (quote(k), quote(v) if v.__class__ is str
+                        else "true" if v else "false")
+            for k, v in e.items()
+        ]
+        rows.append("{\n      %s\n    }" % ",\n      ".join(fields))
+    listed = "[\n    %s\n  ]" % ",\n    ".join(rows) if rows else "[]"
+    return '{\n  "events": %s,\n  "overall": %s\n}' % (listed, quote(overall))
+
+
 def _cmd_eval(args):
     # imported here so that importing the cli does not load the DSL
     from . import dsl
@@ -118,9 +151,7 @@ def _cmd_eval(args):
         return EXIT_USAGE
     events, ok = dsl.run_script(text, degree_bound=args.degree_bound)
     if args.format == "json":
-        body = json.dumps(
-            {"events": events, "overall": "pass" if ok else "fail"}, indent=2
-        )
+        body = _transcript_json(events, "pass" if ok else "fail")
     else:
         lines = []
         for e in events:
@@ -144,6 +175,8 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    from .polyring import ChowError
+
     try:
         if args.degree_bound is None:
             args.degree_bound = _default_degree_bound()

@@ -27,9 +27,9 @@ text, `check_text`: the `text` of its transcript event.
 
 import re
 
-from . import chern
+from . import DEFAULT_DEGREE_BOUND, chern
 from .grasstower import TowerLevel
-from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Poly, PolyError, Record, VarTable
+from .polyring import ChowError, Poly, PolyError, Record, VarTable
 from .polyring import _text
 from .zgraded import GradedIdeal
 

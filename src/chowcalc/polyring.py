@@ -42,10 +42,7 @@ import functools
 import itertools
 import operator
 
-
-# The truncation degree when none is given: of every table, session and
-# command.
-DEFAULT_DEGREE_BOUND = 10
+from . import DEFAULT_DEGREE_BOUND
 
 
 class ChowError(Exception):

@@ -37,9 +37,9 @@ import time
 from functools import cached_property, partial
 from math import gcd
 
-from . import dsl
+from . import DEFAULT_DEGREE_BOUND, dsl
 from .grasstower import FiberProduct, subset_symmetrization
-from .polyring import DEFAULT_DEGREE_BOUND, ChowError, Record, VarTable
+from .polyring import ChowError, Record, VarTable
 from .zgraded import GradedIdeal, GroupStructure
 
 

@@ -10,6 +10,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chowcalc import __version__, cli, dsl, so4pipeline
 from chowcalc.chern import BundleError
@@ -584,12 +586,13 @@ def test_importing_the_cli_leaves_the_dsl_unloaded():
 
 
 LAZY_NAMESPACE = """
-import importlib, json, sys
+import importlib, sys
 before = set(sys.modules)
 import chowcalc
 after_package = set(sys.modules) - before
 import chowcalc.cli
 after_cli = set(sys.modules) - before
+import json
 homes = {}
 for name in set(chowcalc.__all__) - {"__version__"}:
     value = getattr(chowcalc, name)
@@ -604,6 +607,7 @@ from chowcalc import polyring
 print(json.dumps({
     "package": sorted(m for m in after_package if m.startswith("chowcalc.")),
     "cli": sorted(m for m in after_cli if m.startswith("chowcalc.")),
+    "cli_stdlib": sorted({"argparse", "json"} & after_cli),
     "exported": sorted(set(chowcalc.__all__) - {"__version__"}),
     "table": sorted(chowcalc._HOMES),
     "homes": homes,
@@ -614,9 +618,9 @@ print(json.dumps({
 
 
 def test_import_loads_no_layer_and_each_name_its_home_on_first_use():
-    # `import chowcalc` loads no submodule, the CLI only its own and
-    # polyring; each exported name is the object its home module defines,
-    # loaded on first use
+    # `import chowcalc` loads no submodule, the CLI only its own, and
+    # neither loads argparse or json; each exported name is the object its
+    # home module defines, loaded on first use
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -625,11 +629,73 @@ def test_import_loads_no_layer_and_each_name_its_home_on_first_use():
     )
     got = json.loads(out.stdout)
     assert got["package"] == []
-    assert got["cli"] == ["chowcalc.cli", "chowcalc.polyring"]
+    assert got["cli"] == ["chowcalc.cli"]
+    assert got["cli_stdlib"] == []
     assert got["table"] == got["exported"]
     assert got["homes"] == dict.fromkeys(got["exported"], True)
     assert got["unknown"] == "module 'chowcalc' has no attribute 'no_such_name'"
     assert got["submodule"] == "chowcalc.polyring"
+
+
+NO_COMMAND = """
+import contextlib, io, json, sys
+import chowcalc.cli
+codes = []
+for argv in (["--version"], [], ["eval"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(chowcalc.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps({
+    "codes": codes,
+    "layers": sorted(m for m in sys.modules if m.startswith("chowcalc.")),
+}))
+"""
+
+
+def test_version_help_and_a_usage_error_load_no_layer():
+    # `--version`, a missing command and a usage error end before any
+    # command runs, so no chowcalc module but the CLI's own loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", NO_COMMAND],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {
+        "codes": [0, cli.EXIT_USAGE, cli.EXIT_USAGE],
+        "layers": ["chowcalc.cli"],
+    }
+
+
+# any code point, quotes, backslashes, control characters and lone
+# surrogates included
+ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028'),
+        st.characters(categories=["Cs"]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            ANY_TEXT, st.one_of(ANY_TEXT, st.booleans()), min_size=1, max_size=5
+        ),
+        max_size=5,
+    ),
+    ANY_TEXT,
+)
+@example([], "pass")
+@example([{"kind": "check", "text": 'a\\"b\n\x00', "ok": False, "lhs": "\ud800é"}], "fail")
+def test_transcript_json_is_json_dumps_with_indent_2(events, overall):
+    expected = json.dumps({"events": events, "overall": overall}, indent=2)
+    assert cli._transcript_json(events, overall) == expected
 
 
 COLD_START = """
