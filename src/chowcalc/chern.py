@@ -28,30 +28,28 @@ class Bundle:
 
     __slots__ = ("rank", "chern")
 
-    def __init__(self, rank, chern, check=True):
+    def __init__(self, rank, chern):
         if rank < 0:
             raise BundleError("rank must be nonnegative")
         chern = list(chern)
         if not chern:
             raise BundleError("need at least c_0")
         table = chern[0].table
-        bound, shift = table.degree_bound, table.shift
         if len(chern) < rank + 1:
             chern = chern + [table.zero()] * (rank + 1 - len(chern))
         if len(chern) > rank + 1:
             raise BundleError("more Chern classes than the rank allows")
-        if check:
-            if chern[0] != table.one():
-                raise BundleError("c_0 must be 1")
-            for i, ci in enumerate(chern[1:], start=1):
-                if ci.table is not table and ci.table != table:
-                    raise BundleError("Chern classes over different tables")
-                if i > bound and ci.terms:
-                    raise BundleError(
-                        "a nonzero c_%d needs a degree bound >= %d" % (i, i)
-                    )
-                if ci.terms and not i == min(ci.terms) >> shift == max(ci.terms) >> shift:
-                    raise BundleError("c_%d must be homogeneous of degree %d" % (i, i))
+        if chern[0] != table.one():
+            raise BundleError("c_0 must be 1")
+        for i, ci in enumerate(chern[1:], start=1):
+            if ci.table is not table and ci.table != table:
+                raise BundleError("Chern classes over different tables")
+            if ci.is_zero():
+                continue
+            if i > table.degree_bound:
+                raise BundleError("a nonzero c_%d needs a degree bound >= %d" % (i, i))
+            if not (ci.is_homogeneous() and ci.degree() == i):
+                raise BundleError("c_%d must be homogeneous of degree %d" % (i, i))
         self.rank = rank
         self.chern = tuple(chern)
 
@@ -93,7 +91,7 @@ def line(cls1):
 def dual(E):
     """c_i(E*) = (-1)^i c_i(E)."""
     chern = [ci if i % 2 == 0 else -ci for i, ci in enumerate(E.chern)]
-    return Bundle(E.rank, chern, check=False)
+    return Bundle(E.rank, chern)
 
 
 def determinant(E):

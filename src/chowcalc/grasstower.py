@@ -43,22 +43,13 @@ from .chern import Bundle, whitney_split
 from .polyring import (
     ChowError,
     Poly,
-    PolyError,
+    SpectatorSplit,
     VarTable,
-    _exponents,
     jacobi_trudi,
     series_parts,
     sum_of_products,
 )
-from .zgraded import (
-    DegreeLattice,
-    GradedIdeal,
-    SpectatorSplit,
-    _split,
-    _substitute,
-    hnf_solve,
-    row_hnf,
-)
+from .zgraded import DegreeLattice, GradedIdeal, hnf_solve, row_hnf
 
 
 class TowerError(ChowError):
@@ -176,7 +167,7 @@ def _substitute_units(relations, fixed):
     """Substitute out each variable outside `fixed` that a relation gives
     as +-v + rho with rho free of v, until no relation gives one.
 
-    Returns ({variable index: image}, the nonzero relations left), with
+    Returns ({variable name: image}, the nonzero relations left), with
     every image and every relation left free of the substituted variables.
     A homogeneous relation of degree deg(v) with the term +-v has no other
     term in v, so the coefficient of v is all there is to check.
@@ -191,25 +182,24 @@ def _substitute_units(relations, fixed):
                 break
         if not found:
             return images, rels
-        i, sign = found
-        table = rels[j].table
+        name, sign = found
         # r == sign * (v - rho)
-        rho = table.var(table.names[i]) - sign * rels.pop(j)
-        rels = [_substitute(_split(q, i), rho) for q in rels]
+        rho = rels[j].table.var(name) - sign * rels.pop(j)
+        rels = [q.substitute({name: rho}) for q in rels]
         rels = [q for q in rels if not q.is_zero()]
-        images = {h: _substitute(_split(img, i), rho) for h, img in images.items()}
-        images[i] = rho
+        images = {h: img.substitute({name: rho}) for h, img in images.items()}
+        images[name] = rho
 
 
 def _unit_term(r, fixed):
-    """(variable index, sign) of the first variable v outside `fixed` with
-    the term +-v in the homogeneous relation r; or None."""
+    """(name, sign) of the first variable v outside `fixed` with the term
+    +-v in the homogeneous relation r; or None."""
     table, d = r.table, r.degree()
-    for i, (nm, w) in enumerate(zip(table.names, table.degrees)):
+    for nm, w in zip(table.names, table.degrees):
         if w == d and nm not in fixed:
             c = r.terms.get(table.var_key(nm))
             if c in (1, -1):
-                return i, c
+                return nm, c
     return None
 
 
@@ -261,12 +251,12 @@ class _Fiber:
     lattice is built, each base variable v that a relation gives as
     +-v + rho, rho free of v, is substituted out of the other relations.
     `core_ring` is the ring of the variables left modulo the relations
-    left, and every core class is mapped into it by phi, which sends each
-    substituted v to its image and keeps the other variables, through one
-    memoised image per core monomial; phi is an isomorphism of the two
-    quotient rings, so the solve has the same solutions through it.  The
-    lattice path's tables, substitution images, `core_ring` and Schur
-    table are built on its first push (`_lattice_path`).
+    left, and every core class is mapped into it by phi, the
+    `Poly.substitute` that sends each substituted v to its image and keeps
+    the other variables; phi is an isomorphism of the two quotient rings,
+    so the solve has the same solutions through it.  The lattice path's
+    tables, substitution images, `core_ring` and Schur table are built on
+    its first push (`_lattice_path`).
     """
 
     def __init__(self, table, subvars, E, relations):
@@ -306,23 +296,11 @@ class _Fiber:
     # -- the closed form ---------------------------------------------------
 
     def _gysin_closed(self, p):
-        """Group p's terms by sub-bundle exponents alpha, each group with
-        those fields and their degree cleared, and sum group * pi_*(f^alpha)."""
-        table = self.table
-        mask, shift = table.mask, table.shift
-        fields = [
-            (table.offsets[table.index[v]], table.degrees[table.index[v]])
-            for v in self.subvars
-        ]
-        keep = ~sum(mask << off for off, _ in fields)
-        groups = {}
-        for key, c in p.terms.items():
-            alpha = tuple([key >> off & mask for off, _ in fields])
-            deg = sum([e * w for e, (_, w) in zip(alpha, fields)])
-            groups.setdefault(alpha, {})[(key & keep) - (deg << shift)] = c
-        return self._signed(sum_of_products(table, [
-            (1, Poly(table, g), self._pushed_monomial(alpha))
-            for alpha, g in groups.items()
+        """Split p by sub-bundle exponents alpha and sum each piece times
+        pi_*(f^alpha)."""
+        return self._signed(sum_of_products(self.table, [
+            (1, g, self._pushed_monomial(alpha))
+            for alpha, g in p.split(self.subvars).items()
         ]))
 
     def _pushed_monomial(self, alpha):
@@ -378,18 +356,11 @@ class _Fiber:
         self.core_table = ct = self._split.core
         self.core_relations = tuple(r.convert(ct) for r in self.relations)
         images, rels = self._substitution
-        images = {ct.index[table.names[i]]: rho for i, rho in images.items()}
         ring_table = VarTable(
-            [v for i, v in enumerate(zip(ct.names, ct.degrees)) if i not in images],
+            [v for v in zip(ct.names, ct.degrees) if v[0] not in images],
             ct.degree_bound,
         )
-        # (field offset, key, image) of each substituted variable
-        self._units = [
-            (ct.offsets[i], ct.var_key(ct.names[i]), rho.convert(ring_table))
-            for i, rho in sorted(images.items())
-        ]
-        self._to_ring = ct.rekey(ring_table, ring_table.names)
-        self._images = {}
+        self._phi = {nm: rho.convert(ring_table) for nm, rho in images.items()}
         self.box = partitions_in_box(k, n - k)
         self.top = tuple([n - k] * k)
         sub = Bundle(
@@ -398,40 +369,15 @@ class _Fiber:
         self._schur = {lam: schur_from_chern(sub, lam) for lam in self.box}
         self.core_ring = GradedRing(ring_table, [r.convert(ring_table) for r in rels])
 
-    def _image(self, key):
-        """phi of the core monomial with this key, over the ring table:
-        phi(m / v) * phi(v) for the first substituted v dividing m, else m."""
-        img = self._images.get(key)
-        if img is None:
-            mask = self.core_table.mask
-            for off, unit, rho in self._units:
-                if key >> off & mask:
-                    img = self._image(key - unit) * rho
-                    break
-            else:
-                img = Poly(self.core_ring.table, {self._to_ring(key): 1})
-            self._images[key] = img
-        return img
-
     def _substituted(self, p_core):
         """phi of a core class: the class over `core_ring`'s table."""
-        if not self._units:
-            return p_core
-        terms = {}
-        get = terms.get
-        for k, c in p_core.terms.items():
-            for ki, ci in self._image(k).terms.items():
-                terms[ki] = get(ki, 0) + c * ci
-        return Poly(self.core_ring.table, {k: c for k, c in terms.items() if c})
+        return p_core.substitute(self._phi, table=self.core_ring.table)
 
     def _solver(self, d):
         """Rows NF(phi(s_mu * m)) for the degree-d Schur-coefficient solve."""
         if d not in self._solvers:
             self._lattice_path()
             core = self.core_table
-            sub_fields = 0
-            for v in self.subvars:
-                sub_fields |= core.mask << core.offsets[core.index[v]]
             lat = self.core_ring.lattice(d)
             rows = []
             labels = []
@@ -440,11 +386,11 @@ class _Fiber:
                 if rem < 0:
                     continue
                 s = self._schur[lam]
-                base_monos = [
-                    m for m in core.monomial_keys(rem) if not m & sub_fields
-                ]
-                for m in base_monos:
-                    prod = s * self._image(m)
+                # the degree-rem monomials free of the subvars, descending
+                monos = Poly(core, dict.fromkeys(core.monomial_keys(rem), 1))
+                base = monos.split(self.subvars).get((0,) * self.k, core.zero())
+                for m in sorted(base.terms, reverse=True):
+                    prod = s * self._substituted(Poly(core, {m: 1}))
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
@@ -598,24 +544,13 @@ def subset_symmetrization(p, sub_names, roots, values):
     n, k = len(roots), len(sub_names)
     if len(set(roots)) != n:
         raise TowerError("oracle roots must be distinct")
-    table = p.table
-    names, index = table.names, table.index
-    slot = {index[nm]: t for t, nm in enumerate(sub_names) if nm in index}
-    g = {}
-    for key, c in p.terms.items():
-        expo = [0] * k
-        for i, e in _exponents(table, key):
-            t = slot.get(i)
-            if t is not None:
-                expo[t] = e
-                continue
-            try:
-                c *= values[names[i]] ** e
-            except KeyError:
-                raise PolyError("no value for variable %r" % names[i]) from None
-        expo = tuple(expo)
-        g[expo] = g.get(expo, 0) + c
-    g = [(expo, c) for expo, c in g.items() if c]
+    # the slots of the sub-bundle variables in p's table; any other reads 0
+    slots = [t for t, nm in enumerate(sub_names) if nm in p.table.index]
+    g = []
+    for alpha, piece in p.split([sub_names[t] for t in slots]).items():
+        c = piece.eval(values)
+        if c:
+            g.append((alpha, c))
     num, den = 0, 1
     for I in itertools.combinations(range(n), k):
         es = [1] + [0] * k
@@ -629,10 +564,10 @@ def subset_symmetrization(p, sub_names, roots, values):
                     d *= roots[j] - x
         del es[0]
         val = 0
-        for expo, c in g:
-            for x, e in zip(es, expo):
+        for alpha, c in g:
+            for t, e in zip(slots, alpha):
                 if e:
-                    c *= x ** e
+                    c *= es[t] ** e
             val += c
         if val:
             # add val / d; den, a least common multiple, stays positive

@@ -22,7 +22,13 @@ field carries into the next; when they add up to more, the sum is at least
 (bound + 1) << (n * B), so one comparison with that limit is the truncation
 test.  Exponent tuples are met only at the boundary: `VarTable.poly`,
 `monomials`, `Poly.coeff` and `Poly.leading`, through `VarTable.pack` and
-`unpack`.
+`unpack`, and `Poly.split`, which groups a polynomial's terms by the
+exponent tuple of some of its variables.  This module is the only one that
+reads the layout.  A layer above that needs a class in pieces asks
+`Poly.split` (by the exponents of named variables), `SpectatorSplit` (by
+the monomials in the variables outside a core, held as keys) or
+`VarTable.rekey` (keys moved between tables), and uses a key only as a
+dict key whose int order is the term order.
 
 Series division, the one step behind every Whitney and Thom-Porteous
 computation, is :func:`series_parts`: it returns the homogeneous parts
@@ -281,6 +287,54 @@ class VarTable:
         return Poly(self, clean)
 
 
+class SpectatorSplit:
+    """Classes over `table` as sums of spectator monomials times core classes.
+
+    The core is the variables `core_names`, in table order, and every other
+    variable of `table` is a spectator.  `split` writes p = sum_m m * p_m
+    over the monomials m in the spectators, and `join` multiplies such
+    pieces back.  A spectator monomial is held as its key over `table`, and
+    p_m lives over `core`, the table of the core variables; so a product
+    m * q is the key sum, the two touching disjoint fields.
+    """
+
+    def __init__(self, table, core_names):
+        core = set(core_names)
+        names = [nm for nm in table.names if nm in core]
+        self.table = table
+        self.core = VarTable(
+            [(nm, table.degrees[table.index[nm]]) for nm in names],
+            table.degree_bound,
+        )
+        self._to_core = table.rekey(self.core, names)
+        self._from_core = self.core.rekey(table, names)
+        # the spectator fields and the degree field of a key
+        self._keep = ~sum(
+            table.mask << table.offsets[table.index[nm]] for nm in names
+        )
+
+    def split(self, p):
+        """The pieces (key of m, p_m) of p, one per spectator monomial m."""
+        to_core, keep = self._to_core, self._keep
+        shift, core_shift = self.table.shift, self.core.shift
+        groups = {}
+        for k, c in p.terms.items():
+            ck = to_core(k)
+            m = (k & keep) - (ck >> core_shift << shift)
+            groups.setdefault(m, {})[ck] = c
+        return [(m, Poly(self.core, t)) for m, t in groups.items()]
+
+    def join(self, pieces):
+        """sum m * q over `table` for pieces (key of m, q over `core`) with
+        distinct spectator monomials m."""
+        from_core = self._from_core
+        terms = {}
+        for m, q in pieces:
+            for k, c in q.terms.items():
+                terms[m + from_core(k)] = c
+        return Poly(self.table, terms)
+
+
 def _integral(x, what):
     """x as an int, or PolyError if it is not an integer."""
     try:
@@ -489,6 +543,29 @@ class Poly:
         return {d: Poly(self.table, t) for d, t in sorted(out.items())}
 
     # -- substitution ------------------------------------------------------
+
+    def split(self, names):
+        """p as {e: p_e} with p = sum_e prod_j names[j]^e[j] * p_e, e running
+        over the exponent tuples of `names` in p's terms and each p_e, over
+        p's table, free of `names`.  An unknown name is a PolyError."""
+        table = self.table
+        try:
+            idx = [table.index[name] for name in names]
+        except KeyError as exc:
+            raise PolyError("unknown variable %r in split" % exc.args) from None
+        mask, shift = table.mask, table.shift
+        offsets = [table.offsets[i] for i in idx]
+        weights = [table.degrees[i] for i in idx]
+        fields = sum([mask << off for off in offsets])
+        groups = {}  # the terms by their fields of `names`
+        for key, c in self.terms.items():
+            groups.setdefault(key & fields, {})[key] = c
+        parts = {}
+        for sel, t in groups.items():
+            e = tuple([sel >> off & mask for off in offsets])
+            mono = sum(map(operator.mul, e, weights)) << shift | sel  # prod names^e
+            parts[e] = Poly(table, {key - mono: c for key, c in t.items()})
+        return parts
 
     def substitute(self, assignments, table=None):
         """Simultaneous substitution of variables by polynomials.

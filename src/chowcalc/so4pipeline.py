@@ -147,8 +147,8 @@ class Report(Record):
             "config": dict(self.config),
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self):
         lines = []

@@ -13,18 +13,19 @@ first.  Its lattices then live over the table of the variables that the
 remaining generators use, its core; every other variable is a spectator.
 Z[core, spectators] is the direct sum of the Z[core] * m over the monomials
 m in the spectators, and the ideal is the direct sum of the I' * m, I' the
-ideal of the remaining generators in Z[core].  So `SpectatorSplit` writes a
-query as p = sum_m m * p_m, and each p_m is answered in its own degree over
-the core: p is a member exactly when every p_m is (certificates lift by
-m), the normal form is sum_m m * nf(p_m), and the degree-d quotient is the
-direct sum of the core quotients in degrees d - deg m.  Normal forms stay
-canonical (each monomial with an eliminated variable would be a pivot
-column with pivot 1, and multiplying by m keeps the graded-lex order of a
-block's columns), and membership certificates are lifted back to the
-original generators through divided differences.  `DegreeLattice` builds
-each echelon basis once, with its transform U, so a lattice reduced
-against first and solved against later is not echeloned again, and its
-invariant factors are read off the same basis.
+ideal of the remaining generators in Z[core].  So `SpectatorSplit` (which
+lives in `polyring`, beside the key layout it reads) writes a query as
+p = sum_m m * p_m, and each p_m is answered in its own degree over the core:
+p is a member exactly when every p_m is (certificates lift by m), the normal
+form is sum_m m * nf(p_m), and the degree-d quotient is the direct sum of
+the core quotients in degrees d - deg m.  Normal forms stay canonical (each
+monomial with an eliminated variable would be a pivot column with pivot 1,
+and multiplying by m keeps the graded-lex order of a block's columns), and
+membership certificates are lifted back to the original generators through
+divided differences.  `DegreeLattice` builds each echelon basis once, with
+its transform U, so a lattice reduced against first and solved against later
+is not echeloned again, and its invariant factors are read off the same
+basis.
 
 These lattices are a few percent nonzero, so `row_hnf` holds each row of H
 and U sparse, as a {column: entry} dict, and returns them that way; this
@@ -48,7 +49,7 @@ bases of a matrix and of its transpose.
 from itertools import compress
 from math import gcd, lcm
 
-from .polyring import ChowError, Poly, Record, VarTable, sum_of_products
+from .polyring import ChowError, Poly, Record, SpectatorSplit, VarTable, sum_of_products
 
 
 class GradedError(ChowError):
@@ -315,14 +316,7 @@ def _unit_variable(g):
 
 def _split(p, i):
     """p as {e: p_e} with p = sum_e v^e * p_e, v the i-th variable."""
-    table = p.table
-    off, mask = table.offsets[i], table.mask
-    unit = table.var_key(table.names[i])  # the key of v^e is e * unit
-    parts = {}
-    for k, c in p.terms.items():
-        e = k >> off & mask
-        parts.setdefault(e, {})[k - e * unit] = c
-    return {e: Poly(table, t) for e, t in parts.items()}
+    return {e: q for (e,), q in p.split([p.table.names[i]]).items()}
 
 
 def _substitute(parts, rho):
@@ -347,54 +341,6 @@ def _divided_difference(parts, v, rho):
         if e in parts:
             products.append((1, parts[e], s))
     return sum_of_products(rho.table, products)
-
-
-class SpectatorSplit:
-    """Classes over `table` as sums of spectator monomials times core classes.
-
-    The core is the variables `core_names`, in table order, and every other
-    variable of `table` is a spectator.  `split` writes p = sum_m m * p_m
-    over the monomials m in the spectators, and `join` multiplies such
-    pieces back.  A spectator monomial is held as its key over `table`, and
-    p_m lives over `core`, the table of the core variables; so a product
-    m * q is the key sum, the two touching disjoint fields.
-    """
-
-    def __init__(self, table, core_names):
-        core = set(core_names)
-        names = [nm for nm in table.names if nm in core]
-        self.table = table
-        self.core = VarTable(
-            [(nm, table.degrees[table.index[nm]]) for nm in names],
-            table.degree_bound,
-        )
-        self._to_core = table.rekey(self.core, names)
-        self._from_core = self.core.rekey(table, names)
-        # the spectator fields and the degree field of a key
-        self._keep = ~sum(
-            table.mask << table.offsets[table.index[nm]] for nm in names
-        )
-
-    def split(self, p):
-        """The pieces (key of m, p_m) of p, one per spectator monomial m."""
-        to_core, keep = self._to_core, self._keep
-        shift, core_shift = self.table.shift, self.core.shift
-        groups = {}
-        for k, c in p.terms.items():
-            ck = to_core(k)
-            m = (k & keep) - (ck >> core_shift << shift)
-            groups.setdefault(m, {})[ck] = c
-        return [(m, Poly(self.core, t)) for m, t in groups.items()]
-
-    def join(self, pieces):
-        """sum m * q over `table` for pieces (key of m, q over `core`) with
-        distinct spectator monomials m."""
-        from_core = self._from_core
-        terms = {}
-        for m, q in pieces:
-            for k, c in q.terms.items():
-                terms[m + from_core(k)] = c
-        return Poly(self.table, terms)
 
 
 class GroupStructure(Record):

@@ -1,5 +1,6 @@
 """Every name a chowcalc module imports is read somewhere in that module,
-and every module it imports comes with Python."""
+every module it imports comes with Python, and only `polyring` knows the
+layout of the packed monomial key."""
 
 import ast
 import os
@@ -79,3 +80,56 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from chowcalc import *", namespace)
     assert set(chowcalc.__all__) <= namespace.keys()
+
+
+# The packed monomial key's layout: see the `polyring` module docstring.
+KEY_LAYOUT = {"offsets", "mask", "shift", "bits", "limit"}
+
+
+def key_layout_reads(source):
+    """(line, name) of each use of a key-layout attribute, and of each
+    import of `_exponents`, in a module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in KEY_LAYOUT:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "_exponents"]
+    return sorted(found)
+
+
+def private_imports(source, modules):
+    """Underscore names a module source imports from the sibling `modules`."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module in modules
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_scans_find_key_layout_reads_and_private_imports():
+    source = (
+        "from .polyring import _exponents, _text, Poly\nfrom .zgraded import _split\n"
+        "def f(t, p):\n    t.mask = 1\n    return t.shift + p.table.offsets[0]\n"
+    )
+    assert key_layout_reads(source) == [
+        (1, "_exponents"), (4, "mask"), (5, "offsets"), (5, "shift")
+    ]
+    assert private_imports(source, {"zgraded"}) == ["_split"]
+    assert private_imports(source, {"polyring", "zgraded"}) == ["_exponents", "_split", "_text"]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m != "polyring.py"] + ["__init__.py"]
+)
+def test_only_polyring_reads_the_key_layout(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert key_layout_reads(fh.read()) == []
+
+
+def test_grasstower_imports_no_private_name_of_the_layers_below():
+    with open(os.path.join(SRC, "grasstower.py")) as fh:
+        assert private_imports(fh.read(), {"polyring", "zgraded"}) == []

@@ -761,3 +761,28 @@ def test_convert_matches_the_substitution_reference(table, data):
         target = VarTable([v for v in variables if v[0] != gone] + extra, 8)
         with pytest.raises(PolyError):
             p.convert(target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_tables(), st.data())
+def test_split_pieces_times_their_monomials_give_p_back(table, data):
+    """sum_e prod names^e * p_e is p, each p_e is free of `names` and
+    nonzero, and the exponent tuples are those of p's terms; an unknown
+    name is a PolyError."""
+    p = draw_poly(data, table)
+    names = data.draw(st.lists(st.sampled_from(table.names), unique=True))
+    pieces = p.split(names)
+    total = table.zero()
+    for e, q in pieces.items():
+        assert len(e) == len(names) and q.table is table
+        assert not q.is_zero() and not q.variables() & set(names)
+        mono = table.one()
+        for name, x in zip(names, e):
+            mono = mono * table.var(name) ** x
+        total = total + mono * q
+    assert total == p
+    index = [table.index[name] for name in names]
+    want = {tuple(expo[i] for i in index) for expo in map(table.unpack, p.terms)}
+    assert set(pieces) == want
+    with pytest.raises(PolyError, match="unknown variable 'nope'"):
+        p.split(names + ["nope"])
