@@ -12,8 +12,8 @@ the script language (`dsl`).
 An import loads no layer, and a layer loads when a command runs:
 `import chowcalc` and `import chowcalc.cli` compile no other chowcalc
 module, each exported name but `__version__` loads its home module on first
-use, and the command line loads the layers of the command it runs, so a
-command or a one-layer import compiles only the modules it runs.
+use, and the command line loads the layers of the command it runs; the
+lattice code, `zgraded`, loads with the first ideal or lattice built.
 """
 
 __version__ = "0.1.0"
@@ -27,11 +27,11 @@ _HOMES = {
     "ChowError": "polyring",
     "Poly": "polyring",
     "PolyError": "polyring",
+    "GradedError": "polyring",
     "VarTable": "polyring",
     "Bundle": "chern",
     "BundleError": "chern",
     "GradedIdeal": "zgraded",
-    "GradedError": "zgraded",
     "TowerError": "grasstower",
     "Report": "so4pipeline",
     "So4Pipeline": "so4pipeline",

@@ -4,7 +4,8 @@ Scripts are sequences of `let NAME = expr;` bindings and
 `check expr == expr;` assertions.  Expressions combine ring arithmetic
 (+, -, *, ^) with builtin constructors for bundles (bundle, line, dual, det,
 wedge2, sym2, tensor, tensor_line, quotient, porteous, c, sub, quot), towers
-(grass, schur, gysin, nf, rel) and ideals (ideal, nf, member, contains, structure).
+(grass, schur, gysin, nf, rel) and ideals (ideal, nf, member, contains,
+structure); the lattice code, `zgraded`, loads with the first ideal built.
 
 `tokenize` scans a script line by line: it splits the text at `\n` only,
 cuts each line at `#`, takes the line's NAMEs (a letter or `_`, then
@@ -26,12 +27,13 @@ text, `check_text`: the `text` of its transcript event.
 """
 
 import re
+import sys
 
 from . import DEFAULT_DEGREE_BOUND, chern
 from .grasstower import TowerLevel
-from .polyring import ChowError, Poly, PolyError, Record, VarTable
-from .polyring import _text
-from .zgraded import GradedIdeal
+from .polyring import ChowError, Poly, PolyError, Record, VarTable, sum_text
+
+_PACKAGE = sys.modules[__package__]  # its GradedIdeal loads zgraded on first use
 
 
 class DslError(ChowError):
@@ -390,6 +392,11 @@ def _relation(level, degree):
     raise DslError("no relation of degree %d on this level" % degree)
 
 
+def _is_ideal(value):
+    zgraded = sys.modules.get(__package__ + ".zgraded")
+    return zgraded is not None and isinstance(value, zgraded.GradedIdeal)
+
+
 def _member(p, I):
     """Membership, true only when the certificate multiplies back to p."""
     ok, cert = I.member(p)
@@ -401,8 +408,8 @@ _KINDS = {
     "class": (Poly, "a class"),
     "bundle": (chern.Bundle, "a bundle"),
     "tower": (TowerLevel, "a tower level"),
-    "ideal": (GradedIdeal, "an ideal"),
-    "reducer": ((TowerLevel, GradedIdeal), "a tower level or an ideal"),
+    "ideal": ((), "an ideal"),  # a GradedIdeal, here and below: `_is_ideal`
+    "reducer": (TowerLevel, "a tower level or an ideal"),
     "int": (int, "an integer"),
 }
 
@@ -427,7 +434,7 @@ _BUILTINS = {
     "gysin": (("tower", "class"), lambda G, p: G.gysin(p)),
     "nf": (("reducer", "class"), lambda G, p: G.normal_form(p)),
     "rel": (("tower", "int"), _relation),
-    "ideal": (("class",), lambda *gens: GradedIdeal(list(gens))),
+    "ideal": (("class",), lambda *gens: _PACKAGE.GradedIdeal(list(gens))),
     "member": (("class", "ideal"), _member),
     "contains": (("ideal", "ideal", "int"), lambda I, J, d: I.contains(J, d)[0]),
     "structure": (("ideal", "int"), lambda I, d: I.quotient_structure(d)),
@@ -574,6 +581,8 @@ class Session:
             return self.table.const(value)
         if kind == "int" and isinstance(value, Poly) and value.degree() <= 0:
             return value.constant()
+        if kind in ("ideal", "reducer") and _is_ideal(value):
+            return value
         raise DslError("expected %s, found %s" % (_KINDS[kind][1], _kind(value)))
 
 
@@ -589,21 +598,21 @@ def _kind(value):
     for kind, (cls, noun) in _KINDS.items():
         if kind != "int" and isinstance(value, cls):
             return noun
-    return type(value).__name__
+    return "an ideal" if _is_ideal(value) else type(value).__name__
 
 
 def _show(value):
     if isinstance(value, chern.Bundle):
-        # c_i has degree i, so c_rank, ..., c_0 descend in key
-        parts = [ci.terms for ci in reversed(value.chern)]
-        return "bundle(rank %d, c = %s)" % (value.rank, _text(value.table, parts))
+        # c_i is homogeneous of degree i: c_rank, ..., c_0 descend
+        c = sum_text(value.table, reversed(value.chern))
+        return "bundle(rank %d, c = %s)" % (value.rank, c)
     if isinstance(value, TowerLevel):
         return "G(%d, rank-%d bundle) with %s" % (
             value.k,
             value.n,
             ", ".join(value.subvars),
         )
-    if isinstance(value, GradedIdeal):
+    if _is_ideal(value):
         return "ideal(%s)" % ", ".join(str(g) for g in value.generators)
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -4,7 +4,7 @@ A tower level G(k, E) names Chern variables for the tautological sub-bundle;
 the defining relations are the vanishing of the Whitney quotient classes
 above the quotient rank.  Normal forms are computed per degree by the
 `GradedIdeal` of the relations, whose lattices live over the variables the
-relations use.
+relations use.  `zgraded` loads with the first normal form or lattice push.
 
 Gysin pushforwards take a closed form wherever the level's relations
 substitute out completely, as they do for every G(k, E) whose E has
@@ -49,7 +49,6 @@ from .polyring import (
     series_parts,
     sum_of_products,
 )
-from .zgraded import DegreeLattice, GradedIdeal, hnf_solve, row_hnf
 
 
 class TowerError(ChowError):
@@ -139,6 +138,7 @@ class GradedRing:
 
     def lattice(self, d):
         if d not in self._lattices:
+            from .zgraded import DegreeLattice
             self._lattices[d] = DegreeLattice(self.table, self.relations, d)
         return self._lattices[d]
 
@@ -244,7 +244,7 @@ class _Fiber:
     wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E.  Variables
     occurring neither in the relations nor among the subvars are
     spectators: classes are split along spectator monomials by
-    `zgraded.SpectatorSplit`, the split `GradedIdeal` uses, and each piece
+    `polyring.SpectatorSplit`, the split `GradedIdeal` uses, and each piece
     is solved over the smaller core table by Schur-basis coefficient
     extraction, a per-degree linear solve that reads only the coefficients
     of the top-box Schur class, signed as the closed form is.  Before any
@@ -376,6 +376,7 @@ class _Fiber:
     def _solver(self, d):
         """Rows NF(phi(s_mu * m)) for the degree-d Schur-coefficient solve."""
         if d not in self._solvers:
+            from . import zgraded  # its row_hnf, looked up at call time
             self._lattice_path()
             core = self.core_table
             lat = self.core_ring.lattice(d)
@@ -394,7 +395,7 @@ class _Fiber:
                     rows.append(lat.reduce(lat.vector(prod)))
                     labels.append((lam, m))
             if rows:
-                H, U, pivots = row_hnf(rows)
+                H, U, pivots = zgraded.row_hnf(rows)
             else:
                 H, U, pivots = [], [], []
             self._solvers[d] = (lat, labels, H, U, pivots)
@@ -405,9 +406,10 @@ class _Fiber:
         d = p_core.degree()
         if d < 0:
             return self.core_table.zero()
+        from . import zgraded
         lat, labels, H, U, pivots = self._solver(d)
         v = lat.reduce(lat.vector(self._substituted(p_core)))
-        coeffs = hnf_solve(H, U, pivots, v)
+        coeffs = zgraded.hnf_solve(H, U, pivots, v)
         if coeffs is None:
             raise TowerError("class is not in the Schur-basis module span")
         out_terms = {}
@@ -486,6 +488,7 @@ class TowerLevel:
         if p.is_zero() or not self.new_relations:
             return p
         if self._ideal is None:
+            from .zgraded import GradedIdeal
             self._ideal = GradedIdeal(self.new_relations)
         terms = {}  # one homogeneous part per degree: no two share a key
         for part in p.graded_parts().values():

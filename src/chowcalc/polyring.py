@@ -37,8 +37,8 @@ q_d = a_d - sum_{j>=1} b_j q_{d-j}, so only the degrees a caller reads are
 ever multiplied.  That sum, like every sum of products here and in the layers
 above, is built in one dict by :func:`sum_of_products`.
 
-Printing is :func:`_text`: one pass over term dicts whose key ranges descend
-one after another (a polynomial's terms, or a bundle's classes from the top),
+Printing is :func:`sum_text`: one pass over classes whose key ranges descend
+one after another (one polynomial, or a bundle's classes from the top),
 appending sign, magnitude and monomial to one list.  `_fmt_mono` builds each
 monomial's text once per table from the table's piece table, whose row j holds
 `name` and `name^e` (e up to bound // weight) for key field j from the right.
@@ -57,6 +57,10 @@ class ChowError(Exception):
 
 class PolyError(ChowError):
     pass
+
+
+class GradedError(ChowError):
+    """Raised by `zgraded`; defined here, so naming it loads no lattice code."""
 
 
 class TableMismatchError(PolyError):
@@ -378,13 +382,13 @@ def _fmt_mono(table, key):
     return text
 
 
-def _text(table, parts):
-    """The text of the sum of the term dicts `parts` over `table`, whose key
-    ranges descend one after another; `0` for the zero sum."""
+def sum_text(table, classes):
+    """The text of the sum of `classes` over `table`: one class, or
+    homogeneous classes of descending degree; `0` for the zero sum."""
     pieces = []
     append, texts = pieces.append, table._mono_text
     try:
-        for terms in parts:
+        for terms in (p.terms for p in classes):
             for key in sorted(terms, reverse=True):
                 c, mono = terms[key], texts.get(key)
                 if mono is None:
@@ -658,7 +662,7 @@ class Poly:
     # -- canonical string --------------------------------------------------
 
     def __str__(self):
-        return _text(self.table, (self.terms,))
+        return sum_text(self.table, (self,))
 
     def __repr__(self):
         return "Poly(%s)" % (self,)

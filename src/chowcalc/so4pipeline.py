@@ -40,7 +40,6 @@ from math import gcd
 from . import DEFAULT_DEGREE_BOUND, dsl
 from .grasstower import FiberProduct, subset_symmetrization
 from .polyring import ChowError, Record, VarTable
-from .zgraded import GradedIdeal, GroupStructure
 
 
 class PipelineError(ChowError):
@@ -313,6 +312,8 @@ class So4Pipeline:
         Returns (relations, ideal): the relation polynomials over
         Z[c1..c4, x] and the presented GradedIdeal.
         """
+        from .zgraded import GradedIdeal
+
         pres = self.presentation_table()
         x = pres.var("x")
         c2 = pres.var("c2")
@@ -432,6 +433,8 @@ class So4Pipeline:
 
     def _check_quotient_structure(self):
         """Quotient structure per degree against the enumeration oracle."""
+        from .zgraded import GroupStructure
+
         _, pres_ideal = self._presentation
         got, want = [], []
         for d in range(min(6, self.degree_bound) + 1):

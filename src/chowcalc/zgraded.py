@@ -49,11 +49,7 @@ bases of a matrix and of its transpose.
 from itertools import compress
 from math import gcd, lcm
 
-from .polyring import ChowError, Poly, Record, SpectatorSplit, VarTable, sum_of_products
-
-
-class GradedError(ChowError):
-    pass
+from .polyring import GradedError, Poly, Record, SpectatorSplit, VarTable, sum_of_products
 
 
 # -- integer matrix reduction -----------------------------------------------

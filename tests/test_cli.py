@@ -731,6 +731,79 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
     assert (tmp_path / "out.txt").read_text().endswith("overall: pass\n")
 
 
+def lattice_code_loaded(code, *args):
+    """Run `code` in a fresh interpreter and tell whether `chowcalc.zgraded`
+    was loaded at its end."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code += "\nimport sys; print('chowcalc.zgraded' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout.splitlines()[-1] == "True"
+
+
+GYSIN_PATH = """
+from chowcalc import GradedError
+from chowcalc.so4pipeline import So4Pipeline
+GG = So4Pipeline(degree_bound=13).build_geometry().GG
+b1, b2, c2 = (GG.table.var(v) for v in ("b1", "b2", "c2"))
+assert str(GG.gysin(1, b1**3 * b2 * c2)) == "2*c1*c2"
+"""
+
+EVAL = """
+import contextlib, io, sys
+import chowcalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chowcalc.cli.main(sys.argv[1:])
+assert code in (0, 1), code
+"""
+
+
+def test_pushforwards_and_bundle_scripts_load_no_lattice_code():
+    # gysin-sweep's path: the error classes, the geometry and a push along
+    # G(2, S), which takes the closed form
+    assert not lattice_code_loaded(GYSIN_PATH)
+    # a script with no ideal, nf or member
+    assert not lattice_code_loaded(EVAL, "eval", BUNDLES)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "let S = bundle(c, 2);\nlet I = ideal(c1, c2);\n",
+        "let S = bundle(c, 2);\nlet G = grass(S, 1, f);\ncheck nf(G, rel(G, 2)) == 0;\n",
+    ],
+    ids=["ideal", "nf"],
+)
+def test_ideals_and_normal_forms_load_the_lattice_code(tmp_path, script):
+    path = tmp_path / "small.chow"
+    path.write_text(script)
+    assert lattice_code_loaded(EVAL, "eval", str(path))
+
+
+def test_verify_so4_loads_the_lattice_code():
+    assert lattice_code_loaded(EVAL, "verify-so4", "--degree-bound", "4")
+
+
+GRADED_ERROR = """
+import chowcalc
+from chowcalc import ChowError, GradedError, zgraded
+assert chowcalc.GradedError is zgraded.GradedError is GradedError
+try:
+    zgraded.GradedIdeal([])
+except ChowError as exc:
+    assert type(exc) is GradedError, exc
+else:
+    raise AssertionError("GradedIdeal([]) raised nothing")
+"""
+
+
+def test_graded_error_is_one_class_and_a_chow_error():
+    assert lattice_code_loaded(GRADED_ERROR)
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_writable_out_probe_leaves_the_file_as_it_was(tmp_path, monkeypatch, existing):
     # the probe must neither leave a file behind nor truncate one when the

@@ -377,7 +377,6 @@ def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
         return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", counted)
-    monkeypatch.setattr(grasstower, "row_hnf", counted)
     lat, labels, _, _, _ = fiber._solver(10)
     assert shapes == [(len(labels), len(labels))] and len(lat.cols) == len(labels)
 
@@ -385,7 +384,8 @@ def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
 def test_so4_runs_make_no_solver_echelon(monkeypatch, capsys):
     """verify-so4 and the SO(4) script at bound 14 push forward only along
     G(2, S), whose relations substitute out: the closed form serves every
-    pushforward, and `grasstower` brings no matrix to echelon form."""
+    pushforward, and `grasstower` builds no Schur solver, its one call of
+    `row_hnf`."""
     pushed, solved = [], []
     original = grasstower._Fiber.gysin
 
@@ -394,7 +394,7 @@ def test_so4_runs_make_no_solver_echelon(monkeypatch, capsys):
         return original(fiber, p)
 
     monkeypatch.setattr(grasstower._Fiber, "gysin", counting_gysin)
-    monkeypatch.setattr(grasstower, "row_hnf", lambda *args: solved.append(args))
+    monkeypatch.setattr(grasstower._Fiber, "_solver", lambda *args: solved.append(args))
     for argv in (["verify-so4"], ["eval", SO4_SCRIPT]):
         cli.main(argv + ["--degree-bound", "14"])
         assert pushed and not solved, argv

@@ -133,3 +133,9 @@ def test_only_polyring_reads_the_key_layout(module):
 def test_grasstower_imports_no_private_name_of_the_layers_below():
     with open(os.path.join(SRC, "grasstower.py")) as fh:
         assert private_imports(fh.read(), {"polyring", "zgraded"}) == []
+
+
+def test_dsl_imports_no_private_name_of_the_layers_below():
+    with open(os.path.join(SRC, "dsl.py")) as fh:
+        source = fh.read()
+    assert private_imports(source, {"polyring", "chern", "zgraded", "grasstower"}) == []

@@ -248,7 +248,6 @@ def test_no_lattice_is_echeloned_twice(monkeypatch, seed):
         return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", recording)
-    monkeypatch.setattr(grasstower, "row_hnf", recording)
     pipeline = So4Pipeline(degree_bound=14, seed=seed)
     pipeline.run_all()
     ids = [id(rows) for rows in inputs]

@@ -25,6 +25,7 @@ from chowcalc.polyring import (
     series_invert,
     series_parts,
     sum_of_products,
+    sum_text,
     symmetric_reduce,
 )
 
@@ -684,6 +685,14 @@ def test_bundle_text_is_the_text_of_its_total_class(bundle, data):
     ell = Poly(bundle.table, {k: data.draw(st.integers(-3, 3).filter(bool)) for k in picks})
     for E in (bundle, chern.dual(bundle), chern.tensor_line(bundle, ell)):
         assert dsl._show(E) == "bundle(rank %d, c = %s)" % (E.rank, reference_str(E.total()))
+
+
+def test_sum_text_prints_homogeneous_classes_of_descending_degree_as_their_sum(table):
+    a, b, c = table.var("a"), table.var("b"), table.var("c")
+    classes = [3 * a**2 * c - b**4, -(a * b) + c, table.zero(), -a, table.const(2)]
+    assert sum_text(table, classes) == str(sum(classes, table.zero()))
+    assert sum_text(table, classes) == "3*a^2*c - b^4 - a*b + c - a + 2"
+    assert sum_text(table, [table.zero()]) == sum_text(table, []) == "0"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowcalc import grasstower, zgraded
+from chowcalc import zgraded
 from chowcalc.polyring import VarTable
 from chowcalc.so4pipeline import So4Pipeline
 from chowcalc.zgraded import (
@@ -447,7 +447,7 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
         solver_rows.append(rows)
         return row_hnf(rows)
 
-    monkeypatch.setattr(grasstower, "row_hnf", capture)
+    monkeypatch.setattr(zgraded, "row_hnf", capture)
     fiber._solver(10)
     g3 = P.G3._fiber.core_ring.lattice(10).rows
     H, _, pivots = row_hnf(g3)
