@@ -2,31 +2,41 @@
 
 A tower level G(k, E) names Chern variables for the tautological sub-bundle;
 the defining relations are the vanishing of the Whitney quotient classes
-above the quotient rank.  Normal forms are computed per degree by the
-`GradedIdeal` of the relations, whose lattices live over the variables the
-relations use.  `zgraded` loads with the first normal form or lattice push.
+above the quotient rank.  A level's normal form is that of the `GradedIdeal`
+of its relations, whose lattices live over the variables the relations use.
+`zgraded` loads with the first normal form or lattice push.
 
 Gysin pushforwards take a closed form wherever the level's relations
-substitute out completely, as they do for every G(k, E) whose E has
-variable Chern classes (G(2, S), and every `grass(bundle(...), k, b)` of a
-script).  With f_i the Chern classes of the rank-k sub-bundle, n = rank E,
-h_m(E) = (-1)^m [c(E)^{-1}]_m and K_lam the coefficient of the Schur
-polynomial s_lam in f_1^alpha_1 ... f_k^alpha_k,
+substitute out completely.  They do for every G(k, E) whose E has variable
+Chern classes (G(2, S), and every `grass(bundle(...), k, b)` of a script):
+the relations are e_j + (terms free of e_j) for j > n - k, and all of them
+go.  With t_1..t_k the Chern roots of the rank-k sub-bundle, f_i = e_i(t)
+its Chern classes, n = rank E, h_m(E) = (-1)^m [c(E)^{-1}]_m the complete
+symmetric functions of E's Chern roots and prod_i f_i^alpha_i = sum_lam
+K_lam s_lam(t) over the lam with at most k rows,
 
     pi_*(f^alpha) = (-1)^(k(n-k))
                     sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
 
-(Jozefiak-Lascoux-Pragacz, 1981; Macdonald, "Symmetric Functions and Hall
-Polynomials", I.3 and I.5): Pieri's rule gives K, one Jacobi-Trudi
-determinant each lam, and nothing is divided.  The sign is that of the
-point class of a fibre, s_box(S*) = (-1)^(k(n-k)) s_box(S) for the k x
-(n-k) box, so that the tautological line of P(V), rank V = 2, has degree
--1 on each fibre; the `subset_symmetrization` oracle divides by the
-equivariant Euler class of the tangent space, which carries the same sign.
+(Jozefiak-Lascoux-Pragacz, 1981).  Pieri's rule builds K one factor e_i at
+a time (`times_elementary`; Macdonald, "Symmetric Functions and Hall
+Polynomials", I.5), each determinant is one `jacobi_trudi` (I.3), a lam
+that does not contain the k x (n-k) box has a zero last row and is skipped,
+and nothing is divided.  The sign is that of the point class of a fibre,
+s_box(S*) = (-1)^(k(n-k)) s_box(S) for the k x (n-k) box, so that the
+tautological line of P(V), rank V = 2, has degree -1 on each fibre.  For
+k = 1 it gives pi_*(f^(n-1+m)) = (-1)^(n-1) h_m(E), Fulton's
+pi_*(c1(O(1))^(n-1+m)) = s_m(E) for c1(O(1)) = -f ("Intersection Theory",
+3.1), and the `subset_symmetrization` oracle divides by the equivariant
+Euler class of the tangent space, which carries the same sign.
+
 The levels with relations left, such as G(3, wedge^2 S), P(wedge^2 E) and
-G(k, E) for a trivial E, keep Schur-basis coefficient extraction: an exact
-per-degree linear solve, after substituting out every base variable that a
-relation gives as +-v + rho, rho free of v (see `_Fiber`).
+G(k, E) for a trivial E, take the lattice path: Schur-basis coefficient
+extraction, an exact per-degree linear solve for the coefficient of the
+top-box Schur class (see `TowerLevel`).  Where the relations substitute
+out, the ring is free over the base on the Schur classes (Fulton,
+"Intersection Theory", ch. 14), so that coefficient is unique and the two
+paths give the same images.
 
 `TowerLevel` is the one level type, with one constructor: a table that
 already holds the base and sub-bundle variables, a bundle E over that table,
@@ -120,7 +130,7 @@ def times_elementary(coeffs, i):
 
 class GradedRing:
     """A polynomial ring with homogeneous relations, reduced per degree:
-    the lattice path's `core_ring` (see `_Fiber`)."""
+    the lattice path's `core_ring` (see `TowerLevel`)."""
 
     def __init__(self, table, relations=()):
         self.table = table
@@ -203,71 +213,62 @@ def _unit_term(r, fixed):
     return None
 
 
-class _Fiber:
-    """The data needed to push forward along one Grassmannian factor.
+# -- tower levels ------------------------------------------------------------
 
-    `subvars` are the Chern variables f_1..f_k of the tautological
-    sub-bundle of E, rank E = n; `relations` are the factor's defining
-    relations.  A pushforward's image is a class over `table`, free of the
-    subvars.  It takes one of two paths.
 
-    The closed form is taken on every level whose relations
-    `_substitute_units` removes completely.  With t_1..t_k the Chern roots
-    of the sub-bundle, so that f_i = e_i(t), and
-    h_m(E) = (-1)^m [c(E)^{-1}]_m the complete symmetric functions of E's
-    Chern roots,
+class TowerLevel:
+    """One Grassmannian bundle G(k, E), built over one table.
 
-        pi_*(f^alpha) = (-1)^(k(n-k))
-                        sum_lam K_lam * det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k}
+    `table` holds the base variables and the k sub-bundle Chern variables
+    `subvars`, f_1..f_k, and may hold more, such as the other level's
+    variables in a fiber product.  E, of rank n, lives over `table` and its
+    Chern classes are free of `subvars`; `new_relations` are the level's
+    defining relations.  A pushforward's image is a class over `table`, free
+    of `subvars`, and the pushforward is linear over every other variable,
+    so a class is pushed forward as one sum of products over its sub-bundle
+    exponents alpha.  The closed form (see the module docstring) builds K
+    per alpha, each determinant per lam and each pi_*(f^alpha) once.
 
-    where prod_i e_i(t)^alpha_i = sum_lam K_lam s_lam(t) over the lam with
-    at most k rows (Jozefiak-Lascoux-Pragacz, 1981).  Pieri's rule builds
-    K one factor e_i at a time (`times_elementary`; Macdonald, "Symmetric
-    Functions and Hall Polynomials", I.5), and each determinant is one
-    `jacobi_trudi` (I.3).  A lam that does not contain the k x (n-k) box
-    has a zero last row and is skipped.  For k = 1 it gives
-    pi_*(f^(n-1+m)) = (-1)^(n-1) h_m(E), Fulton's pi_*(c1(O(1))^(n-1+m)) =
-    s_m(E) for c1(O(1)) = -f ("Intersection Theory", 3.1), and the sign
-    agrees with `subset_symmetrization`.  K per alpha, each determinant
-    per lam and each pi_*(f^alpha) are built once, and the pushforward is
-    linear over every variable outside the subvars, so a class is pushed
-    forward as one sum of products over its sub-bundle exponents alpha.
-    The images are those of the lattice path below: where the relations
-    substitute out, the ring is free over the base on the Schur classes
-    (Fulton, "Intersection Theory", ch. 14), so the top-box coefficient the
-    lattice path solves for is unique.  Where E's Chern classes are
-    variables, as on G(2, S) and on every `grass(bundle(...), k, b)` of a
-    script, the relations of G(k, E) are e_j + (terms free of e_j) for
-    j > n - k, and all of them go.
-
-    The lattice path is kept for the levels with relations left: G(3,
-    wedge^2 S), P(wedge^2 E) and G(k, E) for a trivial E.  Variables
-    occurring neither in the relations nor among the subvars are
+    `closed_form`, the module docstring's rule, is set at construction:
+    `_substitute_units` substitutes out of the other relations each base
+    variable v that a relation gives as +-v + rho, rho free of v, and the
+    closed form serves when no relation is left.  On the lattice path,
+    variables occurring neither in the relations nor among the subvars are
     spectators: classes are split along spectator monomials by
     `polyring.SpectatorSplit`, the split `GradedIdeal` uses, and each piece
-    is solved over the smaller core table by Schur-basis coefficient
-    extraction, a per-degree linear solve that reads only the coefficients
-    of the top-box Schur class, signed as the closed form is.  Before any
-    lattice is built, each base variable v that a relation gives as
-    +-v + rho, rho free of v, is substituted out of the other relations.
-    `core_ring` is the ring of the variables left modulo the relations
-    left, and every core class is mapped into it by phi, the
-    `Poly.substitute` that sends each substituted v to its image and keeps
-    the other variables; phi is an isomorphism of the two quotient rings,
-    so the solve has the same solutions through it.  The lattice path's
-    tables, substitution images, `core_ring` and Schur table are built on
-    its first push (`_lattice_path`).
+    is solved over the smaller core table, reading only the coefficients of
+    the top-box Schur class, signed as the closed form is.  `core_ring` is
+    the ring of the variables left modulo the relations left, and every
+    core class is mapped into it by phi, the `Poly.substitute` that sends
+    each substituted v to its image and keeps the other variables; phi is
+    an isomorphism of the two quotient rings, so the solve has the same
+    solutions through it.  The lattice path's tables, substitution images,
+    `core_ring` and Schur table are built on its first push
+    (`_lattice_path`), and its solver on the first push of each degree.
     """
 
-    def __init__(self, table, subvars, E, relations):
-        self.table = table
+    def __init__(self, table, E, k, subvars):
+        n = E.rank
+        if not (1 <= k < n):
+            raise TowerError("need 1 <= k < rank(E)")
+        if len(subvars) != k:
+            raise TowerError("need exactly %d sub-bundle variable names" % k)
+        if E.table != table:
+            raise TowerError("bundle must live over the level's table")
+        clash = E.total().variables() & set(subvars)
+        if clash:
+            raise TowerError(
+                "sub-bundle variables %s in E's Chern classes" % sorted(clash)
+            )
+        self.table, self.E, self.k, self.n = table, E, k, n
         self.subvars = tuple(subvars)
-        self.E = E
-        self.k = k = len(self.subvars)
-        self.n = n = E.rank
         self.relative_dim = k * (n - k)
-        self.relations = tuple(relations)
-        self._substitution = _substitute_units(self.relations, self.subvars)
+        self.taut_sub = Bundle(k, [table.one()] + [table.var(nm) for nm in subvars])
+        quot_chern, excess = whitney_split(E, self.taut_sub)
+        self.new_relations = tuple(p for p in excess if not p.is_zero())
+        self.taut_quot = Bundle(n - k, quot_chern)
+        self._ideal = None  # of new_relations, built by the first normal form
+        self._substitution = _substitute_units(self.new_relations, self.subvars)
         self.closed_form = not self._substitution[1]
         self.core_ring = None
         self._solvers = {}
@@ -279,8 +280,26 @@ class _Fiber:
         self._expansions = {}
         self._dets = {}
 
+    def schur(self, lam):
+        """Schur class of the tautological sub-bundle; lam fits in k x (n-k)."""
+        lam = check_partition(lam, self.k, self.n - self.k)
+        return schur_from_chern(self.taut_sub, lam)
+
+    def normal_form(self, p):
+        """Canonical representative modulo the level's relation ideal; a
+        level without relations builds nothing."""
+        if p.table != self.table:
+            raise TowerError("polynomial over the wrong table")
+        if p.is_zero() or not self.new_relations:
+            return p
+        if self._ideal is None:
+            from .zgraded import GradedIdeal
+            self._ideal = GradedIdeal(self.new_relations)
+        return self._ideal.normal_form(p)
+
     def gysin(self, p):
-        """Pushforward: a class over the level's table, free of the subvars."""
+        """Pushforward to the base: a class over the level's table, free of
+        `subvars`; degree drops by k(n-k)."""
         if p.table != self.table:
             raise TowerError("polynomial over the wrong table")
         if p.is_zero():
@@ -350,11 +369,10 @@ class _Fiber:
             return
         table, k, n = self.table, self.k, self.n
         core = set(self.subvars)
-        for r in self.relations:
+        for r in self.new_relations:
             core |= r.variables()
         self._split = SpectatorSplit(table, core)
         self.core_table = ct = self._split.core
-        self.core_relations = tuple(r.convert(ct) for r in self.relations)
         images, rels = self._substitution
         ring_table = VarTable(
             [v for v in zip(ct.names, ct.degrees) if v[0] not in images],
@@ -433,72 +451,9 @@ class _Fiber:
         return -p if self.relative_dim % 2 else p
 
 
-# -- tower levels ------------------------------------------------------------
-
-
-class TowerLevel:
-    """One Grassmannian bundle G(k, E), built over one table.
-
-    `table` holds the base variables and the k sub-bundle Chern variables
-    `subvars`, and may hold more, such as the other level's variables in a
-    fiber product.  E lives over `table` and its Chern classes are free of
-    `subvars`.  The pushforward is linear over every variable outside
-    `subvars` and the level's relations.
-    """
-
-    def __init__(self, table, E, k, subvars):
-        n = E.rank
-        if not (1 <= k < n):
-            raise TowerError("need 1 <= k < rank(E)")
-        if len(subvars) != k:
-            raise TowerError("need exactly %d sub-bundle variable names" % k)
-        if E.table != table:
-            raise TowerError("bundle must live over the level's table")
-        clash = E.total().variables() & set(subvars)
-        if clash:
-            raise TowerError(
-                "sub-bundle variables %s in E's Chern classes" % sorted(clash)
-            )
-        self.k = k
-        self.n = n
-        self.subvars = tuple(subvars)
-        self.table = table
-        self.E = E
-        self.taut_sub = Bundle(k, [table.one()] + [table.var(nm) for nm in subvars])
-        quot_chern, excess = whitney_split(E, self.taut_sub)
-        self.new_relations = tuple(p for p in excess if not p.is_zero())
-        self.taut_quot = Bundle(n - k, quot_chern)
-        self._ideal = None  # of new_relations, built by the first normal form
-        self._fiber = _Fiber(table, self.subvars, E, self.new_relations)
-
-    @property
-    def relative_dim(self):
-        return self.k * (self.n - self.k)
-
-    def schur(self, lam):
-        """Schur class of the tautological sub-bundle; lam fits in k x (n-k)."""
-        lam = check_partition(lam, self.k, self.n - self.k)
-        return schur_from_chern(self.taut_sub, lam)
-
-    def normal_form(self, p):
-        """Canonical representative modulo the level's relations, one
-        graded part at a time; a level without relations builds nothing."""
-        if p.table != self.table:
-            raise TowerError("polynomial over the wrong table")
-        if p.is_zero() or not self.new_relations:
-            return p
-        if self._ideal is None:
-            from .zgraded import GradedIdeal
-            self._ideal = GradedIdeal(self.new_relations)
-        terms = {}  # one homogeneous part per degree: no two share a key
-        for part in p.graded_parts().values():
-            terms.update(self._ideal.normal_form(part).terms)
-        return Poly(self.table, terms)
-
-    def gysin(self, p):
-        """Pushforward to the base: a class over the level's table, free of
-        `subvars`; degree drops by k(n-k)."""
-        return self._fiber.gysin(p)
+# bench/tracing.py wraps `_Fiber.gysin` and `_Fiber._solver` by name, and
+# its `_solver_cached` reads `_solvers` of the level a `_solver` call gets.
+_Fiber = TowerLevel
 
 
 class FiberProduct:

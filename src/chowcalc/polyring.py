@@ -365,19 +365,20 @@ def _exponents(table, key):
 
 def _fmt_mono(table, key):
     """The monomial of a key as text, remembered per table: its nonzero
-    fields, highest first, looked up in the table's piece table."""
+    fields, highest first, looked up in the table's piece table.  A row
+    grows to the largest exponent printed so far, not to the degree bound."""
     rows = table._mono_pieces
     if rows is None:
-        rows = table._mono_pieces = [
-            ["", name] + ["%s^%d" % (name, e) for e in range(2, table.degree_bound // w + 1)]
-            for name, w in zip(reversed(table.names), reversed(table.degrees))
-        ]
+        rows = table._mono_pieces = [["", name] for name in reversed(table.names)]
     bits, rest, pieces = table.bits, key & ((1 << table.shift) - 1), []
     while rest:
         j = (rest.bit_length() - 1) // bits
         e = rest >> j * bits
         rest ^= e << j * bits
-        pieces.append(rows[j][e])
+        row = rows[j]
+        if e >= len(row):
+            row += ["%s^%d" % (row[1], x) for x in range(len(row), e + 1)]
+        pieces.append(row[e])
     text = table._mono_text[key] = "*".join(pieces)
     return text
 

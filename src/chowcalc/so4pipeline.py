@@ -162,30 +162,33 @@ class Report(Record):
         return "\n".join(lines)
 
 
-def lemma4_check(divisor, pullback_c1=4, pullback_N=2):
+# the restrictions of c1 and of the residual normal class to the generator L
+PULLBACK_C1, PULLBACK_N = 4, 2
+
+
+def lemma4_check(divisor):
     """Run the degree-one generation argument on explicit lattice data.
 
     `divisor` holds the integer coefficients (u, v) of the divisor class
-    u*c1 + v*f1; c1 restricts to pullback_c1 times the generator L, and the
-    residual normal class to pullback_N times L.  Checks that the divisor
+    u*c1 + v*f1; c1 restricts to PULLBACK_C1 times the generator L, and the
+    residual normal class to PULLBACK_N times L.  Checks that the divisor
     class is primitive, solves for the forced restriction of f1
-    (u*pullback_c1 + v*t = 0), computes the image subgroup
-    gcd(pullback_c1, t)*Z, and confirms the normal class generates it.
+    (u*PULLBACK_C1 + v*t = 0), computes the image subgroup
+    gcd(PULLBACK_C1, t)*Z, and confirms the normal class generates it.
     Returns a dict of the derived quantities.
     """
     u, v = divisor
     if gcd(u, v) != 1:
         raise PipelineError("divisor class (%d, %d) is not primitive" % (u, v))
-    if v == 0 or (-u * pullback_c1) % v:
+    if v == 0 or (-u * PULLBACK_C1) % v:
         raise PipelineError("no integral solution for the f1 restriction")
-    t = (-u * pullback_c1) // v
-    image = gcd(pullback_c1, t)
+    t = (-u * PULLBACK_C1) // v
+    image = gcd(PULLBACK_C1, t)
     return {
         "divisor": (u, v),
         "f1_image": t,
         "image_generator": image,
-        "normal_generates": abs(pullback_N) == image,
-        "replace_ok": abs(pullback_N) == image,
+        "normal_generates": PULLBACK_N == image,
     }
 
 

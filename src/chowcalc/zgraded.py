@@ -504,8 +504,8 @@ class GradedIdeal:
         )
 
     def normal_form(self, p):
-        """Canonical representative of a homogeneous p modulo the ideal:
-        sum_m m * nf(p_m) over its spectator split.
+        """Canonical representative of p modulo the ideal, one graded part
+        at a time: sum_m m * nf(p_m) over the spectator split of each.
 
         Every monomial with an eliminated variable is a pivot column with
         pivot 1 in the full-table lattice, and the blocks m * L' of the
@@ -515,7 +515,10 @@ class GradedIdeal:
         if p.is_zero():
             return p
         if not p.is_homogeneous():
-            raise GradedError("normal form requires a homogeneous polynomial")
+            terms = {}  # one homogeneous part per degree: no two share a key
+            for part in p.graded_parts().values():
+                terms.update(self.normal_form(part).terms)
+            return Poly(self.table, terms)
         pieces = []
         for m, q in self._split.split(self._substituted(p)):
             lat = self.lattice(q.degree())

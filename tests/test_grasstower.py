@@ -1,12 +1,13 @@
 """Unit tests for Grassmannian tower levels and Gysin pushforwards."""
 
+import functools
 import itertools
 import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowcalc import chern, cli, grasstower, zgraded
@@ -122,7 +123,7 @@ def test_gysin_degrees_carry_the_sign_of_the_fibre(n, k, monomial, want, closed)
         T = VarTable(chern_vars("f", k), k * (n - k) + 2)
         E = chern.Bundle(n, [T.one()])
     level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
-    assert level._fiber.closed_form == closed
+    assert level.closed_form == closed
     p = T.one()
     for i, e in monomial.items():
         p = p * T.var("f%d" % i) ** e
@@ -155,6 +156,37 @@ def test_g24_relations(g24):
     assert nf(b1 ** 3 - 2 * b1 * b2).is_zero()
     for r in g24.new_relations:
         assert nf(r).is_zero()
+
+
+@functools.lru_cache(maxsize=None)
+def levels_with_relations():
+    """{name: (level, the GradedIdeal of its relations)} for G(3, wedge^2 S)
+    of the SO(4) geometry and G(2, 4) over a trivial E, both at bound 10."""
+    T = VarTable([("t", 1)] + chern_vars("b", 2), 10)
+    g24 = TowerLevel(T, chern.Bundle(4, [T.one()]), 2, ["b1", "b2"])
+    g3 = So4Pipeline(degree_bound=10).build_geometry().G3
+    return {
+        name: (level, zgraded.GradedIdeal(level.new_relations))
+        for name, level in (("G3", g3), ("G24", g24))
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["G3", "G24"]), data=st.data())
+def test_level_normal_form_is_its_ideals_on_any_class(name, data):
+    """A level reduces through its relation ideal: for a class of several
+    degrees the level's normal form, the ideal's and the sum of the ideal's
+    normal forms of the graded parts agree."""
+    level, ideal = levels_with_relations()[name]
+    T = level.table
+    fill = T.names[0]
+    degrees = data.draw(st.sets(st.integers(0, T.degree_bound), min_size=2, max_size=4))
+    p = sum((draw_class(data.draw, T, d, fill) for d in degrees), T.zero())
+    assume(not p.is_homogeneous())
+    want = ideal.normal_form(p)
+    assert level.normal_form(p) == want
+    parts = [ideal.normal_form(part) for part in p.graded_parts().values()]
+    assert sum(parts, T.zero()) == want
 
 
 # -- relative towers ----------------------------------------------------------
@@ -306,11 +338,11 @@ def assert_matches_oracle(level, rng, E_names, draw_roots, classes):
             assert got == Fraction(img.eval(values)), str(p)
 
 
-def assert_closed_path(fiber):
-    """The fiber pushed forward by the closed form alone: no solver and no
+def assert_closed_path(level):
+    """The level pushed forward by the closed form alone: no solver and no
     lattice-path state was ever built."""
-    assert fiber.closed_form
-    assert fiber._solvers == {} and fiber.core_ring is None
+    assert level.closed_form
+    assert level._solvers == {} and level.core_ring is None
 
 
 @pytest.mark.parametrize(
@@ -318,15 +350,15 @@ def assert_closed_path(fiber):
 )
 def test_gysin_vs_symmetrization_oracle_free_bundles(n, k, monkeypatch):
     """G(k, E) for E with variable Chern classes e1..en: the relations
-    substitute e_(n-k+1)..e_n out completely, so the fiber takes the closed
+    substitute e_(n-k+1)..e_n out completely, so the level takes the closed
     form, and every image equals the oracle's."""
     T, E = free_bundle("e", n, 9, k)
     level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
 
-    def no_solve(fiber, d):
+    def no_solve(level, d):
         raise AssertionError("the lattice path ran at degree %d" % d)
 
-    monkeypatch.setattr(grasstower._Fiber, "_solver", no_solve)
+    monkeypatch.setattr(TowerLevel, "_solver", no_solve)
 
     def draw_roots(rng):
         xs = rng.sample(range(-30, 30), n)
@@ -334,19 +366,18 @@ def test_gysin_vs_symmetrization_oracle_free_bundles(n, k, monkeypatch):
 
     names = ["e%d" % i for i in range(1, n + 1)]
     assert_matches_oracle(level, random.Random(100 * n + k), names, draw_roots, 12)
-    assert_closed_path(level._fiber)
+    assert_closed_path(level)
 
 
 def test_gysin_vs_symmetrization_oracle_without_substitution():
     """On P(wedge^2 E) for E of rank 4 no relation gives a variable as
-    +-v + rho, so the fiber keeps the lattice path: it substitutes nothing
+    +-v + rho, so the level keeps the lattice path: it substitutes nothing
     and solves modulo its relation lattice; the images still equal the
     oracle's, whose roots of wedge^2 E are the sums x_i + x_j of two roots
     of E."""
     T, E = free_bundle("c", 4, 10, 1)
     level = TowerLevel(T, chern.exterior_square(E), 1, ["f1"])
-    fiber = level._fiber
-    assert not fiber.closed_form
+    assert not level.closed_form
 
     def draw_roots(rng):
         while True:
@@ -357,19 +388,20 @@ def test_gysin_vs_symmetrization_oracle_without_substitution():
 
     names = ["c1", "c2", "c3", "c4"]
     assert_matches_oracle(level, random.Random(43), names, draw_roots, 20)
-    assert fiber._solvers
+    assert level._solvers
     # nothing substituted: the solve runs over the core table, modulo the
     # level's own relations
-    assert fiber.core_ring.table == fiber.core_table
-    assert fiber.core_relations
-    assert fiber.core_ring.relations == fiber.core_relations
+    core_relations = tuple(r.convert(level.core_table) for r in level.new_relations)
+    assert level.core_ring.table == level.core_table
+    assert core_relations
+    assert level.core_ring.relations == core_relations
 
 
 def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
-    """The G(2, S) fiber has substituted c3 and c4 out, so its degree-10
+    """The G(2, S) level has substituted c3 and c4 out, so its degree-10
     solver reduces against no relation lattice: `row_hnf` runs once, on the
     square solver matrix."""
-    fiber = So4Pipeline(degree_bound=10).build_geometry().GG.levels[1]._fiber
+    level = So4Pipeline(degree_bound=10).build_geometry().GG.levels[1]
     shapes = []
 
     def counted(rows):
@@ -377,7 +409,7 @@ def test_g2s_solver_echelons_only_its_own_matrix(monkeypatch):
         return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", counted)
-    lat, labels, _, _, _ = fiber._solver(10)
+    lat, labels, _, _, _ = level._solver(10)
     assert shapes == [(len(labels), len(labels))] and len(lat.cols) == len(labels)
 
 
@@ -387,14 +419,14 @@ def test_so4_runs_make_no_solver_echelon(monkeypatch, capsys):
     pushforward, and `grasstower` builds no Schur solver, its one call of
     `row_hnf`."""
     pushed, solved = [], []
-    original = grasstower._Fiber.gysin
+    original = TowerLevel.gysin
 
-    def counting_gysin(fiber, p):
+    def counting_gysin(level, p):
         pushed.append(p)
-        return original(fiber, p)
+        return original(level, p)
 
-    monkeypatch.setattr(grasstower._Fiber, "gysin", counting_gysin)
-    monkeypatch.setattr(grasstower._Fiber, "_solver", lambda *args: solved.append(args))
+    monkeypatch.setattr(TowerLevel, "gysin", counting_gysin)
+    monkeypatch.setattr(TowerLevel, "_solver", lambda *args: solved.append(args))
     for argv in (["verify-so4"], ["eval", SO4_SCRIPT]):
         cli.main(argv + ["--degree-bound", "14"])
         assert pushed and not solved, argv
@@ -402,10 +434,16 @@ def test_so4_runs_make_no_solver_echelon(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_fiber_names_the_level_class():
+    """bench/tracing.py wraps `_Fiber.gysin` and `_Fiber._solver` by name,
+    so the name is the level class itself."""
+    assert grasstower._Fiber is TowerLevel
+
+
 @pytest.mark.parametrize("path", ["g2s", "g24"], ids=["closed", "lattice"])
 def test_gysin_rejects_a_class_over_the_wrong_table(request, path):
     level = request.getfixturevalue(path)
-    assert level._fiber.closed_form == (path == "g2s")
+    assert level.closed_form == (path == "g2s")
     other = VarTable([("b1", 1), ("b2", 2)], level.table.degree_bound)
     with pytest.raises(TowerError, match="^polynomial over the wrong table$"):
         level.gysin(other.var("b2") ** 2)
@@ -414,7 +452,7 @@ def test_gysin_rejects_a_class_over_the_wrong_table(request, path):
 @pytest.mark.parametrize("path", ["g2s", "g24"], ids=["closed", "lattice"])
 def test_gysin_rejects_an_inhomogeneous_class(request, path):
     level = request.getfixturevalue(path)
-    assert level._fiber.closed_form == (path == "g2s")
+    assert level.closed_form == (path == "g2s")
     b2 = level.table.var("b2")
     with pytest.raises(
         TowerError, match="^Gysin pushforward requires a homogeneous class$"
@@ -424,11 +462,11 @@ def test_gysin_rejects_an_inhomogeneous_class(request, path):
 
 def expand_elementary(alpha):
     """{lam: K_lam} of prod_i e_i^alpha_i in k = len(alpha) variables, as
-    the fiber of a G(k, E) expands it."""
+    a G(k, E) level expands it."""
     k = len(alpha)
     T, E = free_bundle("e", k + 1, k + 1, k)
     level = TowerLevel(T, E, k, ["f%d" % i for i in range(1, k + 1)])
-    return level._fiber._schur_expansion(tuple(alpha))
+    return level._schur_expansion(tuple(alpha))
 
 
 def test_pieri_expansion_of_elementary_products():
@@ -479,9 +517,9 @@ def closed_form_levels(draw):
     return level, roots, values
 
 
-def draw_class(draw, T, d):
+def draw_class(draw, T, d, fill="s1"):
     return T.poly({
-        draw_monomial(draw, T, d, "s1"): draw(st.integers(-5, 5))
+        draw_monomial(draw, T, d, fill): draw(st.integers(-5, 5))
         for _ in range(draw(st.integers(1, 4)))
     })
 
@@ -496,7 +534,7 @@ def test_closed_form_matches_the_oracle(data):
     d = data.draw(st.integers(level.relative_dim, T.degree_bound))
     p = draw_class(data.draw, T, d)
     img = level.gysin(p)
-    assert_closed_path(level._fiber)
+    assert_closed_path(level)
     assert img.eval(values) == subset_symmetrization(p, level.subvars, roots, values)
 
 
@@ -515,7 +553,7 @@ def test_closed_form_satisfies_the_projection_formula(data):
     a = draw_class(data.draw, base, data.draw(st.integers(0, T.degree_bound - d)))
     a = a.convert(T)
     assert level.gysin(a * x) == a * level.gysin(x)
-    assert_closed_path(level._fiber)
+    assert_closed_path(level)
 
 
 def test_oracle_requires_distinct_roots(g24):
@@ -639,7 +677,7 @@ def test_fiber_product_gysin_factors():
 def test_images_lie_over_the_level_table(g2s, g24):
     """The image is a class over the level's own table, on the closed form
     (G(2, S)) and on the lattice path (G(2, 4) over a trivial E)."""
-    assert g2s._fiber.closed_form and not g24._fiber.closed_form
+    assert g2s.closed_form and not g24.closed_form
     for level in (g2s, g24):
         T = level.table
         for p in (T.var("b2") ** 2, T.var("b1") ** 5, T.var("b1"), T.zero()):
@@ -674,30 +712,30 @@ def so4_levels():
     return {"G(2,S)": P.GG.levels[1], "G3": P.G3}
 
 
-def _top_box_by_full_transform(fiber, d):
+def _top_box_by_full_transform(level, d):
     """Top-box coefficients of degree-d core classes, from a fresh echelon
     basis of the solver's rows: a map from class to image, or to None where
     the class is outside the Schur-basis span."""
-    lat, labels, _, _, _ = fiber._solver(d)
-    # the rows and p go through the fiber's substitution, onto the table of
+    lat, labels, _, _, _ = level._solver(d)
+    # the rows and p go through the level's substitution, onto the table of
     # its core ring
     rows = [
         lat.reduce(lat.vector(
-            fiber._schur[lam] * fiber._substituted(Poly(fiber.core_table, {m: 1}))
+            level._schur[lam] * level._substituted(Poly(level.core_table, {m: 1}))
         ))
         for lam, m in labels
     ]
     hnf = row_hnf(rows)
 
     def solve(p):
-        x = hnf_solve(*hnf, lat.reduce(lat.vector(fiber._substituted(p))))
+        x = hnf_solve(*hnf, lat.reduce(lat.vector(level._substituted(p))))
         if x is None:
             return None
         out = {}
         for coeff, (lam, m) in zip(x, labels):
-            if coeff and lam == fiber.top:
+            if coeff and lam == level.top:
                 out[m] = out.get(m, 0) + coeff
-        return Poly(fiber.core_table, out)
+        return Poly(level.core_table, out)
 
     return solve
 
@@ -710,17 +748,17 @@ def test_solver_reads_the_same_top_box_coefficients_as_a_full_solve(
     top-box coefficients of a solve; every degree-9 and degree-10 core
     monomial gets the same image, or the same TowerError, as from a solve
     against a fresh echelon basis of rows rebuilt from the labels."""
-    fiber = so4_levels[name]._fiber
+    level = so4_levels[name]
     for d in (9, 10):
-        full = _top_box_by_full_transform(fiber, d)
-        for mono in fiber.core_table.monomials(d):
-            p = fiber.core_table.poly({mono: 1})
+        full = _top_box_by_full_transform(level, d)
+        for mono in level.core_table.monomials(d):
+            p = level.core_table.poly({mono: 1})
             want = full(p)
             if want is None:
                 with pytest.raises(TowerError, match="Schur-basis module span"):
-                    fiber._solve_core(p)
+                    level._solve_core(p)
             else:
-                assert fiber._solve_core(p) == want, str(p)
+                assert level._solve_core(p) == want, str(p)
 
 
 def test_fiber_product_keeps_levels_that_share_a_table():

@@ -431,7 +431,6 @@ def test_member_is_false_unless_its_certificate_multiplies_back(monkeypatch):
 
 def test_lemma4_check_values():
     res = lemma4_check((13, -2))
-    assert res == lemma4_check((13, -2), pullback_c1=4, pullback_N=2)
     assert res["f1_image"] == 26
     assert res["image_generator"] == 2
     assert res["normal_generates"]
@@ -448,7 +447,10 @@ def test_lemma4_check_rejects_bad_data():
         lemma4_check((0, 0))  # not primitive
     with pytest.raises(PipelineError):
         lemma4_check((1, 3))  # no integral solution
-    res = lemma4_check((13, -2), pullback_N=3)
+    # f1 restricts to 4L, so the image is 4Z, which the normal class 2L
+    # does not generate
+    res = lemma4_check((1, -1))
+    assert (res["f1_image"], res["image_generator"]) == (4, 4)
     assert not res["normal_generates"]
 
 

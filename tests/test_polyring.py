@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -650,6 +651,24 @@ def test_fmt_mono_matches_the_field_by_field_reference(nvars, bound):
     for key in keys:
         assert _fmt_mono(table, key) == reference_fmt_mono(table, key)
         assert _fmt_mono(table, key) == reference_fmt_mono(table, key)  # cached
+
+
+def test_printing_costs_what_it_prints_not_the_degree_bound():
+    """The piece table holds the exponents printed so far: printing c1*c2
+    at bound 10^6 allocates under 1 MB, where rows filled to the bound
+    would hold 1.5 million strings, and a higher exponent printed later
+    grows its row."""
+    table = VarTable([("c1", 1), ("c2", 2)], 1_000_000)
+    p = table.var("c1") * table.var("c2")
+    tracemalloc.start()
+    try:
+        text = str(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "c1*c2" and peak < 1 << 20
+    assert str(table.var("c1") ** 7 * p) == "c1^8*c2"
+    assert str(table.var("c2") ** 3) == "c2^3"
 
 
 @st.composite

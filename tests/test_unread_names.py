@@ -2,14 +2,15 @@
 properties of its classes, that no chowcalc code reads are exactly the ones
 listed here.
 
-A name counts as read when a module loads it, imports it or reads it as an
+A module-level name counts as read when a module loads it, imports it or
+reads it as an attribute, and a method only when a module reads it as an
 attribute, from outside its own definition and outside every definition
 that is itself unread (so a helper that only unread code calls is unread
-too).  Methods are matched by name alone: `Poly.degree` is read wherever
-any `.degree` is.  The methods of an unread class are unread, and only the
-class is listed.  Tests and the bench may still use the names below; the
-library does not.  A new unread definition fails here, and the lists
-shrink only by an edit.
+too).  A local variable named like a method does not read it.  Methods are
+matched by name alone: `Poly.degree` is read wherever any `.degree` is.
+The methods of an unread class are unread, and only the class is listed.
+Tests and the bench may still use the names below; the library does not.
+A new unread definition fails here, and the lists shrink only by an edit.
 """
 
 import ast
@@ -37,6 +38,7 @@ UNREAD = [
 UNREAD_METHODS = [
     "GradedIdeal.equal",  # bench/tracing.py wraps it by name
     "Poly.graded_part",  # bench/tracing.py wraps it by name
+    "VarTable.gens",  # test helper: the variables as classes
     "VarTable.mono_degree",  # test oracle of the packed monomial keys
     "VarTable.monomials",  # test oracle: monomials as exponent tuples
     "VarTable.nvars",  # bench/gysin_sweep.py reads it
@@ -48,14 +50,15 @@ def _is_dunder(name):
 
 
 def _reads(nodes):
-    """Names loaded, attributes read and names imported in the nodes."""
+    """Names loaded and names imported in the nodes, and the attributes
+    read as ".name"."""
     reads = set()
     for node in nodes:
         for n in ast.walk(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 reads.add(n.id)
             elif isinstance(n, ast.Attribute):
-                reads.add(n.attr)
+                reads.add("." + n.attr)
             elif isinstance(n, ast.alias):
                 reads.add(n.name)
     return reads
@@ -66,14 +69,15 @@ def unread_names(sources):
     sources: module-level functions and classes by name, and the methods
     and properties of the read classes as `Class.method`."""
     statements = []  # (definitions it belongs to, names read)
-    defined = {}  # definition -> the name that reads it
+    defined = {}  # definition -> the reads that read it
     for source in sources:
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 statements.append(((), _reads([node])))
                 continue
             owners = () if _is_dunder(node.name) else (node.name,)
-            defined.update((d, d) for d in owners)
+            own = {node.name, "." + node.name}
+            defined.update((d, own) for d in owners)
             rest = [node] if isinstance(node, ast.FunctionDef) else (
                 node.bases + node.keywords + node.decorator_list
             )
@@ -85,17 +89,17 @@ def unread_names(sources):
                     method = ()
                     if not _is_dunder(item.name):
                         method = ("%s.%s" % (node.name, item.name),)
-                        defined[method[0]] = item.name
-                    reads = _reads([item]) - {item.name}
+                        defined[method[0]] = {"." + item.name}
+                    reads = _reads([item]) - {"." + item.name}
                     statements.append((owners + method, reads))
-            statements.append((owners, _reads(rest) - {node.name}))
+            statements.append((owners, _reads(rest) - own))
     unread = set()
     while True:
         read = set()
         for owners, reads in statements:
             if not unread.intersection(owners):
                 read |= reads
-        grown = {d for d, name in defined.items() if name not in read}
+        grown = {d for d, names in defined.items() if not names & read}
         if grown == unread:
             owner = {d: d.split(".")[0] for d in unread if "." in d}
             return sorted(d for d in unread if owner.get(d) not in unread)
@@ -126,6 +130,22 @@ def test_scan_follows_calls_from_unread_code():
     )
     assert unread_names([source]) == ["C", "dead", "dead_helper"]
     assert unread_names([source, "from m import dead\n"]) == []
+
+
+def test_scan_reads_a_method_only_as_an_attribute():
+    # `gens` is bound and loaded only as a local variable, `size` as an
+    # attribute; a module-level function still counts as read by name
+    source = (
+        "class T:\n"
+        "    def gens(self): pass\n"
+        "    def size(self): pass\n"
+        "def helper(): pass\n"
+        "def used(t):\n"
+        "    gens = [helper]\n"
+        "    return gens, t.size()\n"
+        "used(T())\n"
+    )
+    assert unread_names([source]) == ["T.gens"]
 
 
 def test_scan_follows_methods():

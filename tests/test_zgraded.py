@@ -428,19 +428,20 @@ def test_row_hnf_pivots_on_the_sparsest_row_of_least_entry():
 
 def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
     """Degree-10 lattices of the SO(4) geometry.  The G(3, wedge^2 S)
-    relation lattice over the c and f variables (its fiber's core ring) has
+    relation lattice over the c and f variables (the level's core ring) has
     pivots 2, 9, 15 and 885 and takes more than one Euclidean round in 10
     columns.  The G(2, S) relation lattice over the c and b variables is
-    built from the level's relations: its fiber substitutes c3 and c4 out,
+    built from the level's relations: the level substitutes c3 and c4 out,
     so its core ring has none left, and its Schur solver matrix is square.
-    Neither level pushes forward in the geometry's build, so each fiber's
+    Neither level pushes forward in the geometry's build, so each level's
     lattice-path state is built here."""
     P = So4Pipeline(degree_bound=10).build_geometry()
-    fiber = P.GG.levels[1]._fiber
-    fiber._lattice_path()
-    P.G3._fiber._lattice_path()
-    g2s = DegreeLattice(fiber.core_table, fiber.core_relations, 10).rows
-    assert not fiber.core_ring.lattice(10).rows and len(g2s) > 100
+    level = P.GG.levels[1]
+    level._lattice_path()
+    P.G3._lattice_path()
+    core_relations = [r.convert(level.core_table) for r in level.new_relations]
+    g2s = DegreeLattice(level.core_table, core_relations, 10).rows
+    assert not level.core_ring.lattice(10).rows and len(g2s) > 100
     solver_rows = []
 
     def capture(rows):
@@ -448,8 +449,8 @@ def test_row_hnf_matches_the_dense_reference_on_so4_lattices(monkeypatch):
         return row_hnf(rows)
 
     monkeypatch.setattr(zgraded, "row_hnf", capture)
-    fiber._solver(10)
-    g3 = P.G3._fiber.core_ring.lattice(10).rows
+    level._solver(10)
+    g3 = P.G3.core_ring.lattice(10).rows
     H, _, pivots = row_hnf(g3)
     assert {H[r][c] for r, c in pivots} >= {2, 9, 15, 885}
     for rows in (g3, g2s, solver_rows[0]):
