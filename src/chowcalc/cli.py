@@ -2,9 +2,12 @@
 
 An import loads no layer, and a layer loads when a command runs: the module
 level imports only `os`, `sys` and the package, so `import chowcalc.cli`,
-`--version`, `--help` and a usage error load no chowcalc layer, nor
-`argparse` until a parser is built, nor `json` until a transcript is
-written.
+`--version`, `--help` and a usage error load no chowcalc layer.  A command
+line of one of the two exact forms that `_fast_args` reads, `verify-so4` or
+`eval FILE` followed by distinct full `--flag value` pairs, loads no
+`argparse` either; every other command line, `--help` and `--version`
+included, goes through `build_parser`.  Both commands write JSON with
+`polyring.json_text`, so neither loads `json`.
 """
 
 import os
@@ -74,6 +77,59 @@ def build_parser():
     return parser
 
 
+def _format(value):
+    if value not in ("text", "json"):
+        raise ValueError(value)
+    return value
+
+
+# What `_fast_args` reads: each command's options, as `build_parser` declares
+# them, with their defaults, and each flag's destination and conversion.
+_FAST_DEFAULTS = {
+    "verify-so4": {"degree_bound": None, "seed": 0, "format": "text", "out": None},
+    "eval": {"degree_bound": None, "format": "text", "out": None},
+}
+_FAST_FLAGS = {
+    "--degree-bound": ("degree_bound", int),
+    "--seed": ("seed", int),
+    "--format": ("format", _format),
+    "--out": ("out", str),
+}
+
+
+def _fast_args(argv):
+    """`vars(build_parser().parse_args(argv))` for `verify-so4` or `eval FILE`
+    followed by distinct full `--flag value` pairs, without `argparse`; None
+    for any other command line.
+
+    No value or FILE may start with `-`, and a value `argparse` would refuse
+    gives None, so `argparse` reads every command line it might read
+    differently and writes every message and exit code.
+    """
+    if not argv or argv[0] not in _FAST_DEFAULTS:
+        return None
+    command, rest = argv[0], argv[1:]
+    defaults = _FAST_DEFAULTS[command]
+    args = dict(defaults, command=command)
+    if command == "eval":
+        if not rest or rest[0].startswith("-"):
+            return None
+        args["file"], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    seen = set()
+    for flag, value in zip(rest[::2], rest[1::2]):
+        dest, convert = _FAST_FLAGS.get(flag, (None, None))
+        if dest not in defaults or dest in seen or value.startswith("-"):
+            return None
+        seen.add(dest)
+        try:
+            args[dest] = convert(value)
+        except ValueError:
+            return None
+    return args
+
+
 def _cannot_write(path, exc):
     from .polyring import ChowError
 
@@ -110,48 +166,27 @@ def _cmd_verify(args):
     # imported here so that eval does not pay for loading the pipeline
     from .so4pipeline import So4Pipeline
 
-    pipeline = So4Pipeline(degree_bound=args.degree_bound, seed=args.seed)
+    pipeline = So4Pipeline(degree_bound=args["degree_bound"], seed=args["seed"])
     report = pipeline.run_all()
-    body = report.to_json() if args.format == "json" else report.to_text()
-    _emit(body, args.out)
+    body = report.to_json() if args["format"] == "json" else report.to_text()
+    _emit(body, args["out"])
     return EXIT_OK if report.overall == "pass" else EXIT_CHECK_FAILED
-
-
-def _transcript_json(events, overall):
-    """`json.dumps({"events": events, "overall": overall}, indent=2)`, in
-    the same bytes, for events as `dsl.run_script` returns them: non-empty
-    dicts whose values are strings and bools.
-
-    An `indent` sends `json.dumps` to its pure-Python encoder; this writes
-    the same layout around the C string escaper that `json.dumps` uses.
-    """
-    from json.encoder import encode_basestring_ascii as quote
-
-    rows = []
-    for e in events:
-        fields = [
-            "%s: %s" % (quote(k), quote(v) if v.__class__ is str
-                        else "true" if v else "false")
-            for k, v in e.items()
-        ]
-        rows.append("{\n      %s\n    }" % ",\n      ".join(fields))
-    listed = "[\n    %s\n  ]" % ",\n    ".join(rows) if rows else "[]"
-    return '{\n  "events": %s,\n  "overall": %s\n}' % (listed, quote(overall))
 
 
 def _cmd_eval(args):
     # imported here so that importing the cli does not load the DSL
     from . import dsl
+    from .polyring import json_text
 
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args["file"], encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    events, ok = dsl.run_script(text, degree_bound=args.degree_bound)
-    if args.format == "json":
-        body = _transcript_json(events, "pass" if ok else "fail")
+    events, ok = dsl.run_script(text, degree_bound=args["degree_bound"])
+    if args["format"] == "json":
+        body = json_text({"events": events, "overall": "pass" if ok else "fail"})
     else:
         lines = []
         for e in events:
@@ -165,24 +200,28 @@ def _cmd_eval(args):
                 lines.append(line)
         lines.append("overall: %s" % ("pass" if ok else "fail"))
         body = "\n".join(lines)
-    _emit(body, args.out)
+    _emit(body, args["out"])
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        parser = build_parser()
+        args = vars(parser.parse_args(argv))
+        if args["command"] is None:
+            parser.print_help()
+            return EXIT_USAGE
     from .polyring import ChowError
 
     try:
-        if args.degree_bound is None:
-            args.degree_bound = _default_degree_bound()
-        if args.out:
-            _check_writable(args.out)
-        if args.command == "verify-so4":
+        if args["degree_bound"] is None:
+            args["degree_bound"] = _default_degree_bound()
+        if args["out"]:
+            _check_writable(args["out"])
+        if args["command"] == "verify-so4":
             return _cmd_verify(args)
         return _cmd_eval(args)
     except ChowError as exc:

@@ -272,9 +272,9 @@ class TowerLevel:
         self.closed_form = not self._substitution[1]
         self.core_ring = None
         self._solvers = {}
-        # the closed form's state: h_0(E)..h_bound(E) from the first push
-        # on, and memos of pi_*(f^alpha) and of its Schur expansion K per
-        # alpha and of each determinant per lam
+        # the closed form's state: h_0(E)..h_m(E), m the largest index a
+        # determinant has read so far, and memos of pi_*(f^alpha) and of its
+        # Schur expansion K per alpha and of each determinant per lam
         self._h = None
         self._pushed = {}
         self._expansions = {}
@@ -352,12 +352,18 @@ class TowerLevel:
         """det(h_{lam_i-(n-k)+j-i}(E))_{i,j<k} for a lam containing the box."""
         det = self._dets.get(lam)
         if det is None:
-            if self._h is None:
-                table = self.table
-                q = series_parts(table.one(), self.E.total(), table.degree_bound)
-                self._h = [-x if m % 2 else x for m, x in enumerate(q)]
             box = self.n - self.k
-            det = self._dets[lam] = jacobi_trudi(self._h, [p - box for p in lam])
+            parts = [p - box for p in lam]
+            # the largest index jacobi_trudi reads; one above the bound reads 0
+            top = min(parts[0] + len(parts) - 1, self.table.degree_bound)
+            if self._h is None or len(self._h) <= top:
+                # at least twice as long, so pushes of rising degree
+                # rebuild the series only a few times
+                table = self.table
+                top = min(max(top, 2 * len(self._h or ())), table.degree_bound)
+                q = series_parts(table.one(), self.E.total(), top)
+                self._h = [-x if m % 2 else x for m, x in enumerate(q)]
+            det = self._dets[lam] = jacobi_trudi(self._h, parts)
         return det
 
     # -- the lattice path --------------------------------------------------

@@ -93,6 +93,53 @@ class Record:
         )
 
 
+def json_text(obj):
+    """`json.dumps(obj, indent=2)`, in the same bytes, for dicts with str
+    keys, lists, str, bool, int, float and None.
+
+    An `indent` sends `json.dumps` to its pure-Python encoder; this writes
+    the same layout around the C string escaper that `json` uses, without
+    loading the `json` package.
+    """
+    from _json import encode_basestring_ascii as quote
+
+    def write(obj, indent):
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            if obj - obj == 0:
+                return float.__repr__(obj)
+            return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+        inner = indent + "  "
+        # a str value is quoted in place: most values of a report are str
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [
+                "%s: %s" % (quote(k), quote(v) if v.__class__ is str else write(v, inner))
+                for k, v in obj.items()
+            ]
+        elif isinstance(obj, list):
+            brackets = "[]"
+            items = [quote(v) if v.__class__ is str else write(v, inner) for v in obj]
+        else:
+            raise TypeError("cannot write %s as JSON" % type(obj).__name__)
+        if not items:
+            return brackets
+        return "%s\n%s%s\n%s%s" % (
+            brackets[0], inner, (",\n" + inner).join(items), indent, brackets[1]
+        )
+
+    return write(obj, "")
+
+
 class VarTable:
     """Ordered table of graded variables with a global degree bound.
 

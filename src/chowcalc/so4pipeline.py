@@ -30,7 +30,6 @@ the generated ideal (so the final presentation is unaffected) and that the
 pushforward normalization agrees with the classical symmetrization formula.
 """
 
-import json
 import os
 import random
 import time
@@ -39,7 +38,7 @@ from math import gcd
 
 from . import DEFAULT_DEGREE_BOUND, dsl
 from .grasstower import FiberProduct, subset_symmetrization
-from .polyring import ChowError, Record, VarTable
+from .polyring import ChowError, Record, VarTable, json_text
 
 
 class PipelineError(ChowError):
@@ -147,7 +146,7 @@ class Report(Record):
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
+        return json_text(self.to_dict())
 
     def to_text(self):
         lines = []

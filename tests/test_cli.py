@@ -1,7 +1,9 @@
 """Tests for the command line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -17,7 +19,7 @@ from chowcalc import __version__, cli, dsl, so4pipeline
 from chowcalc.chern import BundleError
 from chowcalc.dsl import DslError
 from chowcalc.grasstower import TowerError
-from chowcalc.polyring import PolyError
+from chowcalc.polyring import PolyError, json_text
 from chowcalc.so4pipeline import REPORT_SCHEMA, PipelineError, So4Pipeline
 from chowcalc.zgraded import GradedError
 
@@ -679,56 +681,165 @@ ANY_TEXT = st.text(
         st.characters(categories=["Cs"]),
     )
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.dictionaries(
-            ANY_TEXT, st.one_of(ANY_TEXT, st.booleans()), min_size=1, max_size=5
-        ),
-        max_size=5,
+JSON_VALUES = st.recursive(
+    st.one_of(
+        ANY_TEXT, st.booleans(), st.none(), st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True),
     ),
-    ANY_TEXT,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(ANY_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
 )
-@example([], "pass")
-@example([{"kind": "check", "text": 'a\\"b\n\x00', "ok": False, "lhs": "\ud800é"}], "fail")
-def test_transcript_json_is_json_dumps_with_indent_2(events, overall):
-    expected = json.dumps({"events": events, "overall": overall}, indent=2)
-    assert cli._transcript_json(events, overall) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"events": [], "overall": "pass"})
+@example({"events": [{"kind": "check", "text": 'a\\"b\n\x00', "ok": False,
+                      "lhs": "\ud800é"}], "overall": "fail"})
+@example({"checks": [{"name": "x", "elapsed_ms": 0.25, "degree_bound": 14}],
+          "config": {}, "empty": [[], {}], "big": [10 ** 40, -0.0, 1e300]})
+def test_json_text_is_json_dumps_with_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+# the two fast forms' flags and values, and the tokens that mutate them:
+# abbreviations, `=`, unknown and help flags, blank, signed and bad integers,
+# bad choices and values that start with `-`
+FAST_FORMS = {
+    "verify-so4": ["--degree-bound", "--seed", "--format", "--out"],
+    "eval": ["--degree-bound", "--format", "--out"],
+}
+GOOD_VALUES = {
+    "--degree-bound": ["0", "14", "+3", " 7 ", "1_0", "\u0663", "007"],
+    "--seed": ["0", "5", "+3", " 2", "1_0"],
+    "--format": ["text", "json"],
+    "--out": ["out.txt", "", "a b", "eval", "x=y"],
+}
+MUTATIONS = [
+    "--deg", "--degree", "--se", "--form", "--o", "--degree_bound", "--bogus",
+    "-h", "--help", "--version", "--seed", "--seed=3", "--format=json",
+    "-3", "", "x", "3.5", "1__0", "xml", "TEXT", "-", "--", "-o", "a b",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A fast form, `verify-so4` or `eval FILE` and distinct full --flag
+    value pairs, maybe with one value replaced, then up to two mutations: a
+    token inserted, dropped or replaced anywhere, or the last two repeated."""
+    command = draw(st.sampled_from(sorted(FAST_FORMS)))
+    argv = [command]
+    if command == "eval":
+        argv.append(draw(st.sampled_from(["f.chow", "", "a b", "eval"])))
+    flags = draw(st.lists(st.sampled_from(FAST_FORMS[command]), unique=True))
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(GOOD_VALUES[flag]))]
+    token = st.one_of(st.sampled_from(MUTATIONS), st.text(max_size=3))
+    if flags and draw(st.booleans()):
+        argv[len(argv) - 1 - 2 * draw(st.integers(0, len(flags) - 1))] = draw(token)
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["insert", "drop", "replace", "repeat"]))
+        i = draw(st.integers(0, len(argv)))
+        if how == "insert":
+            argv.insert(i, draw(token))
+        elif how == "repeat":
+            argv += argv[-2:]
+        elif i < len(argv):
+            argv[i:i + 1] = [] if how == "drop" else [draw(token)]
+    return argv
+
+
+def argparse_args(argv):
+    """`vars(build_parser().parse_args(argv))`, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["eval", "--format", "json", "f.chow"])
+@example(["verify-so4", "--seed", "1", "--seed", "2"])
+@example(["eval", "f.chow", "--out"])
+@example(["verify-so4", "-h"])
+@example(["verify-so4", "--out", "-o"])
+@example(["verify-so4", "--seed", "-3"])
+@example(["eval", "f.chow", "--format", "xml"])
+def test_fast_args_is_none_or_what_argparse_gives(argv):
+    fast = cli._fast_args(argv)
+    assert fast is None or fast == argparse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-so4"],
+        ["verify-so4", "--degree-bound", "14", "--format", "json", "--seed", "3"],
+        ["verify-so4", "--out", "", "--seed", "+2", "--degree-bound", " 9 "],
+        ["eval", "f.chow"],
+        ["eval", "", "--format", "text", "--out", "o.txt", "--degree-bound", "1_0"],
+    ],
+)
+def test_fast_args_reads_the_two_exact_forms(argv):
+    assert cli._fast_args(argv) == argparse_args(argv) is not None
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["chowcalc", "eval", BUNDLES, "--format", "json"])
+    assert cli.main() == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
 
 
 COLD_START = """
-import json, sys
+import sys
 before = set(sys.modules)
 import chowcalc.cli
 added = set(sys.modules) - before
-code = chowcalc.cli.main(["eval", sys.argv[1], "--out", sys.argv[2]])
+code = chowcalc.cli.main(["eval", sys.argv[1], "--format", "json", "--out", sys.argv[2]])
 after_eval = "chowcalc.so4pipeline" in sys.modules
+verify = chowcalc.cli.main(
+    ["verify-so4", "--degree-bound", "4", "--format", "json", "--out", sys.argv[3]]
+)
+parsing = {"argparse", "gettext", "locale", "json"} & (set(sys.modules) - before)
 from chowcalc import Report, So4Pipeline, run
+import json
 print(json.dumps({
     "added": sorted({"dataclasses", "inspect", "chowcalc.so4pipeline"} & added),
     "eval": [code, after_eval],
+    "verify": verify,
+    "parsing": sorted(parsing),
     "lazy": [Report.__name__, So4Pipeline.__name__, run.__module__],
 }))
 """
 
 
 def test_cold_start_loads_only_what_the_command_runs(tmp_path):
+    # neither command loads a layer on import, eval loads no pipeline, and
+    # fast-form command lines with JSON output load neither argparse (nor
+    # its gettext and locale) nor json
     script = tmp_path / "small.chow"
     script.write_text("let S = bundle(c, 2);\ncheck c1 * c2 == c2 * c1;\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(script), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", COLD_START, str(script), str(tmp_path / "out.json"),
+         str(tmp_path / "report.json")],
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(out.stdout) == {
         "added": [],
         "eval": [cli.EXIT_OK, False],
+        "verify": cli.EXIT_OK,
+        "parsing": [],
         "lazy": ["Report", "So4Pipeline", "chowcalc.so4pipeline"],
     }
-    assert (tmp_path / "out.txt").read_text().endswith("overall: pass\n")
+    assert json.loads((tmp_path / "out.json").read_text())["overall"] == "pass"
+    assert json.loads((tmp_path / "report.json").read_text())["overall"] == "pass"
 
 
 def lattice_code_loaded(code, *args):
