@@ -1,10 +1,15 @@
 """Command-line front end: the verify-so4 report and the script evaluator.
 
+`COMMANDS` declares each command once: its help, its positional arguments,
+each option as its flag and the keyword arguments `argparse` takes, and its
+handler.  `build_parser` builds the parser from that table, `_fast_args`
+reads the same entries without `argparse`, and `main` runs the handler.
+
 An import loads no layer, and a layer loads when a command runs: the module
 level imports only `os`, `sys` and the package, so `import chowcalc.cli`,
 `--version`, `--help` and a usage error load no chowcalc layer.  A command
-line of one of the two exact forms that `_fast_args` reads, `verify-so4` or
-`eval FILE` followed by distinct full `--flag value` pairs, loads no
+line of the exact form that `_fast_args` reads, a command and its positional
+arguments followed by distinct full `--flag value` pairs, loads no
 `argparse` either; every other command line, `--help` and `--version`
 included, goes through `build_parser`.  Both commands write JSON with
 `polyring.json_text`, so neither loads `json`.
@@ -34,100 +39,6 @@ def _default_degree_bound():
         raise ChowError(
             "%s must be an integer, got %r" % (ENV_DEGREE_BOUND, raw)
         )
-
-
-def build_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="chowcalc",
-        description="Exact intersection-theory calculator for Grassmannian "
-        "bundle towers.",
-    )
-    parser.add_argument(
-        "--version", action="version", version="chowcalc %s" % __version__
-    )
-    sub = parser.add_subparsers(dest="command")
-    # verify-so4 and eval read both options alike (see `main`)
-    bound_help = "truncation degree (default: $%s or %d)" % (
-        ENV_DEGREE_BOUND, DEFAULT_DEGREE_BOUND,
-    )
-    out_help = "write the report here"
-
-    verify = sub.add_parser(
-        "verify-so4",
-        help="run the full verification pipeline and report pass/fail",
-    )
-    verify.add_argument(
-        "--degree-bound", type=int, default=None, help=bound_help
-    )
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    verify.add_argument("--out", default=None, help=out_help)
-
-    ev = sub.add_parser("eval", help="evaluate a .chow script")
-    ev.add_argument("file")
-    ev.add_argument("--degree-bound", type=int, default=None, help=bound_help)
-    ev.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    ev.add_argument("--out", default=None, help=out_help)
-    return parser
-
-
-def _format(value):
-    if value not in ("text", "json"):
-        raise ValueError(value)
-    return value
-
-
-# What `_fast_args` reads: each command's options, as `build_parser` declares
-# them, with their defaults, and each flag's destination and conversion.
-_FAST_DEFAULTS = {
-    "verify-so4": {"degree_bound": None, "seed": 0, "format": "text", "out": None},
-    "eval": {"degree_bound": None, "format": "text", "out": None},
-}
-_FAST_FLAGS = {
-    "--degree-bound": ("degree_bound", int),
-    "--seed": ("seed", int),
-    "--format": ("format", _format),
-    "--out": ("out", str),
-}
-
-
-def _fast_args(argv):
-    """`vars(build_parser().parse_args(argv))` for `verify-so4` or `eval FILE`
-    followed by distinct full `--flag value` pairs, without `argparse`; None
-    for any other command line.
-
-    No value or FILE may start with `-`, and a value `argparse` would refuse
-    gives None, so `argparse` reads every command line it might read
-    differently and writes every message and exit code.
-    """
-    if not argv or argv[0] not in _FAST_DEFAULTS:
-        return None
-    command, rest = argv[0], argv[1:]
-    defaults = _FAST_DEFAULTS[command]
-    args = dict(defaults, command=command)
-    if command == "eval":
-        if not rest or rest[0].startswith("-"):
-            return None
-        args["file"], rest = rest[0], rest[1:]
-    if len(rest) % 2:
-        return None
-    seen = set()
-    for flag, value in zip(rest[::2], rest[1::2]):
-        dest, convert = _FAST_FLAGS.get(flag, (None, None))
-        if dest not in defaults or dest in seen or value.startswith("-"):
-            return None
-        seen.add(dest)
-        try:
-            args[dest] = convert(value)
-        except ValueError:
-            return None
-    return args
 
 
 def _cannot_write(path, exc):
@@ -204,6 +115,88 @@ def _cmd_eval(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+# command: (help, positional arguments, options, handler); an option is its
+# flag and the keyword arguments `argparse` takes
+_BOUND = ("--degree-bound", {
+    "type": int, "default": None,
+    "help": "truncation degree (default: $%s or %d)" % (
+        ENV_DEGREE_BOUND, DEFAULT_DEGREE_BOUND,
+    ),
+})
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_OUT = ("--out", {"default": None, "help": "write the report here"})
+COMMANDS = {
+    "verify-so4": (
+        "run the full verification pipeline and report pass/fail", (),
+        (_BOUND, ("--seed", {"type": int, "default": 0}), _FORMAT, _OUT),
+        _cmd_verify,
+    ),
+    "eval": (
+        "evaluate a .chow script", ("file",), (_BOUND, _FORMAT, _OUT), _cmd_eval,
+    ),
+}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="chowcalc",
+        description="Exact intersection-theory calculator for Grassmannian "
+        "bundle towers.",
+    )
+    parser.add_argument(
+        "--version", action="version", version="chowcalc %s" % __version__
+    )
+    sub = parser.add_subparsers(dest="command")
+    for command, (summary, positionals, options, _) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for name in positionals:
+            cmd.add_argument(name)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
+    return parser
+
+
+def _fast_args(argv):
+    """`vars(build_parser().parse_args(argv))` for a command, its positional
+    arguments and distinct full `--flag value` pairs, without `argparse`;
+    None for any other command line.
+
+    No value may start with `-`, and a value `argparse` would refuse gives
+    None, so `argparse` reads every command line it might read differently
+    and writes every message and exit code.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options, _ = COMMANDS[argv[0]]
+    n = 1 + len(positionals)
+    if len(argv) < n or (len(argv) - n) % 2:
+        return None
+    if any(value.startswith("-") for value in argv[1:n]):
+        return None
+    args = dict(zip(positionals, argv[1:n]), command=argv[0])
+    args.update((_dest(flag), kwargs.get("default")) for flag, kwargs in options)
+    declared, seen = dict(options), set()
+    for flag, value in zip(argv[n::2], argv[n + 1::2]):
+        kwargs = declared.get(flag)
+        if kwargs is None or flag in seen or value.startswith("-"):
+            return None
+        seen.add(flag)
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        args[_dest(flag)] = value
+    return args
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -221,9 +214,7 @@ def main(argv=None):
             args["degree_bound"] = _default_degree_bound()
         if args["out"]:
             _check_writable(args["out"])
-        if args["command"] == "verify-so4":
-            return _cmd_verify(args)
-        return _cmd_eval(args)
+        return COMMANDS[args["command"]][3](args)
     except ChowError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

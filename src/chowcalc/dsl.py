@@ -474,6 +474,10 @@ class Session:
 
     def declare(self, stmts):
         """Pass 1: build the table from the script's declarations."""
+        # one message at every bound below 1, before a declaration would
+        # name the class it cannot hold
+        if self.degree_bound < 1:
+            raise DslError("degree bound must be positive")
         degrees = {}
         for s in stmts:
             if not isinstance(s, Let):

@@ -29,6 +29,7 @@ O3 = os.path.join(os.path.dirname(__file__), "..", "examples", "o3.chow")
 O4 = os.path.join(os.path.dirname(__file__), "..", "examples", "o4.chow")
 O5 = os.path.join(os.path.dirname(__file__), "..", "examples", "o5.chow")
 O6 = os.path.join(os.path.dirname(__file__), "..", "examples", "o6.chow")
+SO3 = os.path.join(os.path.dirname(__file__), "..", "examples", "so3.chow")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -277,6 +278,55 @@ def test_eval_o3_example_below_its_check_degree_is_an_error(capsys):
     )
 
 
+@pytest.mark.parametrize("bound", [10, 11])
+def test_eval_so3_example_passes_from_its_stated_bound(capsys, bound):
+    """examples/so3.chow finds A*_{SO(3)}[t]/(2t) = Z[d1, d2, d3, t1]/(d1,
+    2d3, 2t1) from the degenerate forms on U (x) T; its header states the
+    session bound 10."""
+    with open(SO3, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "The session bound is 10, the degree D the checks read" in text
+    code = run_cli(["eval", SO3, "--degree-bound", str(bound)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out.count("PASS") == 2 and "FAIL" not in out
+    assert out.endswith("overall: pass\n")
+
+
+@pytest.mark.parametrize("bound", [5, 9])
+def test_eval_so3_example_below_its_stated_bound_is_an_error(capsys, bound):
+    with open(SO3, encoding="utf-8") as fh:
+        line = 1 + fh.read().splitlines().index("check contains(Q, J, 10) == 1;")
+    assert run_cli(["eval", SO3, "--degree-bound", str(bound)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: line %d, col 1: degree 10 above the bound\n" % line
+    )
+
+
+def test_eval_so3_example_refuses_a_larger_ideal(tmp_path, capsys):
+    # with 2d2 added, (d1, 2d2, 2d3, 2t1) still holds every generator of Q,
+    # but Q no longer holds the ideal
+    with open(SO3, encoding="utf-8") as fh:
+        text = fh.read()
+    ideal = "let J = ideal(d1, 2 * d3, 2 * t1);"
+    assert text.count(ideal) == 1
+    script = tmp_path / "so3-control.chow"
+    script.write_text(
+        text.replace(ideal, "let J = ideal(d1, 2 * d2, 2 * d3, 2 * t1);"),
+        encoding="utf-8",
+    )
+    code = run_cli(["eval", str(script), "--degree-bound", "10"])
+    verdicts = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("PASS", "FAIL"))
+    ]
+    assert code == cli.EXIT_CHECK_FAILED
+    assert verdicts == [
+        "FAIL  check contains(Q, J, 10) == 1   [false vs 1]",
+        "PASS  check contains(J, Q, 10) == 1",
+    ]
+
+
 # (script, the degree D its checks read, its odd classes, its stated bound)
 OK_SCRIPTS = {
     "o4": (O4, 12, "2 * c1, 2 * c3", 16),
@@ -343,6 +393,30 @@ def test_eval_example_below_the_rank_of_S_names_the_bound_it_needs(
         "error: line %d, col 1: a nonzero c_%d needs a degree bound >= %d\n"
         % (line, bound + 1, bound + 1)
     )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("bound", [0, -1, -3])
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("script", [EXAMPLE, BUNDLES, O3, None], ids=[
+    "so4", "bundles", "o3", "no-declaration",
+])
+def test_eval_below_bound_1_is_one_message(tmp_path, monkeypatch, capsys,
+                                           bound, how, script):
+    """Below bound 1 every script, with a declaration or none, and every
+    `CHOW_DEGREE_BOUND` value read one message, not a class c_(bound + 1)
+    of degree below 1."""
+    if script is None:
+        script = tmp_path / "none.chow"
+        script.write_text("let a = 1;\ncheck a == 1;\n")
+    argv = ["eval", str(script)]
+    if how == "flag":
+        argv += ["--degree-bound=%d" % bound]
+    else:
+        monkeypatch.setenv(cli.ENV_DEGREE_BOUND, str(bound))
+    assert run_cli(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree bound must be positive\n"
     assert captured.out == ""
 
 
@@ -787,6 +861,63 @@ def test_fast_args_is_none_or_what_argparse_gives(argv):
 )
 def test_fast_args_reads_the_two_exact_forms(argv):
     assert cli._fast_args(argv) == argparse_args(argv) is not None
+
+
+def subcommands(parser):
+    """`parser`'s subcommand action: its `choices` map each command to its
+    parser, in order."""
+    import argparse
+
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def test_build_parser_declares_exactly_the_table():
+    sub = subcommands(cli.build_parser())
+    assert list(sub.choices) == list(cli.COMMANDS)
+    assert [a.help for a in sub._choices_actions] == [
+        entry[0] for entry in cli.COMMANDS.values()
+    ]
+    for name, (_, positionals, options, _) in cli.COMMANDS.items():
+        declared = [
+            (a.dest, a.option_strings, a.default, a.type, a.choices, a.help)
+            for a in sub.choices[name]._actions if a.dest != "help"
+        ]
+        assert declared == [
+            (dest, [], None, None, None, None) for dest in positionals
+        ] + [
+            (
+                flag[2:].replace("-", "_"), [flag], kwargs.get("default"),
+                kwargs.get("type"), kwargs.get("choices"), kwargs.get("help"),
+            )
+            for flag, kwargs in options
+        ]
+
+
+def test_an_entry_of_the_table_reaches_the_parser_the_fast_path_and_main(
+    monkeypatch, capsys
+):
+    # one option added to eval's entry, and its handler swapped
+    summary, positionals, options, _ = cli.COMMANDS["eval"]
+    level = ("--max-level", {
+        "type": int, "choices": (1, 2), "default": 1, "help": "deepest level",
+    })
+    monkeypatch.setitem(cli.COMMANDS, "eval", (
+        summary, positionals, options + (level,),
+        lambda args: 40 + args["max_level"],
+    ))
+    usage = subcommands(cli.build_parser()).choices["eval"].format_help()
+    assert "  --max-level {1,2}     deepest level\n" in usage
+    for argv in (["eval", "f.chow"], ["eval", "f.chow", "--max-level", "2"]):
+        fast = cli._fast_args(argv)
+        assert fast == argparse_args(argv) is not None
+        assert fast["max_level"] == len(argv) // 2
+    for value in ("3", "x"):
+        argv = ["eval", "f.chow", "--max-level", value]
+        assert cli._fast_args(argv) is None is argparse_args(argv)
+    assert cli.main(["eval", "f.chow", "--max-level", "2"]) == 42
+    assert cli.main(["eval", "f.chow", "--max-level=1"]) == 41
+    assert capsys.readouterr().err == ""
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):

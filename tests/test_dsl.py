@@ -438,6 +438,25 @@ def test_a_declaration_above_the_bound_is_refused_before_its_names(script, line)
     assert peak < 1 << 20  # no name of the declaration was built
 
 
+@pytest.mark.parametrize("bound", [0, -1, -3])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "let E = bundle(c, 2);",
+        "let E = bundle(c, 2);\nlet G = grass(E, 1, f);",
+        "let a = 1;",
+        "",
+    ],
+    ids=["bundle", "grass", "no-declaration", "empty"],
+)
+def test_a_bound_below_1_is_refused_before_any_declaration(script, bound):
+    # not "a nonzero c_(bound + 1) needs a degree bound >= bound + 1", a
+    # class that cannot exist below degree 1
+    with pytest.raises(DslError) as exc:
+        run_script(script, degree_bound=bound)
+    assert str(exc.value) == "degree bound must be positive"
+
+
 def test_degree_bound_plumbs_through():
     # at a low bound the truncation changes the arithmetic
     events, ok = run_script(
