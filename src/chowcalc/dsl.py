@@ -624,13 +624,13 @@ def _show(value):
 
 
 def _loose_eq(a, b):
+    """Equality, where a bool also equals 1 or 0 given as an int or as a
+    constant class; any other integer is unequal to it."""
     if isinstance(a, bool) or isinstance(b, bool):
         def as_bool(v):
-            if isinstance(v, bool):
-                return v
             if isinstance(v, Poly) and v.degree() <= 0:
-                return bool(v.constant())
-            if isinstance(v, int):
+                v = v.constant()
+            if isinstance(v, int) and v in (0, 1):
                 return bool(v)
             return None
 

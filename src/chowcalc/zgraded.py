@@ -463,6 +463,9 @@ class GradedIdeal:
         return self._lattices[d]
 
     def _check_degree(self, d):
+        # no class lies below degree 0, so a check there would test nothing
+        if d < 0:
+            raise GradedError("degree %d below 0" % d)
         if d > self.table.degree_bound:
             raise GradedError("degree %d above the bound" % d)
 

@@ -1,6 +1,7 @@
 """Tests for the command line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -625,6 +627,36 @@ def test_eval_long_flat_sum_evaluates(tmp_path, capsys, n):
     ]
 
 
+def test_eval_a_bool_against_any_other_integer_fails(tmp_path, capsys):
+    script = tmp_path / "bools.chow"
+    script.write_text(
+        "let S = bundle(c, 4);\nlet I = ideal(2 * c1, 2 * c3);\n"
+        "check member(c1, I) == -1;\ncheck contains(I, I, 2) == 7;\n"
+        "check contains(I, I, 2) == 1;\n",
+        encoding="utf-8",
+    )
+    assert run_cli(["eval", str(script)]) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "FAIL  check member(c1, I) == -1   [false vs -1]",
+        "FAIL  check contains(I, I, 2) == 7   [true vs 7]",
+        "PASS  check contains(I, I, 2) == 1",
+        "overall: fail",
+    ]
+
+
+@pytest.mark.parametrize(
+    "expr", ["contains(P, I, -8)", "structure(I, -8)"], ids=["contains", "structure"],
+)
+def test_eval_a_negative_degree_is_usage_error(tmp_path, capsys, expr):
+    code, err = eval_error(
+        tmp_path, capsys,
+        "let S = bundle(c, 4);\nlet I = ideal(2 * c1);\nlet P = ideal(c1);\n"
+        "check %s == 1;\n" % expr,
+    )
+    assert code == cli.EXIT_USAGE
+    assert err == "error: line 4, col 1: degree -8 below 0\n"
+
+
 @pytest.mark.parametrize(
     "error",
     [TowerError, PolyError, GradedError, BundleError, PipelineError, DslError],
@@ -1062,3 +1094,91 @@ def test_writable_out_probe_leaves_the_file_as_it_was(tmp_path, monkeypatch, exi
         assert target.read_text() == "old report\n"
     else:
         assert not target.exists()
+
+
+def test_entry_freezes_the_collector_once_main_returns(monkeypatch):
+    calls = []
+
+    def main():
+        calls.append("main")
+        return 7
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.entry() == 7
+    assert calls == ["main", "freeze"]
+
+
+def test_entry_leaves_a_usage_exit_unfrozen(monkeypatch):
+    # argparse's SystemExit (--help, --version, a usage error) passes through
+    def main():
+        raise SystemExit(2)
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: pytest.fail("froze on SystemExit"))
+    with pytest.raises(SystemExit):
+        cli.entry()
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
+    # tests and the bench's tracer call main in-process
+    before = gc.get_freeze_count()
+    assert run_cli(["verify-so4", "--degree-bound", "4"]) == cli.EXIT_OK
+    assert run_cli(["eval", BUNDLES]) == cli.EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_runs_entry():
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert re.findall(r'^\s*(\S+)\s*=\s*"([^"]*)"', table.group(1), re.M) == [
+        ("chowcalc", "chowcalc.cli:entry"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-so4", "--degree-bound", "4", "--format", "json"],
+        ["eval", BUNDLES],
+    ],
+    ids=["verify-so4", "eval"],
+)
+def test_out_closes_its_file_without_a_collection(tmp_path, capsys, argv):
+    # a process freezes its objects at exit, so no collection may be what
+    # closes a file
+    target = tmp_path / "out.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv + ["--out", str(target)])
+        gc.collect()
+    assert code == cli.EXIT_OK
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert target.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-so4", "--degree-bound", "5"],
+        ["verify-so4", "--degree-bound", "4", "--format", "json"],
+        ["eval", EXAMPLE, "--degree-bound", "10"],
+        ["eval", BUNDLES, "--format", "json"],
+        ["eval", os.path.join(GOLDEN, "no-such.chow")],
+    ],
+    ids=["verify-text", "verify-json", "eval-so4", "eval-json", "eval-missing"],
+)
+def test_a_process_prints_and_exits_as_main_returns(capsys, argv):
+    code = run_cli(argv)
+    out = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowcalc.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    if "--format" in argv:
+        out = re.sub(r'"elapsed_ms": [0-9.e+-]+', "", out)
+        proc.stdout = re.sub(r'"elapsed_ms": [0-9.e+-]+', "", proc.stdout)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -367,6 +367,76 @@ def test_session_ideal_builtins():
     assert ok
 
 
+@pytest.mark.parametrize(
+    "check, rhs",
+    [
+        ("member(c3, I) == -1", "-1"),
+        ("member(c1 * c2, I) == 2", "2"),
+        ("contains(I, I, 2) == 7", "7"),
+        ("contains(I, I, 2) == -1 + 3", "2"),
+        ("7 == contains(I, I, 2)", "true"),
+        ("contains(I, I, 2) == c1", "c1"),
+    ],
+)
+def test_a_bool_equals_no_integer_but_0_and_1(check, rhs):
+    # a nonzero integer is not "true": the check must FAIL, not test nothing
+    events, ok = run_script(
+        "let S = bundle(c, 4);\nlet I = ideal(c1, 2 * c3);\ncheck %s;\n" % check
+    )
+    assert not ok
+    assert events[-1]["rhs"] == rhs
+
+
+def test_a_bool_equals_1_and_0_as_ints_and_as_constant_classes():
+    events, ok = run_script(
+        "let S = bundle(c, 4);\n"
+        "let I = ideal(c1, 2 * c3);\n"
+        "let one = c1 - c1 + 1;\n"
+        "check member(c1 * c2, I) == 1;\n"
+        "check member(c1 * c2, I) == one;\n"
+        "check 1 == member(c1 * c2, I);\n"
+        "check member(c3, I) == 0;\n"
+        "check member(c3, I) == one - 1;\n"
+        "check 0 == contains(ideal(c1), I, 6);\n"
+        "check member(c3, I) == contains(ideal(c1), I, 6);\n"
+    )
+    assert ok
+    events, ok = run_script(
+        "let S = bundle(c, 4);\n"
+        "let I = ideal(c1, 2 * c3);\n"
+        "check member(c3, I) == 1;\n"
+        "check member(c1 * c2, I) == 0;\n"
+        "check member(c3, I) == member(c1 * c2, I);\n"
+    )
+    assert [e["ok"] for e in events if e["kind"] == "check"] == [False] * 3
+
+
+@pytest.mark.parametrize(
+    "expr, degree",
+    [
+        ("contains(I, I, -1)", -1),
+        ("contains(ideal(c1), I, -8)", -8),
+        ("structure(I, -1)", -1),
+        ("structure(I, -3)", -3),
+    ],
+)
+def test_a_negative_degree_is_an_error_not_a_vacuous_verdict(expr, degree):
+    with pytest.raises(DslError) as exc:
+        run_script(
+            "let S = bundle(c, 4);\nlet I = ideal(c1, 2 * c3);\nlet x = %s;\n"
+            % expr
+        )
+    assert str(exc.value) == "line 3, col 1: degree %d below 0" % degree
+
+
+def test_member_of_the_zero_class_is_true():
+    # the zero class has degree -1, and it lies in every ideal
+    events, ok = run_script(
+        "let S = bundle(c, 4);\ncheck member(c1 - c1, ideal(2 * c3)) == 1;\n"
+    )
+    assert ok
+
+
 def test_session_structure_builtin():
     # Z[c1, c2]/(2 c1) in degree 2: c2 is free, c1^2 has order 2
     events, ok = run_script(

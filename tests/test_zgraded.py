@@ -348,6 +348,25 @@ def test_contains_above_the_bound_is_an_error(table):
             call()
 
 
+def test_a_degree_below_0_is_an_error(table):
+    """No class lies below degree 0, so a containment or a quotient there
+    would decide nothing; member of the zero class (degree -1) is still
+    true."""
+    c1, c2 = table.var("c1"), table.var("c2")
+    big = GradedIdeal([c1, c2])
+    assert big.contains(GradedIdeal([2 * c2]), 0) == (True, None)
+    assert big.quotient_structure(0).free_rank == 1
+    for d in (-1, -8):
+        for call in (
+            lambda: big.contains(GradedIdeal([2 * c2]), d),
+            lambda: big.equal(GradedIdeal([c2, c1]), d),
+            lambda: big.quotient_structure(d),
+        ):
+            with pytest.raises(GradedError, match="^degree %d below 0$" % d):
+                call()
+    assert big.member(table.zero()) == (True, [])
+
+
 def test_equal_by_two_sided_containment(table):
     c1, c2, c3 = table.var("c1"), table.var("c2"), table.var("c3")
     gens = [c1 ** 2, c2, c3]
